@@ -89,20 +89,6 @@ def expansion_of_set(g: WeightedMultigraph, s: Iterable[VertexName]) -> Fraction
     return Fraction(_cut_weight(g, members), len(members))
 
 
-def _cut_weights_all_masks(
-    g: WeightedMultigraph, order: Sequence[VertexName]
-) -> "np.ndarray":
-    """Cut weight for every even mask (vertex 0 pinned to the complement)."""
-    n = g.n
-    index = {v: i for i, v in enumerate(order)}
-    masks = np.arange(1 << (n - 1), dtype=np.int64) << 1
-    cut = np.zeros(masks.shape, dtype=np.int64)
-    for u, v, w in g.edges():
-        crossing = ((masks >> index[u]) ^ (masks >> index[v])) & 1
-        cut += w * crossing
-    return cut
-
-
 def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     """Exact minimum expansion over all admissible subsets.
 

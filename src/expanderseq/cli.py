@@ -46,10 +46,16 @@ def _write_text(path: str, text: str) -> None:
         fp.write(text)
 
 
+def _bad_degree(d: int) -> bool:
+    """Report an invalid --d on stderr; true when it is invalid."""
+    if d % 2 == 0 and d >= 6:
+        return False
+    print(f"error: --d must be an even integer >= 6, got {d}", file=sys.stderr)
+    return True
+
+
 def cmd_grow(args: argparse.Namespace) -> int:
-    if args.d % 2 != 0 or args.d < 6:
-        print(f"error: --d must be an even integer >= 6, got {args.d}",
-              file=sys.stderr)
+    if _bad_degree(args.d):
         return EXIT_USAGE
     n_lo = args.n if args.n_to is None else min(args.n, args.n_to)
     n_hi = args.n if args.n_to is None else max(args.n, args.n_to)
@@ -94,9 +100,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_cost(args: argparse.Namespace) -> int:
-    if args.d % 2 != 0 or args.d < 6:
-        print(f"error: --d must be an even integer >= 6, got {args.d}",
-              file=sys.stderr)
+    if _bad_degree(args.d):
         return EXIT_USAGE
     base = args.d // 2 + 1
     n_hi = base * (1 << args.cycles)
@@ -282,15 +286,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.script) as fp:
-        text = fp.read()
+    if _bad_degree(args.d):
+        return EXIT_USAGE
     try:
-        events = selfheal.parse_script(text)
-    except selfheal.ScriptError as exc:
+        with open(args.script) as fp:
+            events = selfheal.parse_script(fp.read())
+        if args.snapshot_dir:
+            os.makedirs(args.snapshot_dir, exist_ok=True)
+    except (OSError, selfheal.ScriptError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.snapshot_dir:
-        os.makedirs(args.snapshot_dir, exist_ok=True)
     try:
         report = selfheal.run_script(
             args.d, args.seed, events, snapshot_dir=args.snapshot_dir

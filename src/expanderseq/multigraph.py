@@ -10,7 +10,7 @@ actual regularity is a property of grower output, not of the type.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -134,6 +134,30 @@ def adjacency_matrix(
         a[i, j] = w
         a[j, i] = w
     return a
+
+
+def bfs_distances(
+    neighbors: Callable[[VertexName], Iterable[VertexName]],
+    source: VertexName,
+    blocked: Callable[[VertexName], bool] = lambda v: False,
+) -> dict[VertexName, int]:
+    """Hop distances from ``source`` to every vertex it reaches.
+
+    ``neighbors(v)`` lists the vertices adjacent to ``v`` (``g.neighbors``
+    for a multigraph ``g``).  A vertex for which ``blocked`` is true is never
+    entered; the source itself is not tested.
+    """
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in dist and not blocked(w):
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return dist
 
 
 def expansion_cost(g1: WeightedMultigraph, g2: WeightedMultigraph) -> int:

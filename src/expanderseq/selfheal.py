@@ -24,6 +24,48 @@ Recovery flows:
   the deleted name, pulling the coordinator state if the coordinator died.
   When the newest vertex itself was deleted, the takeover goes to its split
   partner, which performs the undo alone.
+
+Every message carries one body: the body's type selects its handler, and
+its fields determine the bits it is charged, with ``name(v)`` = 9 + depth
+of v and ``int(k)`` = bit length of k + 1.  An ``old`` name is implied by
+a rename and costs nothing, ``n`` in the ADD_NOTIFY bodies is the harness's
+vertex count, and a relay leg costs what the leg it relays costs.
+
+===============  =================================  ================================
+body             fields                             bits
+===============  =================================  ================================
+AddNotify        new_ext, n                         int(n) + 8
+AddRelay         new_ext, n, via                    int(n) + name(via) + 16
+NReply           n, new_ext                         int(n) + 16
+NRelay           n                                  int(n) + 8
+SplitReq         new_ext, new_name, target          2 name(new_name) + 16
+SplitRelay       as SplitReq, plus via              as SplitReq
+NeighborEntry    name, ext, new_ext                 name(name) + 24
+NeighborRelay    as NeighborEntry                   as NeighborEntry
+PartnerAnnounce  name, ext                          name(name) + 16
+PartnerReply     name, ext                          name(name) + 16
+Wire             name, ext                          name(name) + 16
+Ack              name, ext                          name(name) + 16
+Bind             name, ext, old (optional)          name(name) + 16
+BindLink         name, ext, old, new_name, new_ext  name(name) + name(new_name) + 24
+DropLink         old, new_name, new_ext             name(new_name) + 24
+DropAttach       ext                                16
+PairDrop         (none)                             8
+DelNotify        deleted                            name(deleted) + 8
+Takeover         deleted, n, coord_died             name(deleted) + int(n) + 16
+ReconnectVia     half, name, ext                    name(name) + name(half) + 16
+Reconnect        as ReconnectVia                    as ReconnectVia
+DropName         name                               name(name) + 8
+Unsplit          drop, halves, total                32 + (32 + drop depth) per half
+StateXfer        n                                  int(n) + 8
+ReplicaSync      n                                  int(n) + 8
+===============  =================================  ================================
+
+Within a round, deliveries are ordered by the receiver's name, then by the
+body's ``rank``, then by send order.  The rank is the position of the body's
+kind in ADD_NOTIFY, N_REPLY, SPLIT_REQ, NEIGHBOR_LIST, EDGE_MAKE, EDGE_DROP,
+DEL_NOTIFY, TAKEOVER, UNDO_STEP, STATE_XFER, REPLICA_SYNC; the table lists
+the bodies in that order, and the bodies of one kind share its rank.
 """
 
 from __future__ import annotations
@@ -34,12 +76,13 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
+from functools import singledispatchmethod
 from typing import Iterable
 
 from .grower import bl_expander, changelog_at, graph_at
 from .multigraph import (
     WeightedMultigraph,
+    bfs_distances,
     edge_key,
     expansion_cost,
     graph_to_text,
@@ -58,33 +101,264 @@ class ScriptError(ValueError):
     """An adversary script event is invalid at the time it fires."""
 
 
-class Kind(Enum):
-    ADD_NOTIFY = "ADD_NOTIFY"
-    N_REPLY = "N_REPLY"
-    SPLIT_REQ = "SPLIT_REQ"
-    NEIGHBOR_LIST = "NEIGHBOR_LIST"
-    EDGE_MAKE = "EDGE_MAKE"
-    EDGE_DROP = "EDGE_DROP"
-    DEL_NOTIFY = "DEL_NOTIFY"
-    TAKEOVER = "TAKEOVER"
-    UNDO_STEP = "UNDO_STEP"
-    STATE_XFER = "STATE_XFER"
-    REPLICA_SYNC = "REPLICA_SYNC"
+def _name_bits(name: VertexName) -> int:
+    return 9 + name.depth
 
 
-_KIND_PRIORITY = {k: i for i, k in enumerate(Kind)}
+def _int_bits(value: int) -> int:
+    return max(1, value.bit_length()) + 1
+
+
+# Message kinds, in delivery priority within a round.
+(ADD_NOTIFY, N_REPLY, SPLIT_REQ, NEIGHBOR_LIST, EDGE_MAKE, EDGE_DROP,
+ DEL_NOTIFY, TAKEOVER, UNDO_STEP, STATE_XFER, REPLICA_SYNC) = range(11)
+
+
+class Body:
+    """A message body: ``rank`` is its kind, ``bits`` its charged size."""
+
+    rank: int
+    bits: int
+
+
+@dataclass(frozen=True)
+class AddNotify(Body):
+    """New node -> attach neighbor: please announce me to the coordinator."""
+
+    new_ext: str
+    n: int
+    rank = ADD_NOTIFY
+    bits = property(lambda b: _int_bits(b.n) + 8)
+
+
+@dataclass(frozen=True)
+class AddRelay(Body):
+    """Attach neighbor -> coordinator (routed): a node is joining via me."""
+
+    new_ext: str
+    n: int
+    via: VertexName
+    rank = ADD_NOTIFY
+    bits = property(lambda b: _int_bits(b.n) + _name_bits(b.via) + 16)
+
+
+@dataclass(frozen=True)
+class NReply(Body):
+    """Coordinator -> attach neighbor (routed): the new vertex count."""
+
+    n: int
+    new_ext: str
+    rank = N_REPLY
+    bits = property(lambda b: _int_bits(b.n) + 16)
+
+
+@dataclass(frozen=True)
+class NRelay(Body):
+    """Attach neighbor -> new node: the new vertex count."""
+
+    n: int
+    rank = N_REPLY
+    bits = property(lambda b: _int_bits(b.n) + 8)
+
+
+@dataclass(frozen=True)
+class SplitReq(Body):
+    """New node -> attach neighbor: ask ``target`` to split for me."""
+
+    new_ext: str
+    new_name: VertexName
+    target: VertexName
+    rank = SPLIT_REQ
+    bits = property(lambda b: _name_bits(b.new_name) * 2 + 16)
+
+
+@dataclass(frozen=True)
+class SplitRelay(SplitReq):
+    """Attach neighbor -> splitting vertex (routed)."""
+
+    via: VertexName
+
+
+@dataclass(frozen=True)
+class NeighborEntry(Body):
+    """Splitting vertex -> attach neighbor (routed): one neighbor-table entry."""
+
+    name: VertexName
+    ext: str
+    new_ext: str
+    rank = NEIGHBOR_LIST
+    bits = property(lambda b: _name_bits(b.name) + 24)
+
+
+class NeighborRelay(NeighborEntry):
+    """Attach neighbor -> new node: the entry, pushed over the attach link."""
+
+
+@dataclass(frozen=True)
+class EdgeMake(Body):
+    """An edge-making body: a name and the ext id it belongs to."""
+
+    name: VertexName
+    ext: str
+    rank = EDGE_MAKE
+    bits = property(lambda b: _name_bits(b.name) + 16)
+
+
+class PartnerAnnounce(EdgeMake):
+    """Routed to my split sibling: my id, so the pair edge can be managed."""
+
+
+class PartnerReply(EdgeMake):
+    """Split sibling -> announcer: my id in return."""
+
+
+class Wire(EdgeMake):
+    """Takeover node -> slot neighbor (routed): bind me under ``name``."""
+
+
+class Ack(EdgeMake):
+    """Slot neighbor -> takeover node: bound; here is my name."""
+
+
+@dataclass(frozen=True)
+class Bind(EdgeMake):
+    """Bind ``name`` to ``ext``, replacing ``old`` (implied by a rename)."""
+
+    old: VertexName | None = None
+
+
+@dataclass(frozen=True)
+class BindLink(Body):
+    """Splitting vertex -> unsplit neighbor: rebind me, link to my new half."""
+
+    name: VertexName
+    ext: str
+    old: VertexName
+    new_name: VertexName
+    new_ext: str
+    rank = EDGE_MAKE
+    bits = property(lambda b: _name_bits(b.name) + _name_bits(b.new_name) + 24)
+
+
+@dataclass(frozen=True)
+class DropLink(Body):
+    """Splitting vertex -> lost split neighbor: drop me, link to my new half."""
+
+    old: VertexName
+    new_name: VertexName
+    new_ext: str
+    rank = EDGE_DROP
+    bits = property(lambda b: _name_bits(b.new_name) + 24)
+
+
+@dataclass(frozen=True)
+class DropAttach(Body):
+    """Wired new node -> attach neighbor: our attach link is not an edge."""
+
+    ext: str
+    rank = EDGE_DROP
+    bits = 16
+
+
+@dataclass(frozen=True)
+class PairDrop(Body):
+    """0 half -> 1 half: the pair edge goes away."""
+
+    rank = EDGE_DROP
+    bits = 8
+
+
+@dataclass(frozen=True)
+class DelNotify(Body):
+    """Elected ex-neighbor -> coordinator (routed): ``deleted`` is gone."""
+
+    deleted: VertexName
+    rank = DEL_NOTIFY
+    bits = property(lambda b: _name_bits(b.deleted) + 8)
+
+
+@dataclass(frozen=True)
+class Takeover(Body):
+    """Coordinator (or elected holder) -> newest vertex or its partner."""
+
+    deleted: VertexName
+    n: int
+    coord_died: bool
+    rank = TAKEOVER
+    bits = property(lambda b: _name_bits(b.deleted) + _int_bits(b.n) + 16)
+
+
+@dataclass(frozen=True)
+class ReconnectVia(Body):
+    """Renaming partner -> a relay next to ``half`` (routed): reconnect us."""
+
+    half: VertexName
+    name: VertexName
+    ext: str
+    rank = UNDO_STEP
+    bits = property(lambda b: _name_bits(b.name) + _name_bits(b.half) + 16)
+
+
+class Reconnect(ReconnectVia):
+    """Relay -> lost half: bind the renamed partner."""
+
+
+@dataclass(frozen=True)
+class DropName(Body):
+    """Undoing vertex -> neighbor: forget ``name``."""
+
+    name: VertexName
+    rank = UNDO_STEP
+    bits = property(lambda b: _name_bits(b.name) + 8)
+
+
+@dataclass(frozen=True)
+class Unsplit(Body):
+    """Undoing vertex -> split partner: one of ``total`` handover chunks."""
+
+    drop: VertexName
+    halves: tuple[tuple[VertexName, str], ...]
+    total: int
+    rank = UNDO_STEP
+    bits = property(lambda b: 32 + (32 + b.drop.depth) * len(b.halves))
+
+
+@dataclass(frozen=True)
+class StateXfer(Body):
+    """Elected replica holder -> new coordinator (routed): the vertex count."""
+
+    n: int
+    rank = STATE_XFER
+    bits = property(lambda b: _int_bits(b.n) + 8)
+
+
+@dataclass(frozen=True)
+class ReplicaSync(Body):
+    """Coordinator -> neighbor: the current vertex count."""
+
+    n: int
+    rank = REPLICA_SYNC
+    bits = property(lambda b: _int_bits(b.n) + 8)
 
 
 @dataclass
 class Message:
-    kind: Kind
-    src: VertexName | None
-    final_dst: VertexName | None
-    payload: dict
-    payload_bits: int
+    """A body in flight.
+
+    With ``dst`` set the body is routed hop by hop toward that name;
+    otherwise it crosses a single link.  The other fields are the harness's
+    routing state: the names to avoid, the vertex count that pins the exact
+    topology (``n_hint``), the reference level, and escape-hop bookkeeping.
+    """
+
+    body: Body
+    dst: VertexName | None = None
     exclude: frozenset[VertexName] = frozenset()
+    n_hint: int | None = None
     route_level: int | None = None
     seq: int = 0
+    hops: int = 0
+    last: VertexName | None = None
 
 
 @dataclass
@@ -103,7 +377,6 @@ class NodeState:
     neighbor_list: list[tuple[VertexName, str]] = field(default_factory=list)
     neighbor_list_expect: int | None = None
     wiring_done: bool = True
-    pending_forwards: list[Message] = field(default_factory=list)
     # deletion-takeover bookkeeping
     takeover: dict | None = None
     # partner name known dead this event; suppresses pair re-adds until recovery
@@ -113,6 +386,12 @@ class NodeState:
     @property
     def is_coordinator(self) -> bool:
         return self.name is not None and is_all_zeros(self.name)
+
+    def is_partner_of(self, name: VertexName) -> bool:
+        return (
+            self.name is not None and self.name.depth > 0
+            and partner(self.name) == name
+        )
 
 
 @dataclass(frozen=True)
@@ -169,12 +448,18 @@ def parse_script(text: str) -> list[AdversaryEvent]:
     return events
 
 
-def _name_bits(name: VertexName | None) -> int:
-    return 9 + (name.depth if name is not None else 0)
+def _closest(
+    candidates: Iterable[VertexName], dist: dict[VertexName, int], here: int | None
+) -> VertexName | None:
+    """The smallest-named candidate one step nearer than ``here``.
 
-
-def _int_bits(value: int) -> int:
-    return max(1, value.bit_length()) + 1
+    When ``here`` is unknown (the node's own vertex is excluded), the nearest
+    reachable candidate instead.
+    """
+    steps = [
+        w for w in candidates if w in dist and (here is None or dist[w] == here - 1)
+    ]
+    return min(steps, key=lambda w: (dist[w], w.key()), default=None)
 
 
 _ROUTE_CACHE: dict = {}
@@ -201,7 +486,7 @@ class SimNetwork:
         self.bits = 0
         base = graph_at(d, self.n, seed)
         ids = {}
-        for v in sorted(base.vertices, key=lambda x: x.key()):
+        for v in sorted(base.vertices, key=VertexName.key):
             ext = f"g{v.base}"
             ids[v] = ext
             self.nodes[ext] = NodeState(ext_id=ext, name=v)
@@ -232,10 +517,10 @@ class SimNetwork:
         return MSG_BIT_CAP_FACTOR * max(1, math.ceil(math.log2(max(self.n, 2))))
 
     def _send(self, src_ext: str, dst_ext: str, msg: Message) -> None:
-        if msg.payload_bits > self._bit_cap():
+        if msg.body.bits > self._bit_cap():
             raise ProtocolError(
-                f"{msg.kind.value} payload of {msg.payload_bits} bits exceeds "
-                f"the cap {self._bit_cap()}"
+                f"{type(msg.body).__name__} body of {msg.body.bits} bits "
+                f"exceeds the cap {self._bit_cap()}"
             )
         if src_ext == dst_ext:
             self._handle(self.nodes[dst_ext], msg, src_ext)
@@ -244,40 +529,45 @@ class SimNetwork:
         msg.seq = self._seq
         self._queues.setdefault((src_ext, dst_ext), deque()).append(msg)
 
+    def _direct(self, node: NodeState, dst_ext: str, body: Body) -> None:
+        """Send ``body`` over the single link to ``dst_ext``."""
+        self._send(node.ext_id, dst_ext, Message(body))
+
+    def _route(
+        self,
+        node: NodeState,
+        body: Body,
+        dst: VertexName,
+        exclude: frozenset[VertexName] = frozenset(),
+        n_hint: int | None = None,
+    ) -> None:
+        """Send ``body`` hop by hop toward the node named ``dst``."""
+        self._send_routed(node.ext_id, Message(body, dst, exclude, n_hint))
+
     def _send_routed(self, src_ext: str, msg: Message) -> None:
-        """Forward toward msg.final_dst along the canonical shortest path."""
+        """Deliver here if this node is ``msg.dst``, else forward one hop.
+
+        The hop follows the canonical shortest path: in the exact graph when
+        the message carries the vertex count, else in the reference level
+        its first forwarder chose.  A node with no such hop escapes.
+        """
         node = self.nodes[src_ext]
-        assert msg.final_dst is not None
-        if node.name is not None and strip_identity(node.name) == strip_identity(
-            msg.final_dst
-        ):
-            self._handle(node, msg, src_ext)
+        if strip_identity(node.name) == strip_identity(msg.dst):
+            self._on(msg.body, node, src_ext)
             return
-        hop_name: VertexName | None = None
-        n_hint = msg.payload.get("n_hint")
-        if n_hint is not None and node.name is not None:
-            hop_name = self._exact_next_hop(node, msg.final_dst, n_hint, msg.exclude)
-        if hop_name is None:
-            if msg.route_level is None:
-                msg.route_level = self._working_level(node)
-            try:
-                hop_name = self.route_next_hop(
-                    node, msg.final_dst, msg.exclude, msg.route_level
-                )
-            except ProtocolError:
-                if not node.wiring_done:
-                    # a node mid-wiring may lack the binding; retry next round
-                    node.pending_forwards.append(msg)
-                    return
-                hop_name = self._escape_hop(node, msg)
-        if hop_name is None:
-            raise ProtocolError(
-                f"{node.ext_id} has no route toward {format_name(msg.final_dst)}"
-            )
-        self._send(src_ext, node.neighbor_table[hop_name], msg)
+        try:
+            if msg.n_hint is not None:
+                hop = self._exact_next_hop(node, msg.dst, msg.n_hint, msg.exclude)
+            else:
+                if msg.route_level is None:
+                    msg.route_level = self._working_level(node)
+                hop = self.route_next_hop(node, msg.dst, msg.exclude, msg.route_level)
+        except ProtocolError:
+            hop = self._escape_hop(node, msg)
+        self._send(src_ext, node.neighbor_table[hop], msg)
 
     def _escape_hop(self, node: NodeState, msg: Message) -> VertexName:
-        """Deterministic last resort when every reference level is stuck.
+        """Deterministic last resort when the reference level is stuck.
 
         Removing a dead vertex's images can separate a node from its own
         split sibling in every reference graph even though the physical
@@ -285,16 +575,12 @@ class SimNetwork:
         the smallest neighbor other than the last carrier; the hop budget
         turns a genuine routing bug into a hard error instead of a livelock.
         """
-        hops = msg.payload.get("_hops", 0) + 1
-        msg.payload["_hops"] = hops
-        if hops > 16 * (node.name.depth + 4 if node.name else 4):
-            raise ProtocolError(
-                f"hop budget exhausted toward {format_name(msg.final_dst)}"
-            )
-        last = msg.payload.get("_last")
-        choices = sorted(node.neighbor_table, key=lambda x: x.key())
-        pick = next((x for x in choices if x != last), choices[0])
-        msg.payload["_last"] = node.name
+        msg.hops += 1
+        if msg.hops > 16 * (node.name.depth + 4):
+            raise ProtocolError(f"hop budget exhausted toward {format_name(msg.dst)}")
+        choices = sorted(node.neighbor_table, key=VertexName.key)
+        pick = next((x for x in choices if x != msg.last), choices[0])
+        msg.last = node.name
         return pick
 
     # -- routing ----------------------------------------------------------
@@ -304,9 +590,7 @@ class SimNetwork:
         cached = _ROUTE_CACHE.get(key)
         if cached is None:
             g = bl_expander(self.d, i, self.seed)
-            cached = {
-                v: sorted(g.neighbors(v), key=lambda x: x.key()) for v in g.vertices
-            }
+            cached = {v: sorted(g.neighbors(v), key=VertexName.key) for v in g.vertices}
             _ROUTE_CACHE[key] = cached
         return cached
 
@@ -321,27 +605,13 @@ class SimNetwork:
         ``exclude`` removes vertices whose identity matches a dead name.
         """
         key = ("dist", self.d, i, self.seed, target, exclude)
-        cached = _ROUTE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        adj = self._ref_adj(i)
-
-        def dead(w: VertexName) -> bool:
-            return any(self._covers(x, w, i) for x in exclude)
-
-        dist = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w in dist or dead(w):
-                        continue
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-            frontier = nxt
-        _ROUTE_CACHE[key] = dist
-        return dist
+        if key not in _ROUTE_CACHE:
+            _ROUTE_CACHE[key] = bfs_distances(
+                self._ref_adj(i).__getitem__,
+                target,
+                lambda w: any(self._covers(x, w, i) for x in exclude),
+            )
+        return _ROUTE_CACHE[key]
 
     @staticmethod
     def _image_in_level(name: VertexName, i: int) -> VertexName:
@@ -367,9 +637,17 @@ class SimNetwork:
             out = {v.child(b) for v in out for b in (0, 1)}
         return out
 
+    def _by_identity(self, n: int) -> dict[VertexName, VertexName]:
+        """The exact n-vertex graph's vertices, keyed by persistent identity."""
+        key = ("ids", self.d, self.seed, n)
+        if key not in _ROUTE_CACHE:
+            g = graph_at(self.d, n, self.seed)
+            _ROUTE_CACHE[key] = {strip_identity(v): v for v in g.vertices}
+        return _ROUTE_CACHE[key]
+
     def _true_dist(
         self, n: int, dst: VertexName, exclude: frozenset[VertexName]
-    ) -> dict[VertexName, int] | None:
+    ) -> dict[VertexName, int]:
         """BFS distances to ``dst``'s identity in the exact n-vertex graph.
 
         Available to any holder of the authoritative vertex count: knowing n
@@ -377,34 +655,14 @@ class SimNetwork:
         between split partners that the doubled references do not contain.
         """
         key = ("true", self.d, self.seed, n, dst, exclude)
-        cached = _ROUTE_CACHE.get(key)
-        if cached is not None:
-            return cached or None
-        g = graph_at(self.d, n, self.seed)
-        want = strip_identity(dst)
-        target = None
-        for v in g.vertices:
-            if strip_identity(v) == want:
-                target = v
-                break
-        if target is None:
-            _ROUTE_CACHE[key] = {}
-            return None
-        dead = {strip_identity(x) for x in exclude}
-        adj = {v: sorted(g.neighbors(v), key=lambda x: x.key()) for v in g.vertices}
-        dist = {target: 0}
-        frontier = [target]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w in dist or strip_identity(w) in dead:
-                        continue
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-            frontier = nxt
-        _ROUTE_CACHE[key] = dist
-        return dist
+        if key not in _ROUTE_CACHE:
+            dead = {strip_identity(x) for x in exclude}
+            _ROUTE_CACHE[key] = bfs_distances(
+                graph_at(self.d, n, self.seed).neighbors,
+                self._by_identity(n)[strip_identity(dst)],
+                lambda w: strip_identity(w) in dead,
+            )
+        return _ROUTE_CACHE[key]
 
     def _exact_next_hop(
         self,
@@ -412,40 +670,19 @@ class SimNetwork:
         dst: VertexName,
         n: int,
         exclude: frozenset[VertexName],
-    ) -> VertexName | None:
+    ) -> VertexName:
         """Next hop on the true shortest path in the exact n-vertex graph."""
         dist = self._true_dist(n, dst, exclude)
-        if dist is None:
-            return None
-        g = graph_at(self.d, n, self.seed)
-        me = strip_identity(node.name)
-        pos = None
-        for v in g.vertices:
-            if strip_identity(v) == me:
-                pos = v
-                break
-        if pos is None:
-            return None
-        here = dist.get(pos)
-        nbrs = sorted(g.neighbors(pos), key=lambda x: x.key())
-        ranked = []
-        for w in nbrs:
-            dw = dist.get(w)
-            if dw is None:
-                continue
-            if here is not None and dw == here - 1:
-                ranked.append((0, dw, w))
-            elif here is None:
-                ranked.append((1, dw, w))
-        if not ranked:
-            return None
-        ranked.sort(key=lambda item: (item[0], item[1], item[2].key()))
-        w = ranked[0][2]
+        pos = self._by_identity(n)[strip_identity(node.name)]
+        w = _closest(graph_at(self.d, n, self.seed).neighbors(pos), dist, dist.get(pos))
+        if w is None:
+            raise ProtocolError(
+                f"no exact hop from {format_name(node.name)} to {format_name(dst)}"
+            )
         return self._match_binding(node, w, w.depth)
 
     def _working_level(self, node: NodeState) -> int:
         """Reference level per the local rule: one up if a neighbor is deeper."""
-        assert node.name is not None
         level = node.name.depth
         if any(nb.depth > level for nb in node.neighbor_table):
             level += 1
@@ -470,62 +707,23 @@ class SimNetwork:
             raise ProtocolError(f"{node.ext_id} is not named yet")
         if strip_identity(dst) == strip_identity(node.name):
             return None
-        for nb in sorted(node.neighbor_table, key=lambda x: x.key()):
+        for nb in sorted(node.neighbor_table, key=VertexName.key):
             if strip_identity(nb) == strip_identity(dst):
                 return nb
         if level is None:
             level = self._working_level(node)
-        # a level can be unusable when removing a dead vertex's images
-        # disconnects it; the contraction one level down always reconnects,
-        # so walk downward until a hop exists
-        for lvl in range(level, -1, -1):
-            hop = self._hop_at_level(node, dst, exclude, lvl)
-            if hop is not None:
-                return hop
-        raise ProtocolError(
-            f"no hop from {format_name(node.name)} to {format_name(dst)} "
-            f"at any level <= {level}"
-        )
-
-    def _hop_at_level(
-        self,
-        node: NodeState,
-        dst: VertexName,
-        exclude: frozenset[VertexName],
-        level: int,
-    ) -> VertexName | None:
-        target = self._image_in_level(dst, level)
-        dist = self._ref_dist(level, target, exclude)
+        dist = self._ref_dist(level, self._image_in_level(dst, level), exclude)
         adjacency = self._ref_adj(level)
         locus = self._locus(node.name, level)
+        candidates = set().union(*(adjacency[v] for v in locus)) - locus
         here = min((dist[v] for v in locus if v in dist), default=None)
-        candidates: set[VertexName] = set()
-        for v in locus:
-            candidates.update(adjacency[v])
-        candidates -= locus
-        best: VertexName | None = None
-        if here is not None:
-            for w in sorted(candidates, key=lambda x: x.key()):
-                if dist.get(w) == here - 1:
-                    best = w
-                    break
-        else:
-            # own vertex excluded (e.g. routing out of a vanishing slot):
-            # step toward the nearest reachable candidate
-            ranked = sorted(
-                (w for w in candidates if w in dist),
-                key=lambda w: (dist[w], w.key()),
-            )
-            best = ranked[0] if ranked else None
+        best = _closest(candidates, dist, here)
         if best is None:
-            return None
-        phys = self._match_binding(node, best, level)
-        if phys is None:
             raise ProtocolError(
-                f"{node.ext_id} has no physical neighbor matching "
-                f"{format_name(best)}"
+                f"no hop from {format_name(node.name)} to {format_name(dst)} "
+                f"at level {level}"
             )
-        return phys
+        return self._match_binding(node, best, level)
 
     @staticmethod
     def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
@@ -543,28 +741,20 @@ class SimNetwork:
     @classmethod
     def _match_binding(
         cls, node: NodeState, ref_vertex: VertexName, level: int
-    ) -> VertexName | None:
-        """The physical neighbor name carrying a reference vertex, if any."""
-        for nb in sorted(node.neighbor_table, key=lambda x: x.key()):
+    ) -> VertexName:
+        """The physical neighbor name carrying a reference vertex."""
+        for nb in sorted(node.neighbor_table, key=VertexName.key):
             if cls._covers(nb, ref_vertex, level):
                 return nb
-        return None
+        raise ProtocolError(
+            f"{node.ext_id} has no physical neighbor matching "
+            f"{format_name(ref_vertex)}"
+        )
 
     # -- round loop -------------------------------------------------------
 
     def run_to_quiescence(self, round_limit: int = 100_000) -> None:
-        while True:
-            retried = False
-            for node in list(self.nodes.values()):
-                if node.pending_forwards:
-                    pending, node.pending_forwards = node.pending_forwards, []
-                    for msg in pending:
-                        self._send_routed(node.ext_id, msg)
-                    retried = len(node.pending_forwards) < len(pending)
-            if not self._queues:
-                if any(x.pending_forwards for x in self.nodes.values()) and retried:
-                    continue
-                break
+        while self._queues:
             self.rounds += 1
             if self.rounds > round_limit:
                 raise ProtocolError("round limit exceeded; protocol livelock")
@@ -578,25 +768,24 @@ class SimNetwork:
                 dst, _src, msg = item
                 name = self.nodes[dst].name if dst in self.nodes else None
                 name_key = (2, ()) if name is None else (1, name.key())
-                return (name_key, _KIND_PRIORITY[msg.kind], msg.seq)
+                return (name_key, msg.body.rank, msg.seq)
 
             for dst, src, msg in sorted(deliveries, key=order):
                 if dst not in self.nodes:
                     continue
                 self.messages += 1
-                self.bits += msg.payload_bits
+                self.bits += msg.body.bits
                 self._handle(self.nodes[dst], msg, src)
 
     def _handle(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if (
-            not msg.payload.get("direct")
-            and msg.final_dst is not None
-            and node.name is not None
-            and strip_identity(node.name) != strip_identity(msg.final_dst)
-        ):
+        if msg.dst is None:
+            self._on(msg.body, node, src_ext)
+        else:
             self._send_routed(node.ext_id, msg)
-            return
-        getattr(self, f"_on_{msg.kind.value.lower()}")(node, msg, src_ext)
+
+    @singledispatchmethod
+    def _on(self, body: Body, node: NodeState, src: str) -> None:
+        raise ProtocolError(f"no handler for {type(body).__name__}")
 
     def _after_table_change(self, node: NodeState) -> None:
         self._recheck_pair_edge(node)
@@ -606,6 +795,17 @@ class SimNetwork:
             node.replicated_coordinator_state = None
         if node.is_coordinator and node.known_n is not None:
             self._sync_replicas(node)
+
+    def _bind(self, node: NodeState, name: VertexName, ext: str) -> None:
+        node.neighbor_table[name] = ext
+        node.attach_links.pop(ext, None)
+        if node.is_partner_of(name):
+            node.partner_ext = ext
+
+    def _link(self, node: NodeState, name: VertexName, ext: str) -> None:
+        """Bind ``name`` and ask it to bind this node back."""
+        self._bind(node, name, ext)
+        self._direct(node, ext, Bind(node.name, node.ext_id))
 
     # -- insertion ---------------------------------------------------------
 
@@ -623,120 +823,52 @@ class SimNetwork:
         self.nodes[ext_id] = node
         for a in node.attach_links:
             self.nodes[a].attach_links[ext_id] = True
-        v_ext = min(node.attach_links)
-        node.relay_ext = v_ext
-        self._send(
-            ext_id,
-            v_ext,
-            Message(
-                Kind.ADD_NOTIFY,
-                src=None,
-                final_dst=None,
-                payload={"new_ext": ext_id, "direct": True},
-                payload_bits=_int_bits(self.n) + 8,
-            ),
-        )
+        node.relay_ext = min(node.attach_links)
+        self._direct(node, node.relay_ext, AddNotify(ext_id, self.n))
         self.run_to_quiescence()
         for node in self.nodes.values():
             node.announce_inflight = False
         self._common_checks()
 
-    def _on_add_notify(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if msg.payload.get("direct"):
-            fwd = Message(
-                Kind.ADD_NOTIFY,
-                src=node.name,
-                final_dst=VertexName(0),
-                payload={
-                    "new_ext": msg.payload["new_ext"],
-                    "via_name": node.name,
-                },
-                payload_bits=_int_bits(self.n) + _name_bits(node.name) + 16,
-            )
-            self._send_routed(node.ext_id, fwd)
-            return
+    @_on.register
+    def _on_add_notify(self, body: AddNotify, node: NodeState, src: str) -> None:
+        self._route(node, AddRelay(body.new_ext, self.n, node.name), VertexName(0))
+
+    @_on.register
+    def _on_add_relay(self, body: AddRelay, node: NodeState, src: str) -> None:
         if not node.is_coordinator:
             raise ProtocolError("ADD_NOTIFY reached a non-coordinator")
-        assert node.known_n is not None
         node.known_n += 1
         self.n = node.known_n
         self._sync_replicas(node)
-        self._send_routed(
-            node.ext_id,
-            Message(
-                Kind.N_REPLY,
-                src=node.name,
-                final_dst=msg.payload["via_name"],
-                payload={"n": node.known_n, "new_ext": msg.payload["new_ext"]},
-                payload_bits=_int_bits(node.known_n) + 16,
-            ),
-        )
+        self._route(node, NReply(node.known_n, body.new_ext), body.via)
 
-    def _on_n_reply(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if msg.payload.get("direct"):
-            self._new_node_learns_n(node, msg.payload["n"])
-            return
-        self._send(
-            node.ext_id,
-            msg.payload["new_ext"],
-            Message(
-                Kind.N_REPLY,
-                src=node.name,
-                final_dst=None,
-                payload={"n": msg.payload["n"], "direct": True},
-                payload_bits=_int_bits(msg.payload["n"]) + 8,
-            ),
-        )
+    @_on.register
+    def _on_n_reply(self, body: NReply, node: NodeState, src: str) -> None:
+        self._direct(node, body.new_ext, NRelay(body.n))
 
-    def _new_node_learns_n(self, node: NodeState, n: int) -> None:
-        log = changelog_at(self.d, n, self.seed)
+    @_on.register
+    def _on_n_relay(self, body: NRelay, node: NodeState, src: str) -> None:
+        """The new node learns n, hence its name and the vertex that splits."""
+        log = changelog_at(self.d, body.n, self.seed)
         node.name = log.new_vertex
-        ref = graph_at(self.d, n, self.seed)
+        ref = graph_at(self.d, body.n, self.seed)
         node.expected_neighbors = frozenset(ref.neighbors(log.new_vertex))
         node.neighbor_list_expect = len(
-            graph_at(self.d, n - 1, self.seed).neighbors(log.split_vertex)
+            graph_at(self.d, body.n - 1, self.seed).neighbors(log.split_vertex)
         )
-        assert node.relay_ext is not None
-        self._send(
-            node.ext_id,
-            node.relay_ext,
-            Message(
-                Kind.SPLIT_REQ,
-                src=node.name,
-                final_dst=log.split_vertex,
-                payload={
-                    "new_ext": node.ext_id,
-                    "new_name": log.new_vertex,
-                    "direct": True,
-                },
-                payload_bits=_name_bits(log.new_vertex) * 2 + 16,
-            ),
-        )
+        split_req = SplitReq(node.ext_id, log.new_vertex, log.split_vertex)
+        self._direct(node, node.relay_ext, split_req)
 
-    def _on_split_req(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if msg.payload.get("direct"):
-            self._send_routed(
-                node.ext_id,
-                Message(
-                    Kind.SPLIT_REQ,
-                    src=node.name,
-                    final_dst=msg.final_dst,
-                    payload={
-                        "new_ext": msg.payload["new_ext"],
-                        "new_name": msg.payload["new_name"],
-                        "via_name": node.name,
-                    },
-                    payload_bits=_name_bits(msg.payload["new_name"]) * 2 + 16,
-                ),
-            )
-            return
-        self._execute_split(node, msg.payload["new_ext"], msg.payload["via_name"])
+    @_on.register
+    def _on_split_req(self, body: SplitReq, node: NodeState, src: str) -> None:
+        relay = SplitRelay(body.new_ext, body.new_name, body.target, node.name)
+        self._route(node, relay, body.target)
 
-    def _execute_split(
-        self, node: NodeState, new_ext: str, via_name: VertexName | None
-    ) -> None:
+    @_on.register
+    def _on_split_relay(self, body: SplitRelay, node: NodeState, src: str) -> None:
         """The splitting vertex renames to its 0 copy and rewires its edges."""
-        assert node.name is not None
+        new_ext = body.new_ext
         old_name = node.name
         x0 = old_name.child(0)
         x1 = old_name.child(1)
@@ -746,50 +878,17 @@ class SimNetwork:
         level = x0.depth
         h = bl_expander(self.d, level, self.seed)
         old_table = dict(node.neighbor_table)
-        unsplit = sorted(
-            (w for w in old_table if w.depth < level), key=lambda x: x.key()
-        )
-        split = sorted(
-            (w for w in old_table if w.depth == level), key=lambda x: x.key()
-        )
+        unsplit = sorted((w for w in old_table if w.depth < level), key=VertexName.key)
+        split = sorted((w for w in old_table if w.depth == level), key=VertexName.key)
         if len(unsplit) + len(split) != len(old_table):
             raise ProtocolError("neighbor depths are inconsistent at split")
-        if via_name is not None:
-            for w in sorted(old_table, key=lambda x: x.key()):
-                self._send_routed(
-                    node.ext_id,
-                    Message(
-                        Kind.NEIGHBOR_LIST,
-                        src=node.name,
-                        final_dst=via_name,
-                        payload={
-                            "name": w,
-                            "ext": old_table[w],
-                            "new_ext": new_ext,
-                            "total": len(old_table),
-                        },
-                        payload_bits=_name_bits(w) + 24,
-                    ),
-                )
+        for w in sorted(old_table, key=VertexName.key):
+            entry = NeighborEntry(w, old_table[w], new_ext)
+            self._route(node, entry, body.via)
         for w in unsplit:
-            self._send(
-                node.ext_id,
-                old_table[w],
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": x0,
-                        "my_ext": node.ext_id,
-                        "rebind": old_name,
-                        "link_partner": (x1, new_ext),
-                    },
-                    payload_bits=_name_bits(x0) + _name_bits(x1) + 24,
-                ),
-            )
-        for p in sorted({w.parent() for w in split}, key=lambda x: x.key()):
+            link = BindLink(x0, node.ext_id, old_name, x1, new_ext)
+            self._direct(node, old_table[w], link)
+        for p in sorted({w.parent() for w in split}, key=VertexName.key):
             v0, v1 = p.child(0), p.child(1)
             if v0 not in old_table or v1 not in old_table:
                 raise ProtocolError(
@@ -798,207 +897,91 @@ class SimNetwork:
             if (h.weight(x0, v0) > 0) == (h.weight(x0, v1) > 0):
                 raise ProtocolError("target matching is not a perfect matching")
             kept, lost = (v0, v1) if h.weight(x0, v0) > 0 else (v1, v0)
-            self._send(
-                node.ext_id,
-                old_table[kept],
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": x0,
-                        "my_ext": node.ext_id,
-                        "rebind": old_name,
-                    },
-                    payload_bits=_name_bits(x0) + 16,
-                ),
-            )
-            self._send(
-                node.ext_id,
-                old_table[lost],
-                Message(
-                    Kind.EDGE_DROP,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "drop": old_name,
-                        "link_partner": (x1, new_ext),
-                    },
-                    payload_bits=_name_bits(x1) + 24,
-                ),
-            )
+            self._direct(node, old_table[kept], Bind(x0, node.ext_id, old_name))
+            self._direct(node, old_table[lost], DropLink(old_name, x1, new_ext))
             del node.neighbor_table[lost]
         if unsplit:
             node.neighbor_table[x1] = new_ext
-            self._send(
-                node.ext_id,
-                new_ext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": x0,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(x0) + 16,
-                ),
-            )
+            self._direct(node, new_ext, Bind(x0, node.ext_id))
         self._after_table_change(node)
 
-    def _on_neighbor_list(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if msg.payload.get("direct"):
-            node.neighbor_list.append((msg.payload["name"], msg.payload["ext"]))
-            self._maybe_finish_wiring(node)
-            return
-        # this is the relay neighbor: push the entry over the attach link
-        self._send(
-            node.ext_id,
-            msg.payload["new_ext"],
-            Message(
-                Kind.NEIGHBOR_LIST,
-                src=node.name,
-                final_dst=None,
-                payload={
-                    "direct": True,
-                    "name": msg.payload["name"],
-                    "ext": msg.payload["ext"],
-                    "total": msg.payload["total"],
-                },
-                payload_bits=msg.payload_bits,
-            ),
-        )
+    @_on.register
+    def _on_neighbor_entry(
+        self, body: NeighborEntry, node: NodeState, src: str
+    ) -> None:
+        relay = NeighborRelay(body.name, body.ext, body.new_ext)
+        self._direct(node, body.new_ext, relay)
 
-    def _on_edge_make(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        p = msg.payload
-        if p.get("partner_announce") is not None:
-            if node.name is not None and node.name.depth and partner(
-                node.name
-            ) == p["announce_name"]:
-                node.partner_ext = p["partner_announce"]
-                self._send(
-                    node.ext_id,
-                    p["partner_announce"],
-                    Message(
-                        Kind.EDGE_MAKE,
-                        src=node.name,
-                        final_dst=None,
-                        payload={
-                            "direct": True,
-                            "partner_announce_reply": node.ext_id,
-                            "announce_name": node.name,
-                        },
-                        payload_bits=_name_bits(node.name) + 16,
-                    ),
-                )
-                self._after_table_change(node)
-            return
-        if p.get("partner_announce_reply") is not None:
-            if node.name is not None and node.name.depth and partner(
-                node.name
-            ) == p["announce_name"]:
-                node.partner_ext = p["partner_announce_reply"]
-                node.announce_inflight = False
-                self._after_table_change(node)
-            return
-        if p.get("future_name") is not None:
-            # takeover wiring: bind the sender under its future identity
-            fname = p["future_name"]
-            node.neighbor_table[fname] = p["my_ext"]
-            node.attach_links.pop(p["my_ext"], None)
-            if node.name is not None and node.name.depth and partner(node.name) == fname:
-                node.partner_ext = p["my_ext"]
-            self._send(
-                node.ext_id,
-                p["my_ext"],
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "ack": True,
-                        "my_name": node.name,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(node.name) + 16,
-                ),
-            )
+    @_on.register
+    def _on_neighbor_relay(
+        self, body: NeighborRelay, node: NodeState, src: str
+    ) -> None:
+        node.neighbor_list.append((body.name, body.ext))
+        self._maybe_finish_wiring(node)
+
+    @_on.register
+    def _on_partner_announce(
+        self, body: PartnerAnnounce, node: NodeState, src: str
+    ) -> None:
+        if node.is_partner_of(body.name):
+            node.partner_ext = body.ext
+            self._direct(node, body.ext, PartnerReply(node.name, node.ext_id))
             self._after_table_change(node)
-            return
-        if p.get("ack"):
-            node.neighbor_table[p["my_name"]] = p["my_ext"]
-            if node.takeover is not None:
-                node.takeover["acks"] += 1
-                self._maybe_finish_takeover(node)
-            return
-        if p.get("rebind") is not None:
-            node.neighbor_table.pop(p["rebind"], None)
-        if p.get("my_name") is not None:
-            ext = p.get("my_ext", src_ext)
-            node.neighbor_table[p["my_name"]] = ext
-            node.attach_links.pop(ext, None)
-            if (
-                node.name is not None
-                and node.name.depth
-                and partner(node.name) == p["my_name"]
-            ):
-                node.partner_ext = ext
-        if p.get("link_partner") is not None:
-            pname, pext = p["link_partner"]
-            node.neighbor_table[pname] = pext
-            node.attach_links.pop(pext, None)
-            self._send(
-                node.ext_id,
-                pext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": node.name,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(node.name) + 16,
-                ),
-            )
+
+    @_on.register
+    def _on_partner_reply(self, body: PartnerReply, node: NodeState, src: str) -> None:
+        if node.is_partner_of(body.name):
+            node.partner_ext = body.ext
+            node.announce_inflight = False
+            self._after_table_change(node)
+
+    @_on.register
+    def _on_wire(self, body: Wire, node: NodeState, src: str) -> None:
+        # takeover wiring: bind the sender under its future identity
+        self._bind(node, body.name, body.ext)
+        self._direct(node, body.ext, Ack(node.name, node.ext_id))
+        self._after_table_change(node)
+
+    @_on.register
+    def _on_ack(self, body: Ack, node: NodeState, src: str) -> None:
+        node.neighbor_table[body.name] = body.ext
+        if node.takeover is not None:
+            node.takeover["acks"] += 1
+            self._maybe_finish_takeover(node)
+
+    @_on.register
+    def _on_bind(self, body: Bind, node: NodeState, src: str) -> None:
+        if body.old is not None:
+            node.neighbor_table.pop(body.old, None)
+        self._bind(node, body.name, body.ext)
         self._after_table_change(node)
         self._maybe_finish_wiring(node)
 
-    def _on_edge_drop(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        p = msg.payload
-        if p.get("drop") is not None:
-            node.neighbor_table.pop(p["drop"], None)
-        if p.get("drop_ext"):
-            node.attach_links.pop(p["drop_ext"], None)
-        if p.get("pair_drop") and node.name is not None and node.name.depth:
+    @_on.register
+    def _on_bind_link(self, body: BindLink, node: NodeState, src: str) -> None:
+        node.neighbor_table.pop(body.old, None)
+        self._bind(node, body.name, body.ext)
+        self._link(node, body.new_name, body.new_ext)
+        self._after_table_change(node)
+        self._maybe_finish_wiring(node)
+
+    @_on.register
+    def _on_drop_link(self, body: DropLink, node: NodeState, src: str) -> None:
+        node.neighbor_table.pop(body.old, None)
+        self._link(node, body.new_name, body.new_ext)
+        self._after_table_change(node)
+
+    @_on.register
+    def _on_drop_attach(self, body: DropAttach, node: NodeState, src: str) -> None:
+        node.attach_links.pop(body.ext, None)
+        self._after_table_change(node)
+
+    @_on.register
+    def _on_pair_drop(self, body: PairDrop, node: NodeState, src: str) -> None:
+        if node.name is not None and node.name.depth:
             pn = partner(node.name)
             if pn in node.neighbor_table:
-                node.partner_ext = node.neighbor_table[pn]
-                del node.neighbor_table[pn]
-        if p.get("link_partner") is not None:
-            pname, pext = p["link_partner"]
-            node.neighbor_table[pname] = pext
-            node.attach_links.pop(pext, None)
-            self._send(
-                node.ext_id,
-                pext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": node.name,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(node.name) + 16,
-                ),
-            )
+                node.partner_ext = node.neighbor_table.pop(pn)
         self._after_table_change(node)
 
     def _recheck_pair_edge(self, node: NodeState) -> None:
@@ -1024,19 +1007,8 @@ class SimNetwork:
                 return
             # only the 0 half decides; the 1 half applies the paired message,
             # since its own view of the unsplit count may lag transiently
-            node.partner_ext = node.neighbor_table[pn]
-            del node.neighbor_table[pn]
-            self._send(
-                node.ext_id,
-                node.partner_ext,
-                Message(
-                    Kind.EDGE_DROP,
-                    src=node.name,
-                    final_dst=None,
-                    payload={"direct": True, "pair_drop": True},
-                    payload_bits=8,
-                ),
-            )
+            node.partner_ext = node.neighbor_table.pop(pn)
+            self._direct(node, node.partner_ext, PairDrop())
         elif not present and count > 0 and initiator and pn != node.pair_hold:
             live = (
                 node.partner_ext is not None
@@ -1045,44 +1017,17 @@ class SimNetwork:
             )
             if live:
                 node.neighbor_table[pn] = node.partner_ext
-                self._send(
-                    node.ext_id,
-                    node.partner_ext,
-                    Message(
-                        Kind.EDGE_MAKE,
-                        src=node.name,
-                        final_dst=None,
-                        payload={
-                            "direct": True,
-                            "my_name": node.name,
-                            "my_ext": node.ext_id,
-                        },
-                        payload_bits=_name_bits(node.name) + 16,
-                    ),
-                )
+                self._direct(node, node.partner_ext, Bind(node.name, node.ext_id))
             elif not node.announce_inflight:
                 # sibling id unknown or stale: ask for it and retry on reply
                 node.announce_inflight = True
-                self._send_routed(
-                    node.ext_id,
-                    Message(
-                        Kind.EDGE_MAKE,
-                        src=node.name,
-                        final_dst=pn,
-                        payload={
-                            "partner_announce": node.ext_id,
-                            "announce_name": node.name,
-                        },
-                        payload_bits=_name_bits(node.name) + 16,
-                    ),
-                )
+                self._route(node, PartnerAnnounce(node.name, node.ext_id), pn)
 
     def _maybe_finish_wiring(self, node: NodeState) -> None:
+        # a new node is named together with learning how many entries to expect
         if node.wiring_done or node.name is None:
             return
-        if node.neighbor_list_expect is None or len(
-            node.neighbor_list
-        ) < node.neighbor_list_expect:
+        if len(node.neighbor_list) < node.neighbor_list_expect:
             return
         if not node.expected_neighbors <= set(node.neighbor_table):
             return
@@ -1090,17 +1035,7 @@ class SimNetwork:
         bound_exts = set(node.neighbor_table.values())
         for ext in sorted(node.attach_links):
             if ext not in bound_exts:
-                self._send(
-                    node.ext_id,
-                    ext,
-                    Message(
-                        Kind.EDGE_DROP,
-                        src=node.name,
-                        final_dst=None,
-                        payload={"direct": True, "drop_ext": node.ext_id},
-                        payload_bits=16,
-                    ),
-                )
+                self._direct(node, ext, DropAttach(node.ext_id))
             del node.attach_links[ext]
         self._after_table_change(node)
 
@@ -1112,7 +1047,6 @@ class SimNetwork:
         if self.n == self.d // 2 + 1:
             raise ScriptError("cannot shrink below the base clique size d/2 + 1")
         dead = self.nodes.pop(ext_id)
-        assert dead.name is not None
         dead_name = dead.name
         neighbors = [
             self.nodes[ext]
@@ -1124,7 +1058,7 @@ class SimNetwork:
                 if ext == ext_id:
                     del nb.neighbor_table[name]
             nb.attach_links.pop(ext_id, None)
-            if nb.name is not None and nb.name.depth and partner(nb.name) == dead_name:
+            if nb.is_partner_of(dead_name):
                 nb.pair_hold = dead_name
                 nb.partner_ext = None
         if dead.is_coordinator:
@@ -1134,23 +1068,12 @@ class SimNetwork:
             if len(holders) != len(neighbors):
                 raise ProtocolError("a coordinator neighbor lost its replica")
             n = holders[0].replicated_coordinator_state["n"]
-            x_name = changelog_at(self.d, n, self.seed).new_vertex
-            elected = self._elect_for_coordinator_deletion(
-                neighbors, dead_name, x_name, n
-            )
+            elected = self._elect_for_coordinator_deletion(neighbors, dead_name, n)
             self._send_takeover(elected, dead_name, n, coord_died=True)
         else:
             elected = self._elect_for_deletion(neighbors, dead_name)
-            self._send_routed(
-                elected.ext_id,
-                Message(
-                    Kind.DEL_NOTIFY,
-                    src=elected.name,
-                    final_dst=VertexName(0),
-                    payload={"deleted": dead_name},
-                    payload_bits=_name_bits(dead_name) + 8,
-                    exclude=frozenset([dead_name]),
-                ),
+            self._route(
+                elected, DelNotify(dead_name), VertexName(0), frozenset([dead_name])
             )
         self._defer_pair_drops = True
         for nb in neighbors:
@@ -1179,13 +1102,7 @@ class SimNetwork:
         level = dead_name.depth
         target = self._image_in_level(VertexName(0), level)
         dist = self._ref_dist(level, target, frozenset())
-        adj = self._ref_adj(level)
-        here = dist[dead_name]
-        hop = None
-        for w in adj[dead_name]:
-            if dist.get(w) == here - 1:
-                hop = w
-                break
+        hop = _closest(self._ref_adj(level)[dead_name], dist, dist[dead_name])
         if hop is None:
             raise ProtocolError("deleted vertex has no hop toward the coordinator")
         matches = [
@@ -1203,31 +1120,13 @@ class SimNetwork:
         return matches[0]
 
     def _elect_for_coordinator_deletion(
-        self,
-        neighbors: list[NodeState],
-        dead_name: VertexName,
-        x_name: VertexName,
-        n: int,
+        self, neighbors: list[NodeState], dead_name: VertexName, n: int
     ) -> NodeState:
         """Replica holders agree on the neighbor toward the newest vertex."""
+        x_name = changelog_at(self.d, n, self.seed).new_vertex
+        dist = self._true_dist(n, x_name, frozenset())
         g = graph_at(self.d, n, self.seed)
-        adj = {v: sorted(g.neighbors(v), key=lambda x: x.key()) for v in g.vertices}
-        dist: dict[VertexName, int] = {x_name: 0}
-        frontier = [x_name]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        here = dist[dead_name]
-        hop = None
-        for w in adj[dead_name]:
-            if dist.get(w) == here - 1:
-                hop = w
-                break
+        hop = _closest(g.neighbors(dead_name), dist, dist[dead_name])
         if hop is None:
             raise ProtocolError(
                 "no hop from the dead coordinator to the newest vertex"
@@ -1243,56 +1142,30 @@ class SimNetwork:
         x_name = changelog_at(self.d, n, self.seed).new_vertex
         if strip_identity(x_name) == strip_identity(dead_name):
             target = x_name.parent().child(0)
-            mode = "self_undo"
         else:
             target = x_name
-            mode = "takeover"
-        self._send_routed(
-            sender.ext_id,
-            Message(
-                Kind.TAKEOVER,
-                src=sender.name,
-                final_dst=target,
-                payload={
-                    "mode": mode,
-                    "deleted": dead_name,
-                    "n_pre": n,
-                    "n_hint": n,
-                    "coord_died": coord_died,
-                },
-                payload_bits=_name_bits(dead_name) + _int_bits(n) + 16,
-                exclude=frozenset([dead_name]),
-            ),
-        )
+        dead = frozenset([dead_name])
+        self._route(sender, Takeover(dead_name, n, coord_died), target, dead, n)
         if coord_died:
-            self._send_routed(
-                sender.ext_id,
-                Message(
-                    Kind.STATE_XFER,
-                    src=sender.name,
-                    final_dst=target,
-                    payload={"n": n, "n_hint": n},
-                    payload_bits=_int_bits(n) + 8,
-                    exclude=frozenset([dead_name]),
-                ),
-            )
+            self._route(sender, StateXfer(n), target, dead, n)
 
-    def _on_del_notify(self, node: NodeState, msg: Message, src_ext: str) -> None:
+    @_on.register
+    def _on_del_notify(self, body: DelNotify, node: NodeState, src: str) -> None:
         if not node.is_coordinator:
             raise ProtocolError("DEL_NOTIFY reached a non-coordinator")
-        assert node.known_n is not None
         n_pre = node.known_n
         node.known_n -= 1
         self.n = node.known_n
         self._sync_replicas(node)
-        self._send_takeover(node, msg.payload["deleted"], n_pre, coord_died=False)
+        self._send_takeover(node, body.deleted, n_pre, coord_died=False)
 
-    def _on_takeover(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        p = msg.payload
-        n_pre = p["n_pre"]
-        dead_name = p["deleted"]
+    @_on.register
+    def _on_takeover(self, body: Takeover, node: NodeState, src: str) -> None:
+        n_pre = body.n
+        dead_name = body.deleted
         log = changelog_at(self.d, n_pre, self.seed)
-        if p["mode"] == "self_undo":
+        if strip_identity(log.new_vertex) == strip_identity(dead_name):
+            # the newest vertex died: this is its partner, undoing alone
             self._partner_unsplit_from_reference(node, log, n_pre)
             if node.is_coordinator and node.known_n is not None:
                 self._sync_replicas(node)
@@ -1303,37 +1176,22 @@ class SimNetwork:
         absorb = dead_name == p0
         slot = log.split_vertex if absorb else dead_name
         ref_prev = graph_at(self.d, n_pre - 1, self.seed)
-        targets = sorted(ref_prev.neighbors(slot), key=lambda x: x.key())
+        targets = sorted(ref_prev.neighbors(slot), key=VertexName.key)
         node.takeover = {
-            "mode": "takeover",
             "dead": dead_name,
             "slot": slot,
             "absorb": absorb,
             "n_pre": n_pre,
             "acks": 0,
             "need": len(targets),
-            "coord_died": p["coord_died"],
+            "coord_died": body.coord_died,
             "targets_cur": frozenset(
                 t if t != log.split_vertex else p0 for t in targets
             ),
         }
         for t in targets:
-            self._send_routed(
-                node.ext_id,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=t,
-                    payload={
-                        "future_name": slot,
-                        "my_ext": node.ext_id,
-                        "n_hint": n_pre,
-                    },
-                    payload_bits=_name_bits(slot) + 16,
-                    exclude=frozenset([dead_name]),
-                ),
-            )
-        if not absorb and log.split_vertex.child(0) not in node.neighbor_table:
+            self._route(node, Wire(slot, node.ext_id), t, frozenset([dead_name]), n_pre)
+        if not absorb and p0 not in node.neighbor_table:
             # remote partner: its handover cannot disturb in-flight wiring
             # (the partner edge is absent from every reference path), so it
             # can overlap the wiring round trips instead of following them
@@ -1353,46 +1211,22 @@ class SimNetwork:
         ref = graph_at(self.d, n_pre, self.seed)
         lost_halves = [
             (w, node.neighbor_table[w])
-            for w in sorted(ref.neighbors(x1), key=lambda v: v.key())
+            for w in sorted(ref.neighbors(x1), key=VertexName.key)
             if w != dead_name and w.depth == x1.depth and w != p0
             and w in node.neighbor_table
         ]
-        per_entry = 32 + x1.depth
-        chunk_size = max(1, (self._bit_cap() - 32) // per_entry)
+        chunk_size = max(1, (self._bit_cap() - 32) // (32 + x1.depth))
         chunks = [
-            lost_halves[i : i + chunk_size]
+            tuple(lost_halves[i : i + chunk_size])
             for i in range(0, len(lost_halves), chunk_size)
-        ] or [[]]
+        ] or [()]
         direct_ext = node.neighbor_table.get(p0)
         for chunk in chunks:
-            payload = {
-                "unsplit": True,
-                "drop": x1,
-                "halves": [(h, e) for h, e in chunk],
-                "total": len(chunks),
-                "n_pre": n_pre,
-            }
-            bits = 32 + per_entry * len(chunk)
+            body = Unsplit(x1, chunk, len(chunks))
             if direct_ext is not None:
-                payload["direct"] = True
-                self._send(
-                    node.ext_id,
-                    direct_ext,
-                    Message(Kind.UNDO_STEP, src=node.name, final_dst=None,
-                            payload=payload, payload_bits=bits),
-                )
+                self._direct(node, direct_ext, body)
             else:
-                self._send_routed(
-                    node.ext_id,
-                    Message(
-                        Kind.UNDO_STEP,
-                        src=node.name,
-                        final_dst=p0,
-                        payload=dict(payload, n_hint=n_pre),
-                        payload_bits=bits,
-                        exclude=frozenset([dead_name, x1]),
-                    ),
-                )
+                self._route(node, body, p0, frozenset([dead_name, x1]), n_pre)
 
     def _maybe_finish_takeover(self, node: NodeState) -> None:
         t = node.takeover
@@ -1408,27 +1242,16 @@ class SimNetwork:
             pn = partner(node.name)
             if pn in node.neighbor_table:
                 node.partner_ext = node.neighbor_table[pn]
-            elif not t.get("absorb"):
+            elif not t["absorb"]:
                 # introduce ourselves to the split sibling even though the
                 # shrinking edge is currently absent, so either side can
                 # initiate its re-creation later
-                self._send_routed(
-                    node.ext_id,
-                    Message(
-                        Kind.EDGE_MAKE,
-                        src=node.name,
-                        final_dst=pn,
-                        payload={
-                            "partner_announce": node.ext_id,
-                            "announce_name": node.name,
-                        },
-                        payload_bits=_name_bits(node.name) + 16,
-                    ),
-                )
+                self._route(node, PartnerAnnounce(node.name, node.ext_id), pn)
         self._after_table_change(node)
 
-    def _on_state_xfer(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        node.known_n = msg.payload["n"] - 1
+    @_on.register
+    def _on_state_xfer(self, body: StateXfer, node: NodeState, src: str) -> None:
+        node.known_n = body.n - 1
         self.n = node.known_n
         if node.takeover is not None:
             self._maybe_finish_takeover(node)
@@ -1440,49 +1263,21 @@ class SimNetwork:
         p0 = p.child(0)
         ref = graph_at(self.d, t["n_pre"], self.seed)
         old_names = sorted(
-            (w for w in ref.neighbors(x1) if w != t["dead"]),
-            key=lambda x: x.key(),
+            (w for w in ref.neighbors(x1) if w != t["dead"]), key=VertexName.key
         )
-        lost_halves = [
-            (w, node.neighbor_table[w])
-            for w in old_names
-            if w.depth == x1.depth and w != p0
-        ]
-        partner_ext = node.neighbor_table.get(p0)
-        if t.get("absorb"):
+        if t["absorb"]:
             # the dead node was the split partner: no handover, the shared
             # edges persist under the parent name once the old one is dropped
             for w in old_names:
-                self._send(
-                    node.ext_id,
-                    node.neighbor_table[w],
-                    Message(
-                        Kind.UNDO_STEP,
-                        src=node.name,
-                        final_dst=None,
-                        payload={"direct": True, "drop": x1},
-                        payload_bits=_name_bits(x1) + 8,
-                    ),
-                )
+                self._direct(node, node.neighbor_table[w], DropName(x1))
             for w in old_names:
                 if w not in t["targets_cur"]:
                     node.neighbor_table.pop(w, None)
             node.partner_ext = None
             return
         for w in old_names:
-            if w == p0:
-                continue
-            self._send(
-                node.ext_id,
-                node.neighbor_table[w],
-                Message(
-                    Kind.UNDO_STEP,
-                    src=node.name,
-                    final_dst=None,
-                    payload={"direct": True, "drop": x1},
-                    payload_bits=_name_bits(x1) + 8,
-                ),
-            )
+            if w != p0:
+                self._direct(node, node.neighbor_table[w], DropName(x1))
         if not t.get("partner_done"):
             self._send_partner_handover(node, log, t["n_pre"], t["dead"])
         partner_is_target = p0 in t["targets_cur"]
@@ -1507,112 +1302,62 @@ class SimNetwork:
         its canonically smallest other neighbor, which hands it over the
         surviving link.
         """
-        assert node.name is not None
         x1 = log.new_vertex
         renamed = node.name.parent()
         ref = graph_at(self.d, n_pre, self.seed)
         lost = [
             w
-            for w in sorted(ref.neighbors(x1), key=lambda x: x.key())
+            for w in sorted(ref.neighbors(x1), key=VertexName.key)
             if w.depth == x1.depth and w != node.name
         ]
         for half in lost:
             relays = sorted(
-                (r for r in ref.neighbors(half) if r != x1),
-                key=lambda x: x.key(),
+                (r for r in ref.neighbors(half) if r != x1), key=VertexName.key
             )
             if not relays:
                 raise ProtocolError(
                     f"no live relay toward {format_name(half)}"
                 )
-            self._send_routed(
-                node.ext_id,
-                Message(
-                    Kind.UNDO_STEP,
-                    src=node.name,
-                    final_dst=relays[0],
-                    payload={
-                        "reconnect_for": half,
-                        "reconnect": (renamed, node.ext_id),
-                        "n_hint": n_pre,
-                    },
-                    payload_bits=_name_bits(renamed) + _name_bits(half) + 16,
-                    exclude=frozenset([x1]),
-                ),
-            )
-        self._partner_rename_and_reclaim(node, [], exclude=frozenset())
+            request = ReconnectVia(half, renamed, node.ext_id)
+            self._route(node, request, relays[0], frozenset([x1]), n_pre)
+        self._partner_rename_and_reclaim(node, [])
 
-    def _on_undo_step(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        p = msg.payload
-        if p.get("reconnect_for") is not None:
-            half = p["reconnect_for"]
-            ext = node.neighbor_table.get(half)
-            if ext is None:
-                raise ProtocolError(
-                    f"{node.ext_id} cannot relay a reconnect to "
-                    f"{format_name(half)}"
-                )
-            self._send(
-                node.ext_id,
-                ext,
-                Message(
-                    Kind.UNDO_STEP,
-                    src=node.name,
-                    final_dst=None,
-                    payload={"direct": True, "reconnect": p["reconnect"]},
-                    payload_bits=msg.payload_bits,
-                ),
+    @_on.register
+    def _on_reconnect_via(self, body: ReconnectVia, node: NodeState, src: str) -> None:
+        ext = node.neighbor_table.get(body.half)
+        if ext is None:
+            raise ProtocolError(
+                f"{node.ext_id} cannot relay a reconnect to "
+                f"{format_name(body.half)}"
             )
-            return
-        if p.get("reconnect") is not None:
-            pname, pext = p["reconnect"]
-            node.neighbor_table[pname] = pext
-            self._send(
-                node.ext_id,
-                pext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": node.name,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(node.name) + 16,
-                ),
-            )
-            self._after_table_change(node)
-            return
-        if p.get("drop") is not None and not p.get("unsplit"):
-            node.neighbor_table.pop(p["drop"], None)
-            self._after_table_change(node)
-            return
+        self._direct(node, ext, Reconnect(body.half, body.name, body.ext))
+
+    @_on.register
+    def _on_reconnect(self, body: Reconnect, node: NodeState, src: str) -> None:
+        self._link(node, body.name, body.ext)
+        self._after_table_change(node)
+
+    @_on.register
+    def _on_drop_name(self, body: DropName, node: NodeState, src: str) -> None:
+        node.neighbor_table.pop(body.name, None)
+        self._after_table_change(node)
+
+    @_on.register
+    def _on_unsplit(self, body: Unsplit, node: NodeState, src: str) -> None:
         if node.takeover is None:
-            node.takeover = {
-                "mode": "partner_undo",
-                "seen": 0,
-                "need": p["total"],
-                "halves": [],
-                "drop": p.get("drop"),
-            }
+            node.takeover = {"seen": 0, "need": body.total, "halves": []}
         t = node.takeover
         t["seen"] += 1
-        t["halves"].extend(tuple(h) for h in p.get("halves", []))
-        if t["seen"] >= max(1, t["need"]):
+        t["halves"].extend(body.halves)
+        if t["seen"] >= t["need"]:
             node.takeover = None
-            if t.get("drop") is not None:
-                node.neighbor_table.pop(t["drop"], None)
-            self._partner_rename_and_reclaim(node, t["halves"], exclude=frozenset())
+            node.neighbor_table.pop(body.drop, None)
+            self._partner_rename_and_reclaim(node, t["halves"])
 
     def _partner_rename_and_reclaim(
-        self,
-        node: NodeState,
-        halves: list[tuple[VertexName, str]],
-        exclude: frozenset[VertexName],
+        self, node: NodeState, halves: list[tuple[VertexName, str]]
     ) -> None:
         """Drop the 0 bit, rebind the neighborhood, and reconnect the lost halves."""
-        assert node.name is not None and node.name.depth > 0
         old = node.name
         renamed = old.parent()
         node.name = renamed
@@ -1625,82 +1370,33 @@ class SimNetwork:
                 # renaming can land back on an active split name (a deletion
                 # unwinding a doubling boundary); re-introduce ourselves to
                 # the sibling so pair-edge decisions stay possible
-                self._send_routed(
-                    node.ext_id,
-                    Message(
-                        Kind.EDGE_MAKE,
-                        src=node.name,
-                        final_dst=pn,
-                        payload={
-                            "partner_announce": node.ext_id,
-                            "announce_name": node.name,
-                        },
-                        payload_bits=_name_bits(node.name) + 16,
-                        exclude=exclude,
-                    ),
-                )
-        for name, ext in sorted(
+                self._route(node, PartnerAnnounce(renamed, node.ext_id), pn)
+        for _name, ext in sorted(
             node.neighbor_table.items(), key=lambda kv: kv[0].key()
         ):
-            self._send(
-                node.ext_id,
-                ext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={"direct": True, "my_name": renamed, "rebind": old},
-                    payload_bits=_name_bits(renamed) + 16,
-                ),
-            )
+            self._direct(node, ext, Bind(renamed, node.ext_id, old))
         for half, half_ext in sorted(halves, key=lambda kv: kv[0].key()):
             node.neighbor_table[half] = half_ext
-            self._send(
-                node.ext_id,
-                half_ext,
-                Message(
-                    Kind.EDGE_MAKE,
-                    src=node.name,
-                    final_dst=None,
-                    payload={
-                        "direct": True,
-                        "my_name": renamed,
-                        "my_ext": node.ext_id,
-                    },
-                    payload_bits=_name_bits(renamed) + 16,
-                ),
-            )
+            self._direct(node, half_ext, Bind(renamed, node.ext_id))
         self._after_table_change(node)
 
     # -- replication -------------------------------------------------------
 
-    def _sync_replicas(self, coord: NodeState, only: str | None = None) -> None:
-        assert coord.known_n is not None
-        targets = [only] if only else sorted(set(coord.neighbor_table.values()))
-        for ext in targets:
-            if ext not in self.nodes or ext == coord.ext_id:
-                continue
-            self._send(
-                coord.ext_id,
-                ext,
-                Message(
-                    Kind.REPLICA_SYNC,
-                    src=coord.name,
-                    final_dst=None,
-                    payload={"direct": True, "n": coord.known_n},
-                    payload_bits=_int_bits(coord.known_n) + 8,
-                ),
-            )
+    def _sync_replicas(self, coord: NodeState) -> None:
+        for ext in sorted(set(coord.neighbor_table.values())):
+            if ext in self.nodes and ext != coord.ext_id:
+                self._direct(coord, ext, ReplicaSync(coord.known_n))
 
-    def _on_replica_sync(self, node: NodeState, msg: Message, src_ext: str) -> None:
+    @_on.register
+    def _on_replica_sync(self, body: ReplicaSync, node: NodeState, src: str) -> None:
         # a sync can be in flight while the edge to the coordinator goes
         # away; only current neighbors hold replicas
         holds_edge = any(
-            is_all_zeros(strip_identity(nb)) and ext == src_ext
+            is_all_zeros(strip_identity(nb)) and ext == src
             for nb, ext in node.neighbor_table.items()
         )
         if holds_edge:
-            node.replicated_coordinator_state = {"n": msg.payload["n"]}
+            node.replicated_coordinator_state = {"n": body.n}
 
     # -- observation -------------------------------------------------------
 
@@ -1723,20 +1419,14 @@ class SimNetwork:
         names = [x.name for x in self.nodes.values()]
         return WeightedMultigraph(self.d, names, weights)
 
-    def _reference_unweighted(self) -> WeightedMultigraph:
-        ref = graph_at(self.d, self.n, self.seed)
-        return WeightedMultigraph(self.d, ref.vertices, {e: 1 for e in ref.weights})
-
     def _common_checks(self) -> None:
         for node in self.nodes.values():
-            if node.pending_forwards:
-                raise ProtocolError(f"{node.ext_id} still holds queued forwards")
             if node.attach_links:
                 raise ProtocolError(f"{node.ext_id} still holds attach links")
             if node.takeover is not None:
                 raise ProtocolError(f"{node.ext_id} is still mid-takeover")
         topo = self.topology()
-        ref = self._reference_unweighted()
+        ref = _unweighted(graph_at(self.d, self.n, self.seed))
         if not graphs_equal(topo, ref):
             raise ProtocolError(
                 f"simulated topology diverged from the reference at n = {self.n}"
@@ -1767,11 +1457,8 @@ class SimNetwork:
                 raise ProtocolError(f"replica at {ext} is stale: {rep}")
 
 
-def route_next_hop(
-    net: SimNetwork, node: NodeState, dst: VertexName
-) -> VertexName | None:
-    """Module-level convenience wrapper for the per-node forwarding rule."""
-    return net.route_next_hop(node, dst)
+def _unweighted(g: WeightedMultigraph) -> WeightedMultigraph:
+    return WeightedMultigraph(g.d, g.vertices, {e: 1 for e in g.weights})
 
 
 def run_script(
@@ -1785,30 +1472,34 @@ def run_script(
     After every event the simulated topology must equal the unweighted
     reference, degrees stay within [d/2, d], and both the weighted and the
     unweighted change between consecutive references stay within 5d/2.
+    A failing event re-raises its error, same type, prefixed with the event
+    index, op, ext id, the vertex count before the event and the round.
     """
     net = SimNetwork(d, seed)
     per_event: list[dict] = []
     for idx, ev in enumerate(events):
         net.reset_counters()
         n_before = net.n
-        if isinstance(ev, InsertEvent):
-            net.insert(ev.ext_id, ev.attach)
-            op = "insert"
-        else:
-            net.delete(ev.ext_id)
-            op = "delete"
-        lo, hi = sorted((n_before, net.n))
-        g_lo, g_hi = graph_at(d, lo, seed), graph_at(d, hi, seed)
-        weighted_change = expansion_cost(g_lo, g_hi)
-        unweighted_change = expansion_cost(
-            WeightedMultigraph(d, g_lo.vertices, {e: 1 for e in g_lo.weights}),
-            WeightedMultigraph(d, g_hi.vertices, {e: 1 for e in g_hi.weights}),
-        )
-        if weighted_change > 5 * d // 2 or unweighted_change > 5 * d // 2:
-            raise ProtocolError(
-                f"event {idx}: topology change exceeds 5d/2 "
-                f"(weighted {weighted_change}, unweighted {unweighted_change})"
-            )
+        op = "insert" if isinstance(ev, InsertEvent) else "delete"
+        try:
+            if op == "insert":
+                net.insert(ev.ext_id, ev.attach)
+            else:
+                net.delete(ev.ext_id)
+            lo, hi = sorted((n_before, net.n))
+            g_lo, g_hi = graph_at(d, lo, seed), graph_at(d, hi, seed)
+            weighted_change = expansion_cost(g_lo, g_hi)
+            unweighted_change = expansion_cost(_unweighted(g_lo), _unweighted(g_hi))
+            if weighted_change > 5 * d // 2 or unweighted_change > 5 * d // 2:
+                raise ProtocolError(
+                    f"topology change exceeds 5d/2 (weighted {weighted_change}, "
+                    f"unweighted {unweighted_change})"
+                )
+        except (ScriptError, ProtocolError) as exc:
+            raise type(exc)(
+                f"event {idx} ({op} {ev.ext_id!r}, n = {n_before}, "
+                f"round {net.rounds}): {exc}"
+            ) from exc
         per_event.append(
             {
                 "index": idx,
@@ -1834,11 +1525,11 @@ def run_script(
 
 
 def report_to_json(report: SimReport) -> str:
-    payload = {
+    fields = {
         "d": report.d,
         "seed": report.seed,
         "events": report.events,
         "final_graph": report.final_graph_text,
         "digest": report.digest,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(fields, sort_keys=True, indent=2) + "\n"

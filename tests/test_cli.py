@@ -166,3 +166,22 @@ def test_simulate_bad_script_exit_2(tmp_path):
     res = run_cli("simulate", "--d", "6", "--seed", "1",
                   "--script", str(script))
     assert res.returncode == 2
+
+
+SIMULATE_INPUT_ERRORS = {
+    "missing script": lambda tmp: ["--d", "6", "--script", str(tmp / "none.json")],
+    "odd degree": lambda tmp: ["--d", "7", "--script", str(tmp / "s.json")],
+    "snapshot dir below a file": lambda tmp: [
+        "--d", "6", "--script", str(tmp / "s.json"),
+        "--snapshot-dir", str(tmp / "s.json" / "snaps"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIMULATE_INPUT_ERRORS))
+def test_simulate_input_errors_exit_2(tmp_path, case):
+    (tmp_path / "s.json").write_text("[]")
+    res = run_cli("simulate", *SIMULATE_INPUT_ERRORS[case](tmp_path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert res.stderr.count("\n") == 1, res.stderr

@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderseq.grower import changelog_at, graph_at
-from expanderseq.multigraph import WeightedMultigraph, graph_to_text, graphs_equal
+from expanderseq.multigraph import (
+    WeightedMultigraph,
+    bfs_distances,
+    graph_to_text,
+    graphs_equal,
+)
 from expanderseq.names import VertexName, format_name, strip_identity
 from expanderseq.selfheal import (
     DeleteEvent,
@@ -123,25 +128,10 @@ def test_route_to_self_is_noop():
 def test_route_on_bl_expander_matches_bfs():
     net = grow_net(6, 1, 8)
     g = graph_at(6, 8, 1)
-    adj = {v: list(g.neighbors(v)) for v in g.vertices}
-
-    def bfs(src):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
     by_name = {x.name: x for x in net.nodes.values()}
     zero = next(v for v in g.vertices if strip_identity(v) == VertexName(0))
     for src in g.vertices:
-        dist = bfs(src)
+        dist = bfs_distances(g.neighbors, src)
         cur = by_name[src]
         hops = 0
         while strip_identity(cur.name) != VertexName(0):
@@ -156,23 +146,8 @@ def test_route_delivers_everywhere_mid_cycle(target_n):
     net = grow_net(6, 1, target_n)
     g = graph_at(6, target_n, 1)
     by_name = {x.name: x for x in net.nodes.values()}
-    adj = {v: list(g.neighbors(v)) for v in g.vertices}
-
-    def bfs(src):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return dist
-
     for src in g.vertices:
-        dist = bfs(src)
+        dist = bfs_distances(g.neighbors, src)
         for dst in g.vertices:
             if dst == src:
                 continue
@@ -209,22 +184,9 @@ def test_insertion_round_and_message_budgets():
         n = net.n
         g = graph_at(6, n - 1, 1)
         if n not in diam_cache:
-            adj = {v: list(g.neighbors(v)) for v in g.vertices}
-
-            def ecc(src):
-                dist = {src: 0}
-                frontier = [src]
-                while frontier:
-                    nxt = []
-                    for v in frontier:
-                        for w in adj[v]:
-                            if w not in dist:
-                                dist[w] = dist[v] + 1
-                                nxt.append(w)
-                    frontier = nxt
-                return max(dist.values())
-
-            diam_cache[n] = max(ecc(v) for v in g.vertices)
+            diam_cache[n] = max(
+                max(bfs_distances(g.neighbors, v).values()) for v in g.vertices
+            )
         assert net.rounds <= 4 * diam_cache[n] + 14
         assert net.messages <= 40 * math.ceil(math.log2(n))
 
@@ -300,6 +262,15 @@ def test_delete_at_doubling_boundary():
 
 
 # -- scripts -----------------------------------------------------------------
+
+
+def test_run_script_error_names_the_event():
+    events = [InsertEvent("a", ("g0",)), DeleteEvent("zzz")]
+    with pytest.raises(ScriptError) as info:
+        run_script(6, 1, events)
+    assert str(info.value) == (
+        "event 1 (delete 'zzz', n = 5, round 0): ext id 'zzz' does not exist"
+    )
 
 
 def test_parse_script_roundtrip():
