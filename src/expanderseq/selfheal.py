@@ -1265,20 +1265,13 @@ class SimNetwork:
         old_names = sorted(
             (w for w in ref.neighbors(x1) if w != t["dead"]), key=VertexName.key
         )
-        if t["absorb"]:
-            # the dead node was the split partner: no handover, the shared
-            # edges persist under the parent name once the old one is dropped
-            for w in old_names:
-                self._direct(node, node.neighbor_table[w], DropName(x1))
-            for w in old_names:
-                if w not in t["targets_cur"]:
-                    node.neighbor_table.pop(w, None)
-            node.partner_ext = None
-            return
         for w in old_names:
             if w != p0:
                 self._direct(node, node.neighbor_table[w], DropName(x1))
-        if not t.get("partner_done"):
+        # when the dead node was the split partner (absorb) there is no
+        # handover: the shared edges persist under the parent name once the
+        # old one is dropped, and the partner is in neither name set
+        if not t["absorb"] and not t.get("partner_done"):
             self._send_partner_handover(node, log, t["n_pre"], t["dead"])
         partner_is_target = p0 in t["targets_cur"]
         keep = set(t["targets_cur"])

@@ -169,9 +169,9 @@ def test_simulate_bad_script_exit_2(tmp_path):
 
 
 SIMULATE_INPUT_ERRORS = {
-    "missing script": lambda tmp: ["--d", "6", "--script", str(tmp / "none.json")],
-    "odd degree": lambda tmp: ["--d", "7", "--script", str(tmp / "s.json")],
-    "snapshot dir below a file": lambda tmp: [
+    "missing-script": lambda tmp: ["--d", "6", "--script", str(tmp / "none.json")],
+    "odd-degree": lambda tmp: ["--d", "7", "--script", str(tmp / "s.json")],
+    "snapshot-below-file": lambda tmp: [
         "--d", "6", "--script", str(tmp / "s.json"),
         "--snapshot-dir", str(tmp / "s.json" / "snaps"),
     ],

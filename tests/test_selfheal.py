@@ -312,9 +312,9 @@ def test_twenty_inserts_reach_reference():
     assert rep.final_graph_text == graph_to_text(unweighted(graph_at(6, 24, 1)))
 
 
-# Digests, total bits and total messages recorded before the message layer
-# was rewritten with typed bodies; d = 10 is left out because its signing
-# tie-break still depends on floating-point rounding.
+# Literal digests, total bits and total messages of fixed scripts, which a
+# refactor of the simulator must leave unchanged.  d = 10 is left out: its
+# signing tie-break still depends on floating-point rounding.
 PINNED = {
     "d6-mixed100-seed1": (
         6, 1, lambda: make_script(100, 0.7, 17),
