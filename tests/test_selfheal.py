@@ -402,7 +402,6 @@ def test_topology_changes_within_bound():
     assert all(e["topology_changes"] <= 15 for e in rep.events)
 
 
-
 ADVERSARY_MOVES = st.lists(
     st.tuples(st.integers(0, len(AIMS) - 1), st.integers(0, 1 << 16)),
     min_size=1, max_size=48,
