@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -242,3 +243,33 @@ def test_rayleigh_threshold_recorded():
     # doubling (n = 9) for d = 6, seed 1; the base-clique split sits below
     assert not rayleigh_lower_bound_check(6, 0, epsilon=0.5, seed=1).ok
     assert rayleigh_lower_bound_check(6, 1, epsilon=0.5, seed=1).ok
+
+
+def corrupted_target(state):
+    """The state with two target edges (a, b), (c, d) swapped to (a, d), (c, b).
+
+    (a, b) and (c, d) are the first and last of the target's sorted edges; the
+    new edges get weight 2, so the target no longer is the future image of the
+    current graph and the block identities must fail.
+    """
+    edges = state.target.sorted_edges()
+    (a, b, _), (c, d, _) = edges[0], edges[-1]
+    weights = dict(state.target.weights)
+    del weights[edge_key(a, b)], weights[edge_key(c, d)]
+    weights[edge_key(a, d)] = 2
+    weights[edge_key(c, b)] = 2
+    return replace(state, target=state.target.replace(weights=weights))
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (6, "split-split block identity failed at mask 2"),
+        (9, "uu block identity failed at mask 1"),
+        (12, "split-split block identity failed at mask 8"),
+    ],
+)
+def test_future_cut_suite_violation_messages(n, message):
+    with pytest.raises(LemmaViolation) as exc:
+        future_cut_suite(corrupted_target(state_at(6, n, 1)))
+    assert str(exc.value) == message
