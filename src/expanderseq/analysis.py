@@ -2,13 +2,21 @@
 
 Combinatorial quantities (cut weights, expansion ratios, the future-cut block
 identities) are computed in exact integer or rational arithmetic; only
-eigenvalues are floating point.  Subset enumeration is vectorized over bit
-masks so exhaustive checks up to n = 16 run in milliseconds and n = 24 stays
-feasible.
+eigenvalues are floating point.  Every exhaustive cut check runs on one
+chunked kernel, ``_cut_chunks``: for each of the 2^(n-1) cuts it sums the
+caller's edge terms into integer columns.  ``edge_expansion_exact`` and
+``future_cut_floor`` read one column (all edges, or target edges at their
+preimages) through ``_min_ratio``, the exact minimum of weight / |side|;
+``future_cut_suite`` reads six, the partner-free current cut and the future
+cut, each by number of split endpoints (uu, su, ss).  Exhaustive checks up
+to n = 16 run in milliseconds and n = 24 stays feasible.
 
 Two distinct cut-weight functions coexist on growth states: the expansion
 measurements count every edge, while the block machinery relating a cut to
 its image in the next doubled expander excludes edges between split partners.
+The scalar path (``expansion_of_set``, ``cut_decomposition``,
+``half_lemma_check``) computes both for one cut from vertex sets, without the
+kernel, and is the reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +34,7 @@ from .grower import GrowthState, graph_at, state_at
 from .lifts import spectral_report
 from .multigraph import (
     WeightedMultigraph,
+    adjacency_matrix,
     vertex_order,
     weighted_degree,
 )
@@ -34,7 +43,8 @@ from .names import VertexName, format_name, partner
 MAX_EXACT_N = 26
 FLOAT_SLACK = 1e-9
 CHEEGER_SLACK = 1e-6
-_CHUNK = 1 << 20
+# a chunk's bit rows and cut columns stay small enough for a core's L2 cache
+_CHUNK = 1 << 14
 
 
 class AnalysisError(ValueError):
@@ -89,12 +99,62 @@ def expansion_of_set(g: WeightedMultigraph, s: Iterable[VertexName]) -> Fraction
     return Fraction(_cut_weight(g, members), len(members))
 
 
+def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
+    """Yield ``(masks, sizes, cuts)`` for ``_CHUNK`` cuts at a time.
+
+    A cut is a mask over the vertex order with bit 0 clear, numbered
+    ``mask >> 1``.  ``sizes`` are popcounts and ``cuts`` is ``(width,
+    len(masks))``: term ``(i, j, w, col)`` adds ``w`` to column ``col`` of
+    every cut separating vertices i and j.
+    """
+    total = 1 << (n - 1)
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64) << 1
+        cuts = np.zeros((width, len(masks)), dtype=np.int64)
+        bits = (masks >> np.arange(n)[:, None]) & 1
+        for i, j, w, col in terms:
+            cuts[col] += w * (bits[i] ^ bits[j])
+        yield masks, np.bitwise_count(masks).astype(np.int64), cuts
+
+
+def _min_ratio(
+    n: int, terms: Sequence[tuple[int, int, int, int]]
+) -> tuple[Fraction, list[tuple[int, bool]], int]:
+    """Exact minimum of cut weight / |side| over sides of 1 to n/2 vertices.
+
+    Floats only preselect the candidates within FLOAT_SLACK of the smaller of
+    the chunk's minimum and the best so far; ``Fraction`` decides.  Returns
+    the minimum, every minimizing ``(mask, side is the mask)`` and the number
+    of sides checked.
+    """
+    best: Fraction | None = None
+    bound = math.inf  # float(best)
+    minimizers: list[tuple[int, bool]] = []
+    checked = 0
+    for masks, sizes, cuts in _cut_chunks(n, terms, 1):
+        for direct, side in ((True, sizes), (False, n - sizes)):
+            idx = np.nonzero((side >= 1) & (side <= n // 2))[0]
+            checked += len(idx)
+            ratio = cuts[0, idx] / side[idx]
+            for i in idx[ratio <= ratio.min(initial=bound) + FLOAT_SLACK]:
+                f = Fraction(int(cuts[0, i]), int(side[i]))
+                if best is None or f < best:
+                    best, bound, minimizers = f, float(f), []
+                if f == best:
+                    minimizers.append((int(masks[i]), direct))
+    assert best is not None
+    return best, minimizers, checked
+
+
+def _index(g: WeightedMultigraph) -> dict[VertexName, int]:
+    return {v: i for i, v in enumerate(vertex_order(g))}
+
+
 def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     """Exact minimum expansion over all admissible subsets.
 
-    Brute force over all 2^(n-1) cuts with incremental vectorized cut
-    weights; the argmin reported is the lexicographically smallest set among
-    the minimizers.
+    Brute force over all 2^(n-1) cuts with vectorized cut weights; the argmin
+    reported is the lexicographically smallest set among the minimizers.
     """
     n = g.n
     if n < 2:
@@ -106,46 +166,15 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
         )
     order = vertex_order(g)
     index = {v: i for i, v in enumerate(order)}
-    half = n // 2
-    best: Fraction | None = None
-    best_masks: list[int] = []
-    checked = 0
-    total = 1 << (n - 1)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.int64) << 1
-        cut = np.zeros(masks.shape, dtype=np.int64)
-        for u, v, w in g.edges():
-            cut += w * (((masks >> index[u]) ^ (masks >> index[v])) & 1)
-        sizes = np.bitwise_count(masks).astype(np.int64)
-        for side_sizes in (sizes, n - sizes):
-            ok = (side_sizes >= 1) & (side_sizes <= half)
-            checked += int(ok.sum())
-            if not ok.any():
-                continue
-            ratio = cut[ok] / side_sizes[ok]
-            m = float(ratio.min())
-            cand_local = np.nonzero(ok)[0][np.nonzero(ratio <= m + 1e-9)[0]]
-            for li in cand_local:
-                num, den = int(cut[li]), int(side_sizes[li])
-                f = Fraction(num, den)
-                if best is None or f < best:
-                    best = f
-                    best_masks = [(int(masks[li]), side_sizes is sizes)]
-                elif f == best:
-                    best_masks.append((int(masks[li]), side_sizes is sizes))
-    assert best is not None
-    argmin: tuple[VertexName, ...] | None = None
-    argmin_idx: tuple[int, ...] | None = None
-    for mask, direct in best_masks:
-        idxs = tuple(
-            i for i in range(n) if ((mask >> i) & 1) == (1 if direct else 0)
-        )
-        if argmin_idx is None or idxs < argmin_idx:
-            argmin_idx = idxs
-            argmin = tuple(order[i] for i in idxs)
-    assert argmin is not None
-    return ExpansionReport(h=best, argmin_set=argmin, n_subsets_checked=checked)
+    terms = [(index[u], index[v], w, 0) for u, v, w in g.edges()]
+    h, minimizers, checked = _min_ratio(n, terms)
+    argmin = min(
+        tuple(i for i in range(n) if ((mask >> i) & 1) == direct)
+        for mask, direct in minimizers
+    )
+    return ExpansionReport(
+        h=h, argmin_set=tuple(order[i] for i in argmin), n_subsets_checked=checked
+    )
 
 
 def _regular_degree(g: WeightedMultigraph) -> int:
@@ -155,13 +184,19 @@ def _regular_degree(g: WeightedMultigraph) -> int:
     return degs.pop()
 
 
-def cheeger_check(g: WeightedMultigraph) -> CheegerResult:
-    """Sandwich the exact expansion between the spectral bounds."""
-    d = _regular_degree(g)
-    lam2 = spectral_report(g).lambda2
-    lower = (d - lam2) / 2.0
-    upper = math.sqrt(max(0.0, 2.0 * d * (d - lam2)))
-    h = edge_expansion_exact(g).h
+def cheeger_bounds(d: int, lambda2: float) -> tuple[float, float]:
+    """Cheeger's sandwich (d - lambda2)/2 <= h <= sqrt(2d(d - lambda2))."""
+    return (d - lambda2) / 2.0, math.sqrt(max(0.0, 2.0 * d * (d - lambda2)))
+
+
+def cheeger_check(g: WeightedMultigraph, h: Fraction | None = None) -> CheegerResult:
+    """Sandwich the exact expansion between the spectral bounds.
+
+    ``h`` is the graph's exact expansion when the caller already has it.
+    """
+    lower, upper = cheeger_bounds(_regular_degree(g), spectral_report(g).lambda2)
+    if h is None:
+        h = edge_expansion_exact(g).h
     ok = (lower - CHEEGER_SLACK) <= float(h) <= (upper + CHEEGER_SLACK)
     return CheegerResult(lower=lower, upper=upper, h=h, ok=ok)
 
@@ -209,8 +244,7 @@ def mixing_suite(
     n = g.n
     d = _regular_degree(g)
     lam = spectral_report(g).lambda_
-    order = vertex_order(g)
-    index = {v: i for i, v in enumerate(order)}
+    index = _index(g)
     weights = [(index[u], index[v], w) for u, v, w in g.edges()]
 
     def check(trits: Sequence[int]) -> bool:
@@ -231,22 +265,13 @@ def mixing_suite(
             )
         return True
 
-    checked = 0
     if n <= exhaustive_limit:
-        for code in range(3**n):
-            trits = []
-            c = code
-            for _ in range(n):
-                trits.append(c % 3)
-                c //= 3
-            if check(trits):
-                checked += 1
-    else:
-        rng = random.Random(seed)
-        while checked < n_samples:
-            trits = [rng.randrange(3) for _ in range(n)]
-            if check(trits):
-                checked += 1
+        # reversed, position k is the k-th base-3 digit of an increasing code
+        return sum(check(t[::-1]) for t in product(range(3), repeat=n))
+    rng = random.Random(seed)
+    checked = 0
+    while checked < n_samples:
+        checked += check([rng.randrange(3) for _ in range(n)])
     return checked
 
 
@@ -374,73 +399,48 @@ def half_lemma_check(state: GrowthState, a: Iterable[VertexName]) -> bool:
     return True
 
 
-def _state_cut_arrays(state: GrowthState) -> dict[str, "np.ndarray"]:
-    """Per-class cut weights for every cut of the current graph, vectorized.
+def _future_terms(state: GrowthState) -> list[tuple[int, int, int, int]]:
+    """Kernel terms of a growth state's cut blocks, a block per column.
 
-    Masks run over subsets not containing the canonically smallest vertex, so
-    each unordered cut appears exactly once; entry 0 is the empty cut.
+    Column k is the partner-free cut of the current graph over edges with k
+    split endpoints (uu, su, ss); column 3 + k the future cut over target
+    edges, each counted at its endpoints' preimages in the current graph.
     """
-    g = state.current
-    order = vertex_order(g)
-    index = {v: i for i, v in enumerate(order)}
-    n = g.n
-    masks = np.arange(1 << (n - 1), dtype=np.int64) << 1
-    zeros = np.zeros(masks.shape, dtype=np.int64)
-    wg = {"ss": zeros.copy(), "uu": zeros.copy(), "su": zeros.copy()}
-    wg_pair = zeros.copy()
-    for u, v, w in g.edges():
-        crossing = ((masks >> index[u]) ^ (masks >> index[v])) & 1
-        u_split = u in state.split
-        v_split = v in state.split
-        if u_split and v_split and partner(u) == v:
-            wg_pair += w * crossing
-            continue
-        klass = "ss" if (u_split and v_split) else "uu" if not (u_split or v_split) else "su"
-        wg[klass] += w * crossing
-
-    wh = {"ss": zeros.copy(), "uu": zeros.copy(), "su": zeros.copy()}
+    split = state.split
+    index = _index(state.current)
+    terms = [
+        (index[u], index[v], w, (u in split) + (v in split))
+        for u, v, w in state.current.edges()
+        if not (u in split and v in split and partner(u) == v)
+    ]
     for x, y, w in state.target.edges():
-        px = x if x in state.split else x.parent()
-        py = y if y in state.split else y.parent()
-        crossing = ((masks >> index[px]) ^ (masks >> index[py])) & 1
-        x_split = px in state.split
-        y_split = py in state.split
-        klass = "ss" if (x_split and y_split) else "uu" if not (x_split or y_split) else "su"
-        wh[klass] += w * crossing
-    sizes = np.bitwise_count(masks).astype(np.int64)
-    return {
-        "sizes": sizes,
-        "wg_ss": wg["ss"],
-        "wg_uu": wg["uu"],
-        "wg_su": wg["su"],
-        "wg_pair": wg_pair,
-        "wh_ss": wh["ss"],
-        "wh_uu": wh["uu"],
-        "wh_su": wh["su"],
-    }
+        px = x if x in split else x.parent()
+        py = y if y in split else y.parent()
+        terms.append((index[px], index[py], w, 3 + (px in split) + (py in split)))
+    return terms
 
 
 def future_cut_suite(state: GrowthState) -> int:
     """Check block identities and the half bound over every cut; returns count.
 
     All arithmetic is integer; raises LemmaViolation naming the first failed
-    identity.
+    check, in the order below, at the first cut index where it fails.
     """
-    arr = _state_cut_arrays(state)
-    n_cuts = len(arr["sizes"]) - 1
-    if not np.array_equal(arr["wh_ss"], arr["wg_ss"]):
-        bad = int(np.nonzero(arr["wh_ss"] != arr["wg_ss"])[0][0])
-        raise LemmaViolation(f"split-split block identity failed at mask {bad}")
-    for name in ("uu", "su"):
-        if not np.array_equal(arr[f"wh_{name}"], 2 * arr[f"wg_{name}"]):
-            bad = int(np.nonzero(arr[f"wh_{name}"] != 2 * arr[f"wg_{name}"])[0][0])
-            raise LemmaViolation(f"{name} block identity failed at mask {bad}")
-    wg_total = arr["wg_ss"] + arr["wg_uu"] + arr["wg_su"]
-    wh_total = arr["wh_ss"] + arr["wh_uu"] + arr["wh_su"]
-    if (2 * wg_total < wh_total).any():
-        bad = int(np.nonzero(2 * wg_total < wh_total)[0][0])
-        raise LemmaViolation(f"half bound failed at mask {bad}")
-    return n_cuts
+    n = state.current.n
+    checks = ["split-split block identity", "uu block identity",
+              "su block identity", "half bound"]
+    first_bad: list[int | None] = [None] * len(checks)
+    for masks, _, cuts in _cut_chunks(n, _future_terms(state), 6):
+        wg, wh = cuts[:3], cuts[3:]
+        failed = (wh[2] != wg[2], wh[0] != 2 * wg[0], wh[1] != 2 * wg[1],
+                  2 * wg.sum(axis=0) < wh.sum(axis=0))
+        for k, bad in enumerate(failed):
+            if first_bad[k] is None and bad.any():
+                first_bad[k] = int(masks[np.argmax(bad)]) >> 1
+    for name, bad in zip(checks, first_bad):
+        if bad is not None:
+            raise LemmaViolation(f"{name} failed at mask {bad}")
+    return (1 << (n - 1)) - 1
 
 
 def future_cut_floor(state: GrowthState) -> Fraction:
@@ -450,22 +450,8 @@ def future_cut_floor(state: GrowthState) -> Fraction:
     quantity, which replaces the asymptotic constants with computed future
     cut weights.
     """
-    arr = _state_cut_arrays(state)
-    wh_total = arr["wh_ss"] + arr["wh_uu"] + arr["wh_su"]
-    sizes = arr["sizes"]
-    n = state.current.n
-    best: Fraction | None = None
-    for side_sizes in (sizes, n - sizes):
-        ok = (side_sizes >= 1) & (side_sizes <= n // 2)
-        idx = np.nonzero(ok)[0]
-        ratio = wh_total[idx] / side_sizes[idx]
-        m = float(ratio.min())
-        for li in idx[np.nonzero(ratio <= m + 1e-9)[0]]:
-            f = Fraction(int(wh_total[li]), 2 * int(side_sizes[li]))
-            if best is None or f < best:
-                best = f
-    assert best is not None
-    return best
+    terms = [(i, j, w, 0) for i, j, w, col in _future_terms(state) if col >= 3]
+    return _min_ratio(state.current.n, terms)[0] / 2
 
 
 def rayleigh_lower_bound_check(
@@ -484,15 +470,12 @@ def rayleigh_lower_bound_check(
     g = graph_at(d, n, seed)
     state = state_at(d, n, seed)
     rep = spectral_report(g)
-    order = vertex_order(g)
-    index = {v: i_ for i_, v in enumerate(order)}
+    index = _index(g)
     v0 = state.split_order[0].child(0)
     v1 = state.split_order[0].child(1)
     x = np.full(n, -2.0 / n)
     x[index[v0]] = 1.0 - 2.0 / n
     x[index[v1]] = 1.0 - 2.0 / n
-    from .multigraph import adjacency_matrix
-
     a = adjacency_matrix(g).astype(np.float64)
     quotient = float(x @ a @ x) / float(x @ x)
     if rep.lambda2 < quotient - FLOAT_SLACK:

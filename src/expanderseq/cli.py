@@ -2,14 +2,15 @@
 
 All subcommands are deterministic given their flags; identical invocations
 produce byte-identical outputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage error.
+failure, 2 usage error; every bad input (a flag value out of range, an
+unreadable or malformed input file, an unwritable output path) is a usage
+error reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -35,9 +36,9 @@ def _default_seed() -> int:
         try:
             return int(env)
         except ValueError:
-            raise SystemExit(
-                f"GROW_LIFT_SEED must be an integer, got {env!r}"
-            )
+            print(f"error: GROW_LIFT_SEED must be an integer, got {env!r}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     return 1
 
 
@@ -102,6 +103,9 @@ def cmd_grow(args: argparse.Namespace) -> int:
 def cmd_bench_cost(args: argparse.Namespace) -> int:
     if _bad_degree(args.d):
         return EXIT_USAGE
+    if args.cycles < 0:
+        print(f"error: --cycles must be >= 0, got {args.cycles}", file=sys.stderr)
+        return EXIT_USAGE
     base = args.d // 2 + 1
     n_hi = base * (1 << args.cycles)
     rows = ["n,cost,U_u,S_u"]
@@ -125,8 +129,10 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
     with open(args.input) as fp:
         g = graph_from_text(fp.read())
     payload: dict = {"n": g.n, "d": g.d}
+    h = None
     if args.exact or not args.spectral:
         report = analysis.edge_expansion_exact(g)
+        h = report.h
         payload["h"] = {"num": report.h.numerator, "den": report.h.denominator}
         payload["argmin"] = [format_name(v) for v in report.argmin_set]
         payload["subsets_checked"] = report.n_subsets_checked
@@ -135,21 +141,20 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
         payload["lambda2"] = rep.lambda2
         payload["lambda"] = rep.lambda_
         d_reg = weighted_degree(g, next(iter(g.vertices)))
-        payload["bounds"] = {
-            "cheeger_lower": (d_reg - rep.lambda2) / 2.0,
-            "cheeger_upper": math.sqrt(
-                max(0.0, 2.0 * d_reg * (d_reg - rep.lambda2))
-            ),
-        }
+        lower, upper = analysis.cheeger_bounds(d_reg, rep.lambda2)
+        payload["bounds"] = {"cheeger_lower": lower, "cheeger_upper": upper}
     suites = []
     for name in args.suite or []:
-        suites.append({"suite": name, "result": _run_suite(name, g, args)})
+        suites.append({"suite": name, "result": _run_suite(name, g, args, h)})
     if suites:
         payload["suite_results"] = suites
     return payload
 
 
-def _run_suite(name: str, g, args: argparse.Namespace) -> dict:
+def _run_suite(
+    name: str, g, args: argparse.Namespace, h: Fraction | None = None
+) -> dict:
+    """One analyze suite; ``h`` is the exact expansion when already known."""
     seed = args.lift_seed
     d = g.d
     if name in ("lemma43", "lemma46"):
@@ -159,7 +164,7 @@ def _run_suite(name: str, g, args: argparse.Namespace) -> dict:
         cuts = analysis.future_cut_suite(state)
         return {"ok": True, "cuts_checked": cuts}
     if name == "cheeger":
-        res = analysis.cheeger_check(g)
+        res = analysis.cheeger_check(g, h)
         return {
             "ok": res.ok,
             "lower": res.lower,
@@ -247,7 +252,13 @@ def _verify_graph_file(path: str, seed: int) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     if args.input:
-        failures.extend(_verify_graph_file(args.input, args.lift_seed))
+        try:
+            failures.extend(_verify_graph_file(args.input, args.lift_seed))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    elif any(_bad_degree(d) for d in args.d):
+        return EXIT_USAGE
     else:
         for d in args.d:
             base = d // 2 + 1
@@ -293,10 +304,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             events = selfheal.parse_script(fp.read())
         if args.snapshot_dir:
             os.makedirs(args.snapshot_dir, exist_ok=True)
-    except (OSError, selfheal.ScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         report = selfheal.run_script(
             args.d, args.seed, events, snapshot_dir=args.snapshot_dir
         )
@@ -382,7 +389,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.input and not args.d:
         args.d = [6]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # unreadable input or unwritable output path
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -239,27 +239,21 @@ def _diff_graphs(a: WeightedMultigraph, b: WeightedMultigraph) -> str:
 
 _STATE_CACHE: dict[tuple[int, int, int], GrowthState] = {}
 _LOG_CACHE: dict[tuple[int, int, int], ChangeLog] = {}
-_BL_CACHE: dict[tuple[int, int, int], WeightedMultigraph] = {}
 
 
 def clear_caches() -> None:
     _STATE_CACHE.clear()
     _LOG_CACHE.clear()
-    _BL_CACHE.clear()
 
 
 def bl_expander(d: int, i: int, seed: int = 0) -> WeightedMultigraph:
     """The i-th doubled expander in the deterministic sequence (i = 0 is the clique)."""
     if i < 0:
         raise ValueError("index must be >= 0")
-    key = (d, i, seed)
-    if key not in _BL_CACHE:
-        if i == 0:
-            _BL_CACHE[key] = initial_graph(d)
-        else:
-            prev = bl_expander(d, i - 1, seed)
-            _BL_CACHE[key] = next_bl_expander(prev, seed=_cycle_seed(seed, i - 1))
-    return _BL_CACHE[key]
+    if i == 0:
+        return initial_graph(d)
+    # the target of cycle i - 1, fixed by the state of its first split
+    return state_at(d, (d // 2 + 1) * (1 << (i - 1)) + 1, seed).target
 
 
 def state_at(d: int, n: int, seed: int = 0) -> GrowthState:

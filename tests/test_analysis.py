@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from expanderseq import analysis
 from expanderseq.analysis import (
     AnalysisError,
     LemmaViolation,
@@ -273,3 +274,59 @@ def test_future_cut_suite_violation_messages(n, message):
     with pytest.raises(LemmaViolation) as exc:
         future_cut_suite(corrupted_target(state_at(6, n, 1)))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_cut_kernel_matches_scalar_oracle(d):
+    """Every cut's kernel columns against the scalar path, for every n <= 11."""
+    for n in range(d // 2 + 1, 12):
+        st = state_at(d, n, 1)
+        order = vertex_order(st.current)
+        ((masks, _, cuts),) = analysis._cut_chunks(
+            n, analysis._future_terms(st), 6
+        )
+        floor = h = None
+        sides, checked = [], 0
+        for k in range(1, len(masks)):
+            a = [v for i, v in enumerate(order) if (masks[k] >> i) & 1]
+            dec = cut_decomposition(st, a)
+            wg, wh = dec.wg_blocks, dec.wh_blocks
+            assert list(cuts[:, k]) == [
+                wg["uu"], wg["su"] + wg["us"], wg["ss"],
+                wh["uu"], wh["su"] + wh["us"], wh["ss"],
+            ]
+            assert half_lemma_check(st, a)
+            future = sum(wh.values())
+            for side in (a, [v for v in order if v not in a]):
+                if len(side) > n // 2:
+                    continue
+                checked += 1
+                f = Fraction(future, 2 * len(side))
+                floor = f if floor is None else min(floor, f)
+                e = expansion_of_set(st.current, side)
+                idxs = tuple(order.index(v) for v in side)
+                if h is None or e < h:
+                    h, sides = e, []
+                if e == h:
+                    sides.append(idxs)
+        rep = edge_expansion_exact(st.current)
+        assert future_cut_floor(st) == floor
+        assert future_cut_suite(st) == len(masks) - 1
+        assert rep.h == h
+        assert rep.argmin_set == tuple(order[i] for i in min(sides))
+        assert rep.n_subsets_checked == checked
+
+
+def test_cut_kernel_chunk_seams(monkeypatch):
+    """Chunks of 8 cuts give the results of one chunk, violations included."""
+    st = state_at(6, 12, 1)
+
+    def results():
+        with pytest.raises(LemmaViolation) as exc:
+            future_cut_suite(corrupted_target(st))
+        return (edge_expansion_exact(st.current), future_cut_suite(st),
+                future_cut_floor(st), str(exc.value))
+
+    whole = results()
+    monkeypatch.setattr(analysis, "_CHUNK", 8)
+    assert results() == whole

@@ -5,6 +5,10 @@ import sys
 
 import pytest
 
+from expanderseq import analysis, cli
+from expanderseq.grower import graph_at
+from expanderseq.multigraph import graph_to_text
+
 CLI = [sys.executable, "-m", "expanderseq.cli"]
 
 
@@ -168,20 +172,55 @@ def test_simulate_bad_script_exit_2(tmp_path):
     assert res.returncode == 2
 
 
-SIMULATE_INPUT_ERRORS = {
-    "missing-script": lambda tmp: ["--d", "6", "--script", str(tmp / "none.json")],
-    "odd-degree": lambda tmp: ["--d", "7", "--script", str(tmp / "s.json")],
-    "snapshot-below-file": lambda tmp: [
-        "--d", "6", "--script", str(tmp / "s.json"),
-        "--snapshot-dir", str(tmp / "s.json" / "snaps"),
-    ],
+INPUT_ERRORS = {
+    "analyze-missing-input": lambda tmp: [
+        "analyze", "--input", str(tmp / "none.graph")],
+    "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
+    "bench-negative-cycles": lambda tmp: [
+        "bench", "--d", "6", "--cycles", "-1"],
+    "grow-odd-degree": lambda tmp: ["grow", "--d", "7", "--n", "5"],
+    "grow-out-below-missing-dir": lambda tmp: [
+        "grow", "--d", "6", "--n", "5", "--out", str(tmp / "none" / "g")],
+    "grow-seed-env-not-integer": lambda tmp: ["grow", "--d", "6", "--n", "5"],
+    "simulate-missing-script": lambda tmp: [
+        "simulate", "--d", "6", "--script", str(tmp / "none.json")],
+    "simulate-odd-degree": lambda tmp: [
+        "simulate", "--d", "7", "--script", str(tmp / "s.json")],
+    "simulate-snapshot-below-file": lambda tmp: [
+        "simulate", "--d", "6", "--script", str(tmp / "s.json"),
+        "--snapshot-dir", str(tmp / "s.json" / "snaps")],
+    "verify-bad-header": lambda tmp: ["verify", "--input", os.devnull],
+    "verify-odd-degree": lambda tmp: ["verify", "--d", "6", "--d", "7"],
 }
+INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
 
 
-@pytest.mark.parametrize("case", sorted(SIMULATE_INPUT_ERRORS))
-def test_simulate_input_errors_exit_2(tmp_path, case):
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_input_errors_exit_2(tmp_path, case):
     (tmp_path / "s.json").write_text("[]")
-    res = run_cli("simulate", *SIMULATE_INPUT_ERRORS[case](tmp_path))
+    res = run_cli(*INPUT_ERRORS[case](tmp_path),
+                  env_extra=INPUT_ERROR_ENV.get(case))
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1, res.stderr
+
+
+def test_analyze_cheeger_computes_h_once(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text(graph_to_text(graph_at(6, 10, 1)))
+    calls = []
+    exact = analysis.edge_expansion_exact
+
+    def counted(g):
+        calls.append(g.n)
+        return exact(g)
+
+    monkeypatch.setattr(analysis, "edge_expansion_exact", counted)
+    rc = cli.main(["analyze", "--input", str(graph), "--exact",
+                   "--suite", "cheeger", "--lift-seed", "1"])
+    assert rc == 0
+    assert calls == [10]
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["suite_results"][0]["result"]["h"] == (
+        payload["h"]["num"] / payload["h"]["den"]
+    )

@@ -156,3 +156,21 @@ def test_changelog_audits_match_weight_diff():
         log = changelog_at(6, n, 1)
         diff = expansion_cost(graph_at(6, n - 1, 1), graph_at(6, n, 1))
         assert log.cost == diff == sum(abs(new - old) for _, old, new in log.changes)
+
+
+def test_bl_expander_reads_the_growth_cache(monkeypatch):
+    """Once the growth reaches a cycle, its doubled expander costs no search."""
+    import expanderseq.grower as grower
+
+    graph_at(6, 17, 1)
+    searches = []
+    real = grower.next_bl_expander
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grower, "next_bl_expander", counted)
+    assert graphs_equal(bl_expander(6, 2, 1), graph_at(6, 16, 1))
+    assert graphs_equal(bl_expander(6, 1, 1), graph_at(6, 8, 1))
+    assert searches == []
