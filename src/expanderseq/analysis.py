@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .grower import GrowthState, graph_at, state_at
-from .lifts import spectral_report
+from .lifts import SpectralReport, spectral_report
 from .multigraph import (
     WeightedMultigraph,
     adjacency_matrix,
@@ -189,12 +189,18 @@ def cheeger_bounds(d: int, lambda2: float) -> tuple[float, float]:
     return (d - lambda2) / 2.0, math.sqrt(max(0.0, 2.0 * d * (d - lambda2)))
 
 
-def cheeger_check(g: WeightedMultigraph, h: Fraction | None = None) -> CheegerResult:
+def cheeger_check(
+    g: WeightedMultigraph,
+    h: Fraction | None = None,
+    spectrum: SpectralReport | None = None,
+) -> CheegerResult:
     """Sandwich the exact expansion between the spectral bounds.
 
-    ``h`` is the graph's exact expansion when the caller already has it.
+    ``h`` and ``spectrum`` are the graph's exact expansion and spectrum when
+    the caller already has them.
     """
-    lower, upper = cheeger_bounds(_regular_degree(g), spectral_report(g).lambda2)
+    d = _regular_degree(g)
+    lower, upper = cheeger_bounds(d, (spectrum or spectral_report(g)).lambda2)
     if h is None:
         h = edge_expansion_exact(g).h
     ok = (lower - CHEEGER_SLACK) <= float(h) <= (upper + CHEEGER_SLACK)
@@ -234,16 +240,18 @@ def mixing_suite(
     exhaustive_limit: int = 12,
     n_samples: int = 10_000,
     seed: int = 0,
+    spectrum: SpectralReport | None = None,
 ) -> int:
     """Check the mixing inequality over disjoint pairs; returns pairs checked.
 
     Exhaustive over all disjoint nonempty (S, T) when n <= exhaustive_limit,
     otherwise over deterministic seeded samples.  Raises LemmaViolation on the
-    first failing pair.
+    first failing pair.  ``spectrum`` is the graph's spectrum when the caller
+    already has it.
     """
     n = g.n
     d = _regular_degree(g)
-    lam = spectral_report(g).lambda_
+    lam = (spectrum or spectral_report(g)).lambda_
     index = _index(g)
     weights = [(index[u], index[v], w) for u, v, w in g.edges()]
 

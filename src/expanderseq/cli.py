@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import analysis, grower, selfheal
-from .lifts import spectral_report
+from .lifts import SpectralReport, spectral_report
 from .multigraph import (
     graph_from_text,
     graph_to_text,
@@ -129,6 +129,7 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
     with open(args.input) as fp:
         g = graph_from_text(fp.read())
     payload: dict = {"n": g.n, "d": g.d}
+    suite_names = args.suite or []
     h = None
     if args.exact or not args.spectral:
         report = analysis.edge_expansion_exact(g)
@@ -136,25 +137,32 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
         payload["h"] = {"num": report.h.numerator, "den": report.h.denominator}
         payload["argmin"] = [format_name(v) for v in report.argmin_set]
         payload["subsets_checked"] = report.n_subsets_checked
+    spectrum = None
+    if args.spectral or not args.exact or {"cheeger", "mixing"} & set(suite_names):
+        spectrum = spectral_report(g)
     if args.spectral or not args.exact:
-        rep = spectral_report(g)
-        payload["lambda2"] = rep.lambda2
-        payload["lambda"] = rep.lambda_
+        payload["lambda2"] = spectrum.lambda2
+        payload["lambda"] = spectrum.lambda_
         d_reg = weighted_degree(g, next(iter(g.vertices)))
-        lower, upper = analysis.cheeger_bounds(d_reg, rep.lambda2)
+        lower, upper = analysis.cheeger_bounds(d_reg, spectrum.lambda2)
         payload["bounds"] = {"cheeger_lower": lower, "cheeger_upper": upper}
     suites = []
-    for name in args.suite or []:
-        suites.append({"suite": name, "result": _run_suite(name, g, args, h)})
+    for name in suite_names:
+        result = _run_suite(name, g, args, h, spectrum)
+        suites.append({"suite": name, "result": result})
     if suites:
         payload["suite_results"] = suites
     return payload
 
 
 def _run_suite(
-    name: str, g, args: argparse.Namespace, h: Fraction | None = None
+    name: str,
+    g,
+    args: argparse.Namespace,
+    h: Fraction | None = None,
+    spectrum: SpectralReport | None = None,
 ) -> dict:
-    """One analyze suite; ``h`` is the exact expansion when already known."""
+    """One analyze suite; ``h`` and ``spectrum`` are passed when already known."""
     seed = args.lift_seed
     d = g.d
     if name in ("lemma43", "lemma46"):
@@ -164,7 +172,7 @@ def _run_suite(
         cuts = analysis.future_cut_suite(state)
         return {"ok": True, "cuts_checked": cuts}
     if name == "cheeger":
-        res = analysis.cheeger_check(g, h)
+        res = analysis.cheeger_check(g, h, spectrum)
         return {
             "ok": res.ok,
             "lower": res.lower,
@@ -172,7 +180,7 @@ def _run_suite(
             "h": float(res.h),
         }
     if name == "mixing":
-        checked = analysis.mixing_suite(g)
+        checked = analysis.mixing_suite(g, spectrum=spectrum)
         return {"ok": True, "pairs_checked": checked}
     if name == "rayleigh":
         i = args.rayleigh_index
@@ -207,39 +215,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _verify_graph_file(path: str, seed: int) -> list[str]:
-    """Check a graph file against the reference and the structural rules."""
-    failures: list[str] = []
+    """Check a graph file against the reference and the growth invariants.
+
+    The split vertices are inferred as every name deeper than the shallowest.
+    """
     with open(path) as fp:
         g = graph_from_text(fp.read())
-    for v in g.vertices:
-        deg = weighted_degree(g, v)
-        if deg != g.d:
-            failures.append(
-                f"degree invariant: vertex {format_name(v)} has weighted "
-                f"degree {deg}, expected {g.d}"
-            )
-    depths = {v.depth for v in g.vertices}
-    if len(depths) > 2 or (len(depths) == 2 and max(depths) - min(depths) != 1):
-        failures.append(f"name depths invariant: depths {sorted(depths)}")
-    if not failures:
-        split_depth = max(depths)
-        split = {v for v in g.vertices if v.depth == split_depth and len(depths) == 2}
-        for u, v, w in g.edges():
-            paired = (
-                u in split and v in split and u.bits[:-1] == v.bits[:-1]
-                and u.base == v.base
-            )
-            if paired:
-                continue
-            both_split = u in split and v in split
-            both_unsplit = u not in split and v not in split
-            expected = 2 if (both_split or both_unsplit) else 1
-            if w != expected:
-                failures.append(
-                    f"weight classes: edge {format_name(u)}-{format_name(v)} "
-                    f"has weight {w}, expected {expected}"
-                )
-                break
+    shallowest = min((v.depth for v in g.vertices), default=0)
+    split = {v for v in g.vertices if v.depth > shallowest}
+    failures = list(grower.structure_violations(g, split))
     ref = grower.graph_at(g.d, g.n, seed)
     if not graphs_equal(g, ref):
         failures.append(
@@ -258,6 +242,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
     elif any(_bad_degree(d) for d in args.d):
+        return EXIT_USAGE
+    elif args.max_n < max(args.d) // 2 + 1:
+        print(f"error: --max-n must be at least d/2 + 1 = {max(args.d) // 2 + 1}, "
+              f"got {args.max_n}", file=sys.stderr)
         return EXIT_USAGE
     else:
         for d in args.d:

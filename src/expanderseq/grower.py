@@ -14,6 +14,7 @@ function of (d, seed).
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set
 from dataclasses import dataclass
 
 from .lifts import DEFAULT_SEARCH_BUDGET, next_bl_expander
@@ -46,6 +47,11 @@ class ChangeLog:
     cost: int
     n_unsplit_neighbors: int
     n_split_neighbors: int
+
+    @property
+    def topology_changes(self) -> int:
+        """Edges whose presence flips: the change of the unweighted graph."""
+        return sum((old > 0) != (new > 0) for _, old, new in self.changes)
 
 
 @dataclass(frozen=True)
@@ -303,61 +309,75 @@ def changelog_at(d: int, n: int, seed: int = 0) -> ChangeLog:
 def check_state_invariants(state: GrowthState) -> None:
     """Assert the structural invariants of a mid-cycle state.
 
-    Covers: S/U partition with depth gap 1, partner-edge weights equal to the
-    count of unsplit neighbors of the shared parent, the {1, 2} weight classes
-    by endpoint split status, and weighted degree d everywhere.
+    Covers the S/U partition and every rule of ``structure_violations``.
     """
-    g = state.current
-    if state.split | state.unsplit != g.vertices or (state.split & state.unsplit):
+    if state.split | state.unsplit != state.current.vertices or (
+        state.split & state.unsplit
+    ):
         raise ConstructionError("S and U do not partition the vertex set")
-    depths_s = {v.depth for v in state.split}
-    depths_u = {v.depth for v in state.unsplit}
-    if len(depths_u) > 1 or len(depths_s) > 1:
-        raise ConstructionError("name depths are not uniform within S or U")
-    if depths_s and depths_u and depths_s.pop() != depths_u.pop() + 1:
-        raise ConstructionError("split names are not one bit longer than unsplit")
+    for problem in structure_violations(state.current, state.split):
+        raise ConstructionError(problem)
 
-    for v in state.split:
+
+def structure_violations(
+    g: WeightedMultigraph, split: Set[VertexName]
+) -> Iterator[str]:
+    """Each broken growth invariant of ``g`` whose split vertices are ``split``.
+
+    The rules: uniform name depths within S and within U, with S one bit
+    deeper; partner-edge weights equal to the count of unsplit neighbors of
+    the shared parent; the {1, 2} weight classes by endpoint split status;
+    and weighted degree d everywhere.  Each message starts with the rule's
+    name.  A depth violation ends the check, since the other rules read the
+    split status from the depths.
+    """
+    depths_s = {v.depth for v in split}
+    depths_u = {v.depth for v in g.vertices - split}
+    if len(depths_s) > 1 or len(depths_u) > 1 or (
+        depths_s and depths_u and min(depths_s) != min(depths_u) + 1
+    ):
+        yield (
+            f"name depths invariant: split depths {sorted(depths_s)}, "
+            f"unsplit depths {sorted(depths_u)}"
+        )
+        return
+
+    for v in split:
         w = partner(v)
         if w not in g.vertices:
-            raise ConstructionError(f"{format_name(v)} split without partner")
+            yield f"partner edges: {format_name(v)} split without partner"
+            continue
         if v.key() > w.key():
             continue
-        expected = sum(1 for x in g.neighbors(v) if x in state.unsplit)
-        other = sum(1 for x in g.neighbors(w) if x in state.unsplit)
+        expected = sum(1 for x in g.neighbors(v) if x not in split)
+        other = sum(1 for x in g.neighbors(w) if x not in split)
         if expected != other:
-            raise ConstructionError(
-                f"halves of {format_name(v.parent())} disagree on unsplit "
-                f"neighbors ({expected} vs {other})"
+            yield (
+                f"partner edges: halves of {format_name(v.parent())} disagree "
+                f"on unsplit neighbors ({expected} vs {other})"
             )
-        actual = g.weight(v, w)
-        if expected == 0 and actual != 0:
-            raise ConstructionError(
-                f"partner edge {format_name(v)}-{format_name(w)} should be absent"
-            )
-        if expected > 0 and actual != expected:
-            raise ConstructionError(
-                f"partner edge {format_name(v)}-{format_name(w)} weight "
-                f"{actual}, expected {expected}"
+        elif g.weight(v, w) != expected:
+            yield (
+                f"partner edges: edge {format_name(v)}-{format_name(w)} has "
+                f"weight {g.weight(v, w)}, expected {expected}"
             )
 
     for a, b, w in g.edges():
-        if a in state.split and b in state.split and partner(a) == b:
+        if a in split and b in split and partner(a) == b:
             continue
-        both_split = a in state.split and b in state.split
-        both_unsplit = a in state.unsplit and b in state.unsplit
-        expected = 2 if (both_split or both_unsplit) else 1
+        expected = 2 if (a in split) == (b in split) else 1
         if w != expected:
-            raise ConstructionError(
-                f"edge {format_name(a)}-{format_name(b)} weight {w}, "
-                f"expected {expected} by split status"
+            yield (
+                f"weight classes: edge {format_name(a)}-{format_name(b)} has "
+                f"weight {w}, expected {expected}"
             )
 
     for v in g.vertices:
         deg = weighted_degree(g, v)
         if deg != g.d:
-            raise ConstructionError(
-                f"vertex {format_name(v)} has weighted degree {deg}, expected {g.d}"
+            yield (
+                f"degree invariant: vertex {format_name(v)} has weighted "
+                f"degree {deg}, expected {g.d}"
             )
 
 

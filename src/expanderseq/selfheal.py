@@ -66,6 +66,12 @@ body's ``rank``, then by send order.  The rank is the position of the body's
 kind in ADD_NOTIFY, N_REPLY, SPLIT_REQ, NEIGHBOR_LIST, EDGE_MAKE, EDGE_DROP,
 DEL_NOTIFY, TAKEOVER, UNDO_STEP, STATE_XFER, REPLICA_SYNC; the table lists
 the bodies in that order, and the bodies of one kind share its rank.
+
+Beyond its name and neighbor table, a node holds one record per role it is
+playing, each ``None`` when idle: ``Joining`` while a new node is wired in,
+``TakeoverJob`` while the newest vertex moves into a deleted slot, and
+``Handover`` while its split partner collects the ``Unsplit`` chunks.  A
+coordinator neighbor keeps ``replica_n``, its copy of the vertex count.
 """
 
 from __future__ import annotations
@@ -76,18 +82,12 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import singledispatchmethod
+from functools import cache, singledispatchmethod
 from typing import Iterable
 
 from .grower import bl_expander, changelog_at, graph_at
-from .multigraph import (
-    WeightedMultigraph,
-    bfs_distances,
-    edge_key,
-    expansion_cost,
-    graph_to_text,
-    graphs_equal,
-)
+from .multigraph import WeightedMultigraph, bfs_distances, edge_key, graph_to_text
+from .multigraph import expansion_cost  # noqa: F401  perfbench's tracer binds it
 from .names import VertexName, format_name, is_all_zeros, partner, strip_identity
 
 MSG_BIT_CAP_FACTOR = 64
@@ -362,23 +362,51 @@ class Message:
 
 
 @dataclass
+class Joining:
+    """A new node until it is wired: its relay and the entries it awaits."""
+
+    relay_ext: str
+    expected_neighbors: frozenset[VertexName] = frozenset()
+    entries: int = 0
+    entries_expected: int | None = None
+
+
+@dataclass
+class TakeoverJob:
+    """The newest vertex moving into the slot of the deleted vertex ``dead``."""
+
+    dead: VertexName
+    slot: VertexName
+    absorb: bool
+    n_pre: int
+    coord_died: bool
+    # the slot's neighbors under their current names; each acks once
+    targets_cur: frozenset[VertexName]
+    acks: int = 0
+    partner_done: bool = False
+
+
+@dataclass
+class Handover:
+    """A split partner collecting the lost halves of ``chunks_left`` chunks."""
+
+    chunks_left: int
+    halves: list[tuple[VertexName, str]] = field(default_factory=list)
+
+
+@dataclass
 class NodeState:
     ext_id: str
     name: VertexName | None
     neighbor_table: dict[VertexName, str] = field(default_factory=dict)
-    replicated_coordinator_state: dict | None = None
+    replica_n: int | None = None
     known_n: int | None = None
     partner_ext: str | None = None
     # adversarial attach links (by ext id) that are not yet, or never, edges
-    attach_links: dict[str, bool] = field(default_factory=dict)
-    # insertion-in-progress bookkeeping (new node only)
-    relay_ext: str | None = None
-    expected_neighbors: frozenset[VertexName] = frozenset()
-    neighbor_list: list[tuple[VertexName, str]] = field(default_factory=list)
-    neighbor_list_expect: int | None = None
-    wiring_done: bool = True
-    # deletion-takeover bookkeeping
-    takeover: dict | None = None
+    attach_links: set[str] = field(default_factory=set)
+    joining: Joining | None = None
+    takeover: TakeoverJob | None = None
+    handover: Handover | None = None
     # partner name known dead this event; suppresses pair re-adds until recovery
     pair_hold: VertexName | None = None
     announce_inflight: bool = False
@@ -462,11 +490,72 @@ def _closest(
     return min(steps, key=lambda w: (dist[w], w.key()), default=None)
 
 
-_ROUTE_CACHE: dict = {}
+def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
+    """Whether the node named ``name`` stands for ``ref_vertex`` at ``level``.
+
+    A deeper name stands for its level-``level`` ancestor; a shallower
+    (unsplit) name stands for every descendant.
+    """
+    if name.base != ref_vertex.base:
+        return False
+    if name.depth >= level:
+        return name.bits[:level] == ref_vertex.bits
+    return ref_vertex.bits[: name.depth] == name.bits
+
+
+# The routing tables below are deterministic functions of their arguments,
+# memoized across networks.
+
+
+@cache
+def _ref_adj(d: int, i: int, seed: int) -> dict[VertexName, list[VertexName]]:
+    """Sorted adjacency lists of the i-th doubled reference graph."""
+    g = bl_expander(d, i, seed)
+    return {v: sorted(g.neighbors(v), key=VertexName.key) for v in g.vertices}
+
+
+@cache
+def _ref_dist(
+    d: int, i: int, seed: int, target: VertexName, exclude: frozenset[VertexName]
+) -> dict[VertexName, int]:
+    """BFS distance to ``target`` in the i-th reference graph.
+
+    ``exclude`` removes vertices whose identity matches a dead name.
+    """
+    return bfs_distances(
+        _ref_adj(d, i, seed).__getitem__,
+        target,
+        lambda w: any(_covers(x, w, i) for x in exclude),
+    )
+
+
+@cache
+def _by_identity(d: int, seed: int, n: int) -> dict[VertexName, VertexName]:
+    """The exact n-vertex graph's vertices, keyed by persistent identity."""
+    return {strip_identity(v): v for v in graph_at(d, n, seed).vertices}
+
+
+@cache
+def _true_dist(
+    d: int, seed: int, n: int, dst: VertexName, exclude: frozenset[VertexName]
+) -> dict[VertexName, int]:
+    """BFS distances to ``dst``'s identity in the exact n-vertex graph.
+
+    Available to any holder of the authoritative vertex count: knowing n
+    pins the whole deterministic topology, including the shrinking edges
+    between split partners that the doubled references do not contain.
+    """
+    dead = {strip_identity(x) for x in exclude}
+    return bfs_distances(
+        graph_at(d, n, seed).neighbors,
+        _by_identity(d, seed, n)[strip_identity(dst)],
+        lambda w: strip_identity(w) in dead,
+    )
 
 
 def clear_route_cache() -> None:
-    _ROUTE_CACHE.clear()
+    for table in (_ref_adj, _ref_dist, _by_identity, _true_dist):
+        table.cache_clear()
 
 
 class SimNetwork:
@@ -481,9 +570,7 @@ class SimNetwork:
         self._seq = 0
         self._defer_pair_drops = False
         self._deferred_drops: set[str] = set()
-        self.rounds = 0
-        self.messages = 0
-        self.bits = 0
+        self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
         for v in sorted(base.vertices, key=VertexName.key):
@@ -496,7 +583,7 @@ class SimNetwork:
         coord = self._coordinator()
         coord.known_n = self.n
         for nb_ext in coord.neighbor_table.values():
-            self.nodes[nb_ext].replicated_coordinator_state = {"n": self.n}
+            self.nodes[nb_ext].replica_n = self.n
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -585,42 +672,10 @@ class SimNetwork:
 
     # -- routing ----------------------------------------------------------
 
-    def _ref_adj(self, i: int) -> dict[VertexName, list[VertexName]]:
-        key = ("adj", self.d, i, self.seed)
-        cached = _ROUTE_CACHE.get(key)
-        if cached is None:
-            g = bl_expander(self.d, i, self.seed)
-            cached = {v: sorted(g.neighbors(v), key=VertexName.key) for v in g.vertices}
-            _ROUTE_CACHE[key] = cached
-        return cached
-
-    def _ref_dist(
-        self,
-        i: int,
-        target: VertexName,
-        exclude: frozenset[VertexName],
-    ) -> dict[VertexName, int]:
-        """BFS distance to ``target`` in the i-th reference graph.
-
-        ``exclude`` removes vertices whose identity matches a dead name.
-        """
-        key = ("dist", self.d, i, self.seed, target, exclude)
-        if key not in _ROUTE_CACHE:
-            _ROUTE_CACHE[key] = bfs_distances(
-                self._ref_adj(i).__getitem__,
-                target,
-                lambda w: any(self._covers(x, w, i) for x in exclude),
-            )
-        return _ROUTE_CACHE[key]
-
     @staticmethod
     def _image_in_level(name: VertexName, i: int) -> VertexName:
         """The level-i vertex carrying this name's identity (pad 0s or project)."""
-        if name.depth == i:
-            return name
-        if name.depth < i:
-            return VertexName(name.base, name.bits + (0,) * (i - name.depth))
-        return VertexName(name.base, name.bits[:i])
+        return VertexName(name.base, (name.bits + (0,) * i)[:i])
 
     @staticmethod
     def _locus(name: VertexName, level: int) -> set[VertexName]:
@@ -637,33 +692,6 @@ class SimNetwork:
             out = {v.child(b) for v in out for b in (0, 1)}
         return out
 
-    def _by_identity(self, n: int) -> dict[VertexName, VertexName]:
-        """The exact n-vertex graph's vertices, keyed by persistent identity."""
-        key = ("ids", self.d, self.seed, n)
-        if key not in _ROUTE_CACHE:
-            g = graph_at(self.d, n, self.seed)
-            _ROUTE_CACHE[key] = {strip_identity(v): v for v in g.vertices}
-        return _ROUTE_CACHE[key]
-
-    def _true_dist(
-        self, n: int, dst: VertexName, exclude: frozenset[VertexName]
-    ) -> dict[VertexName, int]:
-        """BFS distances to ``dst``'s identity in the exact n-vertex graph.
-
-        Available to any holder of the authoritative vertex count: knowing n
-        pins the whole deterministic topology, including the shrinking edges
-        between split partners that the doubled references do not contain.
-        """
-        key = ("true", self.d, self.seed, n, dst, exclude)
-        if key not in _ROUTE_CACHE:
-            dead = {strip_identity(x) for x in exclude}
-            _ROUTE_CACHE[key] = bfs_distances(
-                graph_at(self.d, n, self.seed).neighbors,
-                self._by_identity(n)[strip_identity(dst)],
-                lambda w: strip_identity(w) in dead,
-            )
-        return _ROUTE_CACHE[key]
-
     def _exact_next_hop(
         self,
         node: NodeState,
@@ -672,8 +700,8 @@ class SimNetwork:
         exclude: frozenset[VertexName],
     ) -> VertexName:
         """Next hop on the true shortest path in the exact n-vertex graph."""
-        dist = self._true_dist(n, dst, exclude)
-        pos = self._by_identity(n)[strip_identity(node.name)]
+        dist = _true_dist(self.d, self.seed, n, dst, exclude)
+        pos = _by_identity(self.d, self.seed, n)[strip_identity(node.name)]
         w = _closest(graph_at(self.d, n, self.seed).neighbors(pos), dist, dist.get(pos))
         if w is None:
             raise ProtocolError(
@@ -712,8 +740,10 @@ class SimNetwork:
                 return nb
         if level is None:
             level = self._working_level(node)
-        dist = self._ref_dist(level, self._image_in_level(dst, level), exclude)
-        adjacency = self._ref_adj(level)
+        dist = _ref_dist(
+            self.d, level, self.seed, self._image_in_level(dst, level), exclude
+        )
+        adjacency = _ref_adj(self.d, level, self.seed)
         locus = self._locus(node.name, level)
         candidates = set().union(*(adjacency[v] for v in locus)) - locus
         here = min((dist[v] for v in locus if v in dist), default=None)
@@ -726,25 +756,12 @@ class SimNetwork:
         return self._match_binding(node, best, level)
 
     @staticmethod
-    def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
-        """Whether the node named ``name`` stands for ``ref_vertex`` at ``level``.
-
-        A deeper name stands for its level-``level`` ancestor; a shallower
-        (unsplit) name stands for every descendant.
-        """
-        if name.base != ref_vertex.base:
-            return False
-        if name.depth >= level:
-            return name.bits[:level] == ref_vertex.bits
-        return ref_vertex.bits[: name.depth] == name.bits
-
-    @classmethod
     def _match_binding(
-        cls, node: NodeState, ref_vertex: VertexName, level: int
+        node: NodeState, ref_vertex: VertexName, level: int
     ) -> VertexName:
         """The physical neighbor name carrying a reference vertex."""
         for nb in sorted(node.neighbor_table, key=VertexName.key):
-            if cls._covers(nb, ref_vertex, level):
+            if _covers(nb, ref_vertex, level):
                 return nb
         raise ProtocolError(
             f"{node.ext_id} has no physical neighbor matching "
@@ -789,16 +806,16 @@ class SimNetwork:
 
     def _after_table_change(self, node: NodeState) -> None:
         self._recheck_pair_edge(node)
-        if node.replicated_coordinator_state is not None and not any(
+        if node.replica_n is not None and not any(
             is_all_zeros(strip_identity(nb)) for nb in node.neighbor_table
         ):
-            node.replicated_coordinator_state = None
+            node.replica_n = None
         if node.is_coordinator and node.known_n is not None:
             self._sync_replicas(node)
 
     def _bind(self, node: NodeState, name: VertexName, ext: str) -> None:
         node.neighbor_table[name] = ext
-        node.attach_links.pop(ext, None)
+        node.attach_links.discard(ext)
         if node.is_partner_of(name):
             node.partner_ext = ext
 
@@ -818,13 +835,12 @@ class SimNetwork:
         missing = [a for a in attach if a not in self.nodes]
         if missing:
             raise ScriptError(f"attach targets do not exist: {missing}")
-        node = NodeState(ext_id=ext_id, name=None, wiring_done=False)
-        node.attach_links = {a: True for a in sorted(set(attach))}
+        node = NodeState(ext_id, None, attach_links=set(attach))
+        node.joining = Joining(relay_ext=min(attach))
         self.nodes[ext_id] = node
         for a in node.attach_links:
-            self.nodes[a].attach_links[ext_id] = True
-        node.relay_ext = min(node.attach_links)
-        self._direct(node, node.relay_ext, AddNotify(ext_id, self.n))
+            self.nodes[a].attach_links.add(ext_id)
+        self._direct(node, node.joining.relay_ext, AddNotify(ext_id, self.n))
         self.run_to_quiescence()
         for node in self.nodes.values():
             node.announce_inflight = False
@@ -852,13 +868,13 @@ class SimNetwork:
         """The new node learns n, hence its name and the vertex that splits."""
         log = changelog_at(self.d, body.n, self.seed)
         node.name = log.new_vertex
+        joining = node.joining
         ref = graph_at(self.d, body.n, self.seed)
-        node.expected_neighbors = frozenset(ref.neighbors(log.new_vertex))
-        node.neighbor_list_expect = len(
-            graph_at(self.d, body.n - 1, self.seed).neighbors(log.split_vertex)
-        )
+        joining.expected_neighbors = frozenset(ref.neighbors(log.new_vertex))
+        # one entry per neighbor of the splitting vertex
+        joining.entries_expected = log.n_unsplit_neighbors + log.n_split_neighbors
         split_req = SplitReq(node.ext_id, log.new_vertex, log.split_vertex)
-        self._direct(node, node.relay_ext, split_req)
+        self._direct(node, joining.relay_ext, split_req)
 
     @_on.register
     def _on_split_req(self, body: SplitReq, node: NodeState, src: str) -> None:
@@ -874,7 +890,7 @@ class SimNetwork:
         x1 = old_name.child(1)
         node.name = x0
         node.partner_ext = new_ext
-        node.attach_links.pop(new_ext, None)
+        node.attach_links.discard(new_ext)
         level = x0.depth
         h = bl_expander(self.d, level, self.seed)
         old_table = dict(node.neighbor_table)
@@ -916,8 +932,9 @@ class SimNetwork:
     def _on_neighbor_relay(
         self, body: NeighborRelay, node: NodeState, src: str
     ) -> None:
-        node.neighbor_list.append((body.name, body.ext))
-        self._maybe_finish_wiring(node)
+        if node.joining is not None:
+            node.joining.entries += 1
+            self._maybe_finish_wiring(node)
 
     @_on.register
     def _on_partner_announce(
@@ -946,7 +963,7 @@ class SimNetwork:
     def _on_ack(self, body: Ack, node: NodeState, src: str) -> None:
         node.neighbor_table[body.name] = body.ext
         if node.takeover is not None:
-            node.takeover["acks"] += 1
+            node.takeover.acks += 1
             self._maybe_finish_takeover(node)
 
     @_on.register
@@ -973,7 +990,7 @@ class SimNetwork:
 
     @_on.register
     def _on_drop_attach(self, body: DropAttach, node: NodeState, src: str) -> None:
-        node.attach_links.pop(body.ext, None)
+        node.attach_links.discard(body.ext)
         self._after_table_change(node)
 
     @_on.register
@@ -994,8 +1011,8 @@ class SimNetwork:
         """
         if node.name is None or node.name.depth == 0:
             return
-        if node.takeover is not None or not node.wiring_done:
-            return
+        if node.joining or node.takeover or node.handover:
+            return  # the role's own completion re-checks the pair edge
         pn = partner(node.name)
         level = node.name.depth
         count = sum(1 for nb in node.neighbor_table if nb.depth < level)
@@ -1025,18 +1042,18 @@ class SimNetwork:
 
     def _maybe_finish_wiring(self, node: NodeState) -> None:
         # a new node is named together with learning how many entries to expect
-        if node.wiring_done or node.name is None:
+        joining = node.joining
+        if joining is None or node.name is None:
             return
-        if len(node.neighbor_list) < node.neighbor_list_expect:
+        if joining.entries < joining.entries_expected:
             return
-        if not node.expected_neighbors <= set(node.neighbor_table):
+        if not joining.expected_neighbors.issubset(node.neighbor_table):
             return
-        node.wiring_done = True
+        node.joining = None
         bound_exts = set(node.neighbor_table.values())
-        for ext in sorted(node.attach_links):
-            if ext not in bound_exts:
-                self._direct(node, ext, DropAttach(node.ext_id))
-            del node.attach_links[ext]
+        for ext in sorted(node.attach_links - bound_exts):
+            self._direct(node, ext, DropAttach(node.ext_id))
+        node.attach_links.clear()
         self._after_table_change(node)
 
     # -- deletion ----------------------------------------------------------
@@ -1057,17 +1074,15 @@ class SimNetwork:
             for name, ext in list(nb.neighbor_table.items()):
                 if ext == ext_id:
                     del nb.neighbor_table[name]
-            nb.attach_links.pop(ext_id, None)
+            nb.attach_links.discard(ext_id)
             if nb.is_partner_of(dead_name):
                 nb.pair_hold = dead_name
                 nb.partner_ext = None
         if dead.is_coordinator:
-            holders = [
-                nb for nb in neighbors if nb.replicated_coordinator_state is not None
-            ]
+            holders = [nb for nb in neighbors if nb.replica_n is not None]
             if len(holders) != len(neighbors):
                 raise ProtocolError("a coordinator neighbor lost its replica")
-            n = holders[0].replicated_coordinator_state["n"]
+            n = holders[0].replica_n
             elected = self._elect_for_coordinator_deletion(neighbors, dead_name, n)
             self._send_takeover(elected, dead_name, n, coord_died=True)
         else:
@@ -1101,15 +1116,16 @@ class SimNetwork:
         """
         level = dead_name.depth
         target = self._image_in_level(VertexName(0), level)
-        dist = self._ref_dist(level, target, frozenset())
-        hop = _closest(self._ref_adj(level)[dead_name], dist, dist[dead_name])
+        dist = _ref_dist(self.d, level, self.seed, target, frozenset())
+        adjacency = _ref_adj(self.d, level, self.seed)
+        hop = _closest(adjacency[dead_name], dist, dist[dead_name])
         if hop is None:
             raise ProtocolError("deleted vertex has no hop toward the coordinator")
         matches = [
             nb
             for nb in neighbors
             if nb.name is not None
-            and self._covers(nb.name, hop, level)
+            and _covers(nb.name, hop, level)
             and not any(nb.name.bits[level:])
         ]
         if len(matches) != 1:
@@ -1124,7 +1140,7 @@ class SimNetwork:
     ) -> NodeState:
         """Replica holders agree on the neighbor toward the newest vertex."""
         x_name = changelog_at(self.d, n, self.seed).new_vertex
-        dist = self._true_dist(n, x_name, frozenset())
+        dist = _true_dist(self.d, self.seed, n, x_name, frozenset())
         g = graph_at(self.d, n, self.seed)
         hop = _closest(g.neighbors(dead_name), dist, dist[dead_name])
         if hop is None:
@@ -1177,18 +1193,14 @@ class SimNetwork:
         slot = log.split_vertex if absorb else dead_name
         ref_prev = graph_at(self.d, n_pre - 1, self.seed)
         targets = sorted(ref_prev.neighbors(slot), key=VertexName.key)
-        node.takeover = {
-            "dead": dead_name,
-            "slot": slot,
-            "absorb": absorb,
-            "n_pre": n_pre,
-            "acks": 0,
-            "need": len(targets),
-            "coord_died": body.coord_died,
-            "targets_cur": frozenset(
-                t if t != log.split_vertex else p0 for t in targets
-            ),
-        }
+        node.takeover = TakeoverJob(
+            dead=dead_name,
+            slot=slot,
+            absorb=absorb,
+            n_pre=n_pre,
+            coord_died=body.coord_died,
+            targets_cur=frozenset(t if t != log.split_vertex else p0 for t in targets),
+        )
         for t in targets:
             self._route(node, Wire(slot, node.ext_id), t, frozenset([dead_name]), n_pre)
         if not absorb and p0 not in node.neighbor_table:
@@ -1196,7 +1208,7 @@ class SimNetwork:
             # (the partner edge is absent from every reference path), so it
             # can overlap the wiring round trips instead of following them
             self._send_partner_handover(node, log, n_pre, dead_name)
-            node.takeover["partner_done"] = True
+            node.takeover.partner_done = True
         self._maybe_finish_takeover(node)
 
     def _send_partner_handover(
@@ -1230,19 +1242,19 @@ class SimNetwork:
 
     def _maybe_finish_takeover(self, node: NodeState) -> None:
         t = node.takeover
-        if t is None or t["acks"] < t["need"]:
+        if t is None or t.acks < len(t.targets_cur):
             return
-        if t["coord_died"] and node.known_n is None:
+        if t.coord_died and node.known_n is None:
             return  # wait for STATE_XFER
-        log = changelog_at(self.d, t["n_pre"], self.seed)
+        log = changelog_at(self.d, t.n_pre, self.seed)
         self._undo_own_insertion(node, log, t)
-        node.name = t["slot"]
+        node.name = t.slot
         node.takeover = None
         if node.name.depth:
             pn = partner(node.name)
             if pn in node.neighbor_table:
                 node.partner_ext = node.neighbor_table[pn]
-            elif not t["absorb"]:
+            elif not t.absorb:
                 # introduce ourselves to the split sibling even though the
                 # shrinking edge is currently absent, so either side can
                 # initiate its re-creation later
@@ -1253,17 +1265,16 @@ class SimNetwork:
     def _on_state_xfer(self, body: StateXfer, node: NodeState, src: str) -> None:
         node.known_n = body.n - 1
         self.n = node.known_n
-        if node.takeover is not None:
-            self._maybe_finish_takeover(node)
+        self._maybe_finish_takeover(node)
 
-    def _undo_own_insertion(self, node: NodeState, log, t: dict) -> None:
+    def _undo_own_insertion(self, node: NodeState, log, t: TakeoverJob) -> None:
         """Shed the newest vertex's edges, handing the merged ones to the partner."""
         x1 = log.new_vertex
         p = log.split_vertex
         p0 = p.child(0)
-        ref = graph_at(self.d, t["n_pre"], self.seed)
+        ref = graph_at(self.d, t.n_pre, self.seed)
         old_names = sorted(
-            (w for w in ref.neighbors(x1) if w != t["dead"]), key=VertexName.key
+            (w for w in ref.neighbors(x1) if w != t.dead), key=VertexName.key
         )
         for w in old_names:
             if w != p0:
@@ -1271,10 +1282,10 @@ class SimNetwork:
         # when the dead node was the split partner (absorb) there is no
         # handover: the shared edges persist under the parent name once the
         # old one is dropped, and the partner is in neither name set
-        if not t["absorb"] and not t.get("partner_done"):
-            self._send_partner_handover(node, log, t["n_pre"], t["dead"])
-        partner_is_target = p0 in t["targets_cur"]
-        keep = set(t["targets_cur"])
+        if not t.absorb and not t.partner_done:
+            self._send_partner_handover(node, log, t.n_pre, t.dead)
+        partner_is_target = p0 in t.targets_cur
+        keep = set(t.targets_cur)
         if partner_is_target:
             keep.add(p)
         for w in old_names:
@@ -1298,19 +1309,14 @@ class SimNetwork:
         x1 = log.new_vertex
         renamed = node.name.parent()
         ref = graph_at(self.d, n_pre, self.seed)
-        lost = [
-            w
-            for w in sorted(ref.neighbors(x1), key=VertexName.key)
-            if w.depth == x1.depth and w != node.name
-        ]
-        for half in lost:
+        for half in sorted(ref.neighbors(x1), key=VertexName.key):
+            if half.depth != x1.depth or half == node.name:
+                continue
             relays = sorted(
                 (r for r in ref.neighbors(half) if r != x1), key=VertexName.key
             )
             if not relays:
-                raise ProtocolError(
-                    f"no live relay toward {format_name(half)}"
-                )
+                raise ProtocolError(f"no live relay toward {format_name(half)}")
             request = ReconnectVia(half, renamed, node.ext_id)
             self._route(node, request, relays[0], frozenset([x1]), n_pre)
         self._partner_rename_and_reclaim(node, [])
@@ -1337,15 +1343,15 @@ class SimNetwork:
 
     @_on.register
     def _on_unsplit(self, body: Unsplit, node: NodeState, src: str) -> None:
-        if node.takeover is None:
-            node.takeover = {"seen": 0, "need": body.total, "halves": []}
-        t = node.takeover
-        t["seen"] += 1
-        t["halves"].extend(body.halves)
-        if t["seen"] >= t["need"]:
-            node.takeover = None
+        if node.handover is None:
+            node.handover = Handover(chunks_left=body.total)
+        handover = node.handover
+        handover.chunks_left -= 1
+        handover.halves.extend(body.halves)
+        if handover.chunks_left <= 0:
+            node.handover = None
             node.neighbor_table.pop(body.drop, None)
-            self._partner_rename_and_reclaim(node, t["halves"])
+            self._partner_rename_and_reclaim(node, handover.halves)
 
     def _partner_rename_and_reclaim(
         self, node: NodeState, halves: list[tuple[VertexName, str]]
@@ -1389,7 +1395,7 @@ class SimNetwork:
             for nb, ext in node.neighbor_table.items()
         )
         if holds_edge:
-            node.replicated_coordinator_state = {"n": body.n}
+            node.replica_n = body.n
 
     # -- observation -------------------------------------------------------
 
@@ -1416,11 +1422,11 @@ class SimNetwork:
         for node in self.nodes.values():
             if node.attach_links:
                 raise ProtocolError(f"{node.ext_id} still holds attach links")
-            if node.takeover is not None:
+            if node.takeover is not None or node.handover is not None:
                 raise ProtocolError(f"{node.ext_id} is still mid-takeover")
         topo = self.topology()
-        ref = _unweighted(graph_at(self.d, self.n, self.seed))
-        if not graphs_equal(topo, ref):
+        ref = graph_at(self.d, self.n, self.seed)
+        if topo.vertices != ref.vertices or topo.weights.keys() != ref.weights.keys():
             raise ProtocolError(
                 f"simulated topology diverged from the reference at n = {self.n}"
             )
@@ -1433,25 +1439,12 @@ class SimNetwork:
         coord = self._coordinator()
         if coord.known_n != self.n:
             raise ProtocolError("coordinator count diverged")
-        holder_exts = {
-            x.ext_id
-            for x in self.nodes.values()
-            if x.replicated_coordinator_state is not None
-        }
-        neighbor_exts = set(coord.neighbor_table.values())
-        if holder_exts != neighbor_exts:
-            raise ProtocolError(
-                f"replica holders {sorted(holder_exts)} differ from coordinator "
-                f"neighbors {sorted(neighbor_exts)}"
-            )
-        for ext in neighbor_exts:
-            rep = self.nodes[ext].replicated_coordinator_state
-            if rep is None or rep["n"] != self.n:
-                raise ProtocolError(f"replica at {ext} is stale: {rep}")
-
-
-def _unweighted(g: WeightedMultigraph) -> WeightedMultigraph:
-    return WeightedMultigraph(g.d, g.vertices, {e: 1 for e in g.weights})
+        # exactly the coordinator's neighbors hold a replica, and it is current
+        replicas = {x.ext_id: x.replica_n for x in self.nodes.values()}
+        holders = {ext: n for ext, n in replicas.items() if n is not None}
+        expected = dict.fromkeys(coord.neighbor_table.values(), self.n)
+        if holders != expected:
+            raise ProtocolError(f"replicas {holders} differ from {expected}")
 
 
 def run_script(
@@ -1464,7 +1457,8 @@ def run_script(
 
     After every event the simulated topology must equal the unweighted
     reference, degrees stay within [d/2, d], and both the weighted and the
-    unweighted change between consecutive references stay within 5d/2.
+    unweighted change between consecutive references, as the growth log of
+    the step records them, stay within 5d/2.
     A failing event re-raises its error, same type, prefixed with the event
     index, op, ext id, the vertex count before the event and the round.
     """
@@ -1479,14 +1473,11 @@ def run_script(
                 net.insert(ev.ext_id, ev.attach)
             else:
                 net.delete(ev.ext_id)
-            lo, hi = sorted((n_before, net.n))
-            g_lo, g_hi = graph_at(d, lo, seed), graph_at(d, hi, seed)
-            weighted_change = expansion_cost(g_lo, g_hi)
-            unweighted_change = expansion_cost(_unweighted(g_lo), _unweighted(g_hi))
-            if weighted_change > 5 * d // 2 or unweighted_change > 5 * d // 2:
+            log = changelog_at(d, max(n_before, net.n), seed)
+            if max(log.cost, log.topology_changes) > 5 * d // 2:
                 raise ProtocolError(
-                    f"topology change exceeds 5d/2 (weighted {weighted_change}, "
-                    f"unweighted {unweighted_change})"
+                    f"topology change exceeds 5d/2 (weighted {log.cost}, "
+                    f"unweighted {log.topology_changes})"
                 )
         except (ScriptError, ProtocolError) as exc:
             raise type(exc)(
@@ -1502,7 +1493,7 @@ def run_script(
                 "rounds": net.rounds,
                 "messages": net.messages,
                 "bits": net.bits,
-                "topology_changes": unweighted_change,
+                "topology_changes": log.topology_changes,
             }
         )
         if snapshot_dir is not None:

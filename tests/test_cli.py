@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from expanderseq import analysis, cli
+from expanderseq import analysis, cli, lifts
 from expanderseq.grower import graph_at
 from expanderseq.multigraph import graph_to_text
 
@@ -190,6 +190,9 @@ INPUT_ERRORS = {
         "simulate", "--d", "6", "--script", str(tmp / "s.json"),
         "--snapshot-dir", str(tmp / "s.json" / "snaps")],
     "verify-bad-header": lambda tmp: ["verify", "--input", os.devnull],
+    "verify-max-n-below-base": lambda tmp: ["verify", "--d", "6", "--max-n", "2"],
+    "verify-max-n-below-larger-base": lambda tmp: [
+        "verify", "--d", "6", "--d", "12", "--max-n", "5"],
     "verify-odd-degree": lambda tmp: ["verify", "--d", "6", "--d", "7"],
 }
 INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
@@ -224,3 +227,27 @@ def test_analyze_cheeger_computes_h_once(tmp_path, monkeypatch, capsys):
     assert payload["suite_results"][0]["result"]["h"] == (
         payload["h"]["num"] / payload["h"]["den"]
     )
+
+
+@pytest.mark.parametrize("mode", ["--exact", "--spectral"])
+def test_analyze_solves_the_spectrum_once(tmp_path, monkeypatch, capsys, mode):
+    graph = tmp_path / "g.graph"
+    graph.write_text(graph_to_text(graph_at(6, 10, 1)))
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return lifts.spectral_report(g)
+
+    monkeypatch.setattr(cli, "spectral_report", counted)
+    monkeypatch.setattr(analysis, "spectral_report", counted)
+    rc = cli.main(["analyze", "--input", str(graph), mode, "--suite", "cheeger",
+                   "--suite", "mixing", "--lift-seed", "1"])
+    assert rc == 0
+    assert calls == [10]
+    payload = json.loads(capsys.readouterr().out)
+    cheeger, mixing = (s["result"] for s in payload["suite_results"])
+    assert cheeger["ok"] and mixing["ok"]
+    if mode == "--spectral":
+        assert cheeger["lower"] == payload["bounds"]["cheeger_lower"]
+        assert cheeger["upper"] == payload["bounds"]["cheeger_upper"]

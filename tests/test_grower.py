@@ -14,13 +14,16 @@ from expanderseq.grower import (
     initial_graph,
     split_next,
     state_at,
+    structure_violations,
 )
 from expanderseq.multigraph import (
+    WeightedMultigraph,
     expansion_cost,
     graph_to_text,
     graphs_equal,
     weighted_degree,
 )
+from expanderseq.names import partner
 
 
 def test_initial_graph_shapes():
@@ -151,11 +154,43 @@ def test_state_invariants_catch_corruption():
         check_state_invariants(broken)
 
 
-def test_changelog_audits_match_weight_diff():
-    for n in range(5, 17):
-        log = changelog_at(6, n, 1)
-        diff = expansion_cost(graph_at(6, n - 1, 1), graph_at(6, n, 1))
+@pytest.mark.parametrize("corrupt, first_rule", [
+    ("partner", "partner edges:"),
+    ("non-partner", "weight classes:"),
+    ("depths", "name depths invariant:"),
+])
+def test_structure_violations_name_the_broken_rule(corrupt, first_rule):
+    st = state_at(6, 6, 1)
+    g, split = st.current, st.split
+    weights = dict(g.weights)
+    if corrupt == "depths":
+        split = frozenset()
+    else:
+        key = next(
+            (a, b) for a, b in weights
+            if (a in split and partner(a) == b) == (corrupt == "partner")
+        )
+        weights[key] += 1
+    problems = list(structure_violations(g.replace(weights=weights), split))
+    assert problems[0].startswith(first_rule), problems
+    # the weight rules come before the degree rule, broken at both endpoints
+    assert len(problems) == (1 if corrupt == "depths" else 3)
+
+
+def unweighted(g):
+    return WeightedMultigraph(g.d, g.vertices, dict.fromkeys(g.weights, 1))
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_changelog_audits_match_weight_diff(d):
+    """The log's counts equal the whole-graph diffs, over two doublings."""
+    base = d // 2 + 1
+    for n in range(base + 1, 4 * base + 1):
+        prev, cur = graph_at(d, n - 1, 1), graph_at(d, n, 1)
+        log = changelog_at(d, n, 1)
+        diff = expansion_cost(prev, cur)
         assert log.cost == diff == sum(abs(new - old) for _, old, new in log.changes)
+        assert log.topology_changes == expansion_cost(unweighted(prev), unweighted(cur))
 
 
 def test_bl_expander_reads_the_growth_cache(monkeypatch):

@@ -15,10 +15,12 @@ from expanderseq.multigraph import (
 from expanderseq.names import VertexName, format_name, strip_identity
 from expanderseq.selfheal import (
     DeleteEvent,
+    Handover,
     InsertEvent,
     ProtocolError,
     ScriptError,
     SimNetwork,
+    TakeoverJob,
     parse_script,
     report_to_json,
     run_script,
@@ -209,6 +211,29 @@ def test_stale_attach_links_are_dropped():
         assert not node.attach_links
 
 
+@pytest.mark.parametrize("leftover, message", [
+    ("attach-link", "still holds attach links"),
+    ("takeover-job", "still mid-takeover"),
+    ("handover", "still mid-takeover"),
+])
+def test_common_checks_reject_leftover_state(leftover, message):
+    net = grow_net(6, 1, 9)
+    net._common_checks()
+    node = net.nodes["g2"]
+    if leftover == "attach-link":
+        node.attach_links.add("g0")
+    elif leftover == "takeover-job":
+        slot = VertexName(0, (0,))
+        node.takeover = TakeoverJob(
+            dead=slot, slot=slot, absorb=False, n_pre=9, coord_died=False,
+            targets_cur=frozenset(),
+        )
+    else:
+        node.handover = Handover(chunks_left=1)
+    with pytest.raises(ProtocolError, match=message):
+        net._common_checks()
+
+
 # -- deletion ----------------------------------------------------------------
 
 
@@ -237,7 +262,7 @@ def test_delete_coordinator_transfers_state():
     new_coord = next(x for x in net.nodes.values() if x.is_coordinator)
     assert new_coord.known_n == 7
     for ext in new_coord.neighbor_table.values():
-        assert net.nodes[ext].replicated_coordinator_state == {"n": 7}
+        assert net.nodes[ext].replica_n == 7
     assert graphs_equal(net.topology(), unweighted(graph_at(6, 7, 1)))
 
 
