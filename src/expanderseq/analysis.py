@@ -357,7 +357,7 @@ def cut_decomposition(
     }
 
     def tup(x: set[VertexName]) -> tuple[VertexName, ...]:
-        return tuple(sorted(x, key=lambda v: v.key()))
+        return tuple(sorted(x))
 
     return CutDecomposition(
         split_side=tup(sa),

@@ -143,7 +143,7 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
     if args.spectral or not args.exact:
         payload["lambda2"] = spectrum.lambda2
         payload["lambda"] = spectrum.lambda_
-        d_reg = weighted_degree(g, next(iter(g.vertices)))
+        d_reg = weighted_degree(g, min(g.vertices))
         lower, upper = analysis.cheeger_bounds(d_reg, spectrum.lambda2)
         payload["bounds"] = {"cheeger_lower": lower, "cheeger_upper": upper}
     suites = []

@@ -60,7 +60,6 @@ class GrowthState:
 
     current: WeightedMultigraph
     cycle_index: int
-    base: WeightedMultigraph
     target: WeightedMultigraph
     split: frozenset[VertexName]
     unsplit: frozenset[VertexName]
@@ -98,11 +97,10 @@ def begin_cycle(
     target = next_bl_expander(
         g_star, seed=_cycle_seed(seed, i), search_budget=search_budget
     )
-    order = tuple(sorted(g_star.vertices, key=lambda v: v.key()))
+    order = tuple(sorted(g_star.vertices))
     return GrowthState(
         current=g_star,
         cycle_index=i,
-        base=g_star,
         target=target,
         split=frozenset(),
         unsplit=frozenset(g_star.vertices),
@@ -122,8 +120,8 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
         raise ConstructionError(f"split order desync at {format_name(u)}")
     u0, u1 = u.child(0), u.child(1)
     nbrs = g.neighbors(u)
-    unsplit_nbrs = sorted((v for v in nbrs if v in state.unsplit), key=lambda v: v.key())
-    split_nbrs = sorted((v for v in nbrs if v in state.split), key=lambda v: v.key())
+    unsplit_nbrs = sorted(v for v in nbrs if v in state.unsplit)
+    split_nbrs = sorted(v for v in nbrs if v in state.split)
     if len(unsplit_nbrs) + len(split_nbrs) != len(nbrs):
         raise ConstructionError("S/U does not partition the neighborhood")
 
@@ -132,9 +130,6 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     }
     changes: list[tuple[Edge, int, int]] = []
 
-    def ident(x: VertexName) -> VertexName:
-        return strip_identity(x)
-
     for v in unsplit_nbrs:
         if nbrs[v] != 2:
             raise ConstructionError(
@@ -142,10 +137,10 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
             )
         weights[edge_key(u0, v)] = 1
         weights[edge_key(u1, v)] = 1
-        changes.append((edge_key(ident(u), ident(v)), 2, 1))
-        changes.append((edge_key(ident(u1), ident(v)), 0, 1))
+        changes.append((edge_key(strip_identity(u), strip_identity(v)), 2, 1))
+        changes.append((edge_key(strip_identity(u1), strip_identity(v)), 0, 1))
 
-    parents = sorted({v.parent() for v in split_nbrs}, key=lambda p: p.key())
+    parents = sorted({v.parent() for v in split_nbrs})
     if 2 * len(parents) != len(split_nbrs):
         raise ConstructionError("split neighbors do not decompose into pairs")
     for p in parents:
@@ -164,7 +159,9 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
             del weights[pk]
         else:
             weights[pk] = old_pair - 1
-        changes.append((edge_key(ident(v0), ident(v1)), old_pair, old_pair - 1))
+        changes.append(
+            (edge_key(strip_identity(v0), strip_identity(v1)), old_pair, old_pair - 1)
+        )
         to_u0 = h.weight(u0, v0) > 0
         crossed = h.weight(u0, v1) > 0
         if to_u0 == crossed:
@@ -175,13 +172,15 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
         kept, lost = (v0, v1) if to_u0 else (v1, v0)
         weights[edge_key(u0, kept)] = 2
         weights[edge_key(u1, lost)] = 2
-        changes.append((edge_key(ident(u), ident(kept)), 1, 2))
-        changes.append((edge_key(ident(u), ident(lost)), 1, 0))
-        changes.append((edge_key(ident(u1), ident(lost)), 0, 2))
+        changes.append((edge_key(strip_identity(u), strip_identity(kept)), 1, 2))
+        changes.append((edge_key(strip_identity(u), strip_identity(lost)), 1, 0))
+        changes.append((edge_key(strip_identity(u1), strip_identity(lost)), 0, 2))
 
     if unsplit_nbrs:
         weights[edge_key(u0, u1)] = len(unsplit_nbrs)
-        changes.append((edge_key(ident(u), ident(u1)), 0, len(unsplit_nbrs)))
+        changes.append(
+            (edge_key(strip_identity(u), strip_identity(u1)), 0, len(unsplit_nbrs))
+        )
 
     vertices = (set(g.vertices) - {u}) | {u0, u1}
     new_graph = WeightedMultigraph(g.d, vertices, weights)
@@ -206,7 +205,6 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     new_state = GrowthState(
         current=new_graph,
         cycle_index=state.cycle_index,
-        base=state.base,
         target=state.target,
         split=state.split | {u0, u1},
         unsplit=state.unsplit - {u},
@@ -328,7 +326,8 @@ def structure_violations(
     deeper; partner-edge weights equal to the count of unsplit neighbors of
     the shared parent; the {1, 2} weight classes by endpoint split status;
     and weighted degree d everywhere.  Each message starts with the rule's
-    name.  A depth violation ends the check, since the other rules read the
+    name; within a rule, messages follow the canonical order of vertices and
+    edges.  A depth violation ends the check, since the other rules read the
     split status from the depths.
     """
     depths_s = {v.depth for v in split}
@@ -342,12 +341,12 @@ def structure_violations(
         )
         return
 
-    for v in split:
+    for v in sorted(split):
         w = partner(v)
         if w not in g.vertices:
             yield f"partner edges: {format_name(v)} split without partner"
             continue
-        if v.key() > w.key():
+        if v > w:
             continue
         expected = sum(1 for x in g.neighbors(v) if x not in split)
         other = sum(1 for x in g.neighbors(w) if x not in split)
@@ -362,7 +361,7 @@ def structure_violations(
                 f"weight {g.weight(v, w)}, expected {expected}"
             )
 
-    for a, b, w in g.edges():
+    for a, b, w in g.sorted_edges():
         if a in split and b in split and partner(a) == b:
             continue
         expected = 2 if (a in split) == (b in split) else 1
@@ -372,7 +371,7 @@ def structure_violations(
                 f"weight {w}, expected {expected}"
             )
 
-    for v in g.vertices:
+    for v in sorted(g.vertices):
         deg = weighted_degree(g, v)
         if deg != g.d:
             yield (

@@ -20,7 +20,13 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .multigraph import Edge, WeightedMultigraph, edge_key, weighted_degree
+from .multigraph import (
+    Edge,
+    WeightedMultigraph,
+    adjacency_matrix,
+    edge_key,
+    weighted_degree,
+)
 from .names import VertexName, format_name, parse_name
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -62,13 +68,6 @@ class Signing:
             raise ValueError("signing bits must match the edge list")
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("signing bits must be 0 or 1")
-
-    def bit(self, u: VertexName, v: VertexName) -> int:
-        k = edge_key(u, v)
-        try:
-            return self.bits[self.edges.index(k)]
-        except ValueError:
-            raise KeyError(f"edge not in signing domain") from None
 
     def as_mapping(self) -> dict[Edge, int]:
         return dict(zip(self.edges, self.bits))
@@ -153,8 +152,6 @@ def spectral_report(g: WeightedMultigraph) -> SpectralReport:
     """Full symmetric eigendecomposition of the adjacency matrix."""
     if g.n < 2:
         raise ValueError("spectral report needs at least 2 vertices")
-    from .multigraph import adjacency_matrix
-
     a = adjacency_matrix(g).astype(np.float64)
     return SpectralReport(_eigs_descending(a))
 
@@ -197,7 +194,7 @@ def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[in
     m = len(edges)
     eidx = {e: j for j, e in enumerate(edges)}
     root_path: dict[VertexName, int] = {}
-    order = sorted(base.vertices, key=lambda v: v.key())
+    order = sorted(base.vertices)
     visited: set[VertexName] = set()
     for root in order:
         if root in visited:
@@ -206,10 +203,10 @@ def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[in
         visited.add(root)
         frontier = [root]
         while frontier:
-            frontier.sort(key=lambda v: v.key())
+            frontier.sort()
             nxt = []
             for u in frontier:
-                for v in sorted(base.neighbors(u), key=lambda x: x.key()):
+                for v in sorted(base.neighbors(u)):
                     if v in visited:
                         continue
                     visited.add(v)
@@ -232,7 +229,7 @@ def _exhaustive_search(
     lambdas back over every signing to pick the smallest code among the
     global minimizers, which is the lexicographically smallest signing.
     """
-    order = sorted(base.vertices, key=lambda v: v.key())
+    order = sorted(base.vertices)
     index = {v: i for i, v in enumerate(order)}
     m = len(edges)
     masks = _switching_masks(base, edges)
@@ -260,7 +257,7 @@ def _random_search(
     search_budget: int,
     seed: int,
 ) -> tuple[float, int]:
-    order = sorted(base.vertices, key=lambda v: v.key())
+    order = sorted(base.vertices)
     index = {v: i for i, v in enumerate(order)}
     m = len(edges)
     rng = random.Random(seed)
@@ -293,8 +290,6 @@ def find_good_signing(
     edges = canonical_edge_list(base)
     if not edges:
         raise ValueError("base has no edges")
-    from .multigraph import adjacency_matrix
-
     base_eigs = _eigs_descending(adjacency_matrix(base).astype(np.float64))
     if len(edges) <= EXHAUSTIVE_EDGE_LIMIT:
         best_lambda, best_code = _exhaustive_search(base, edges, base_eigs)

@@ -23,7 +23,7 @@ def edge_key(u: VertexName, v: VertexName) -> Edge:
     """Unordered pair in canonical order."""
     if u == v:
         raise ValueError(f"self-loop {format_name(u)} is not allowed")
-    return (u, v) if u.key() < v.key() else (v, u)
+    return (u, v) if u < v else (v, u)
 
 
 class WeightedMultigraph:
@@ -85,10 +85,7 @@ class WeightedMultigraph:
             yield u, v, w
 
     def sorted_edges(self) -> list[tuple[VertexName, VertexName, int]]:
-        return sorted(
-            ((u, v, w) for (u, v), w in self._weights.items()),
-            key=lambda e: (e[0].key(), e[1].key()),
-        )
+        return sorted((u, v, w) for (u, v), w in self._weights.items())
 
     def replace(
         self,
@@ -107,8 +104,8 @@ def _fmt_edge(e: Edge) -> str:
 
 
 def vertex_order(g: WeightedMultigraph) -> list[VertexName]:
-    """Canonical vertex order: lexicographic on (bit length, base, bits)."""
-    return sorted(g.vertices, key=lambda v: v.key())
+    """Canonical vertex order (see ``names``)."""
+    return sorted(g.vertices)
 
 
 def weighted_degree(g: WeightedMultigraph, v: VertexName) -> int:

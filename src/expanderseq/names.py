@@ -1,4 +1,4 @@
-"""Split-history vertex names.
+"""Split-history vertex names and their canonical order.
 
 A name is a base symbol in {0, ..., d/2} plus a bit string recording the
 doublings the vertex has survived.  When a vertex splits, the surviving half
@@ -7,20 +7,35 @@ name continues the identity of its parent.  Stripping trailing zeros therefore
 yields a persistent identity that is stable across the whole life of a vertex;
 ``expansion_cost`` compares graphs under that identity while structural
 equality stays on raw names.
+
+Names compare in the canonical order (bit length, base, bits), which every
+deterministic choice of the construction follows: split order, edge order,
+routing ties and delivery order.  ``VertexName`` is a tuple stored in that
+order, so ``<``, ``sorted`` and ``min`` need no key.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import itemgetter
 
 
-class VertexName(NamedTuple):
-    base: int
-    bits: tuple[int, ...] = ()
+class VertexName(tuple):
+    """A name stored as ``(depth, base, bits)``: tuple order is canonical."""
 
-    def key(self) -> tuple[int, int, tuple[int, ...]]:
-        """Canonical sort key: (bit length, base, bits)."""
-        return (len(self.bits), self.base, self.bits)
+    __slots__ = ()
+
+    def __new__(cls, base: int, bits: tuple[int, ...] = ()) -> "VertexName":
+        return tuple.__new__(cls, (len(bits), base, bits))
+
+    def __getnewargs__(self) -> tuple[int, tuple[int, ...]]:
+        return self[1], self[2]
+
+    def __repr__(self) -> str:
+        return f"VertexName({self[1]!r}, {self[2]!r})"
+
+    depth = property(itemgetter(0), doc="Number of doublings survived.")
+    base = property(itemgetter(1), doc="Base symbol in {0, ..., d/2}.")
+    bits = property(itemgetter(2), doc="Split history, oldest bit first.")
 
     def child(self, bit: int) -> "VertexName":
         if bit not in (0, 1):
@@ -32,10 +47,6 @@ class VertexName(NamedTuple):
         if not self.bits:
             raise ValueError(f"name {format_name(self)} has no parent")
         return VertexName(self.base, self.bits[:-1])
-
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
 
 
 def partner(name: VertexName) -> VertexName:

@@ -487,7 +487,7 @@ def _closest(
     steps = [
         w for w in candidates if w in dist and (here is None or dist[w] == here - 1)
     ]
-    return min(steps, key=lambda w: (dist[w], w.key()), default=None)
+    return min(steps, key=lambda w: (dist[w], w), default=None)
 
 
 def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
@@ -511,7 +511,7 @@ def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
 def _ref_adj(d: int, i: int, seed: int) -> dict[VertexName, list[VertexName]]:
     """Sorted adjacency lists of the i-th doubled reference graph."""
     g = bl_expander(d, i, seed)
-    return {v: sorted(g.neighbors(v), key=VertexName.key) for v in g.vertices}
+    return {v: sorted(g.neighbors(v)) for v in g.vertices}
 
 
 @cache
@@ -573,7 +573,7 @@ class SimNetwork:
         self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
-        for v in sorted(base.vertices, key=VertexName.key):
+        for v in sorted(base.vertices):
             ext = f"g{v.base}"
             ids[v] = ext
             self.nodes[ext] = NodeState(ext_id=ext, name=v)
@@ -665,7 +665,7 @@ class SimNetwork:
         msg.hops += 1
         if msg.hops > 16 * (node.name.depth + 4):
             raise ProtocolError(f"hop budget exhausted toward {format_name(msg.dst)}")
-        choices = sorted(node.neighbor_table, key=VertexName.key)
+        choices = sorted(node.neighbor_table)
         pick = next((x for x in choices if x != msg.last), choices[0])
         msg.last = node.name
         return pick
@@ -735,7 +735,7 @@ class SimNetwork:
             raise ProtocolError(f"{node.ext_id} is not named yet")
         if strip_identity(dst) == strip_identity(node.name):
             return None
-        for nb in sorted(node.neighbor_table, key=VertexName.key):
+        for nb in sorted(node.neighbor_table):
             if strip_identity(nb) == strip_identity(dst):
                 return nb
         if level is None:
@@ -760,7 +760,7 @@ class SimNetwork:
         node: NodeState, ref_vertex: VertexName, level: int
     ) -> VertexName:
         """The physical neighbor name carrying a reference vertex."""
-        for nb in sorted(node.neighbor_table, key=VertexName.key):
+        for nb in sorted(node.neighbor_table):
             if _covers(nb, ref_vertex, level):
                 return nb
         raise ProtocolError(
@@ -784,7 +784,7 @@ class SimNetwork:
             def order(item: tuple[str, str, Message]) -> tuple:
                 dst, _src, msg = item
                 name = self.nodes[dst].name if dst in self.nodes else None
-                name_key = (2, ()) if name is None else (1, name.key())
+                name_key = (2, ()) if name is None else (1, name)
                 return (name_key, msg.body.rank, msg.seq)
 
             for dst, src, msg in sorted(deliveries, key=order):
@@ -807,7 +807,7 @@ class SimNetwork:
     def _after_table_change(self, node: NodeState) -> None:
         self._recheck_pair_edge(node)
         if node.replica_n is not None and not any(
-            is_all_zeros(strip_identity(nb)) for nb in node.neighbor_table
+            is_all_zeros(nb) for nb in node.neighbor_table
         ):
             node.replica_n = None
         if node.is_coordinator and node.known_n is not None:
@@ -894,17 +894,17 @@ class SimNetwork:
         level = x0.depth
         h = bl_expander(self.d, level, self.seed)
         old_table = dict(node.neighbor_table)
-        unsplit = sorted((w for w in old_table if w.depth < level), key=VertexName.key)
-        split = sorted((w for w in old_table if w.depth == level), key=VertexName.key)
+        unsplit = sorted(w for w in old_table if w.depth < level)
+        split = sorted(w for w in old_table if w.depth == level)
         if len(unsplit) + len(split) != len(old_table):
             raise ProtocolError("neighbor depths are inconsistent at split")
-        for w in sorted(old_table, key=VertexName.key):
+        for w in sorted(old_table):
             entry = NeighborEntry(w, old_table[w], new_ext)
             self._route(node, entry, body.via)
         for w in unsplit:
             link = BindLink(x0, node.ext_id, old_name, x1, new_ext)
             self._direct(node, old_table[w], link)
-        for p in sorted({w.parent() for w in split}, key=VertexName.key):
+        for p in sorted({w.parent() for w in split}):
             v0, v1 = p.child(0), p.child(1)
             if v0 not in old_table or v1 not in old_table:
                 raise ProtocolError(
@@ -1017,7 +1017,7 @@ class SimNetwork:
         level = node.name.depth
         count = sum(1 for nb in node.neighbor_table if nb.depth < level)
         present = pn in node.neighbor_table
-        initiator = node.name.key() < pn.key()
+        initiator = node.name < pn
         if present and count == 0 and initiator:
             if self._defer_pair_drops:
                 self._deferred_drops.add(node.ext_id)
@@ -1192,7 +1192,7 @@ class SimNetwork:
         absorb = dead_name == p0
         slot = log.split_vertex if absorb else dead_name
         ref_prev = graph_at(self.d, n_pre - 1, self.seed)
-        targets = sorted(ref_prev.neighbors(slot), key=VertexName.key)
+        targets = sorted(ref_prev.neighbors(slot))
         node.takeover = TakeoverJob(
             dead=dead_name,
             slot=slot,
@@ -1223,7 +1223,7 @@ class SimNetwork:
         ref = graph_at(self.d, n_pre, self.seed)
         lost_halves = [
             (w, node.neighbor_table[w])
-            for w in sorted(ref.neighbors(x1), key=VertexName.key)
+            for w in sorted(ref.neighbors(x1))
             if w != dead_name and w.depth == x1.depth and w != p0
             and w in node.neighbor_table
         ]
@@ -1273,9 +1273,7 @@ class SimNetwork:
         p = log.split_vertex
         p0 = p.child(0)
         ref = graph_at(self.d, t.n_pre, self.seed)
-        old_names = sorted(
-            (w for w in ref.neighbors(x1) if w != t.dead), key=VertexName.key
-        )
+        old_names = sorted(w for w in ref.neighbors(x1) if w != t.dead)
         for w in old_names:
             if w != p0:
                 self._direct(node, node.neighbor_table[w], DropName(x1))
@@ -1309,12 +1307,10 @@ class SimNetwork:
         x1 = log.new_vertex
         renamed = node.name.parent()
         ref = graph_at(self.d, n_pre, self.seed)
-        for half in sorted(ref.neighbors(x1), key=VertexName.key):
+        for half in sorted(ref.neighbors(x1)):
             if half.depth != x1.depth or half == node.name:
                 continue
-            relays = sorted(
-                (r for r in ref.neighbors(half) if r != x1), key=VertexName.key
-            )
+            relays = sorted(r for r in ref.neighbors(half) if r != x1)
             if not relays:
                 raise ProtocolError(f"no live relay toward {format_name(half)}")
             request = ReconnectVia(half, renamed, node.ext_id)
@@ -1370,11 +1366,9 @@ class SimNetwork:
                 # unwinding a doubling boundary); re-introduce ourselves to
                 # the sibling so pair-edge decisions stay possible
                 self._route(node, PartnerAnnounce(renamed, node.ext_id), pn)
-        for _name, ext in sorted(
-            node.neighbor_table.items(), key=lambda kv: kv[0].key()
-        ):
+        for _name, ext in sorted(node.neighbor_table.items()):
             self._direct(node, ext, Bind(renamed, node.ext_id, old))
-        for half, half_ext in sorted(halves, key=lambda kv: kv[0].key()):
+        for half, half_ext in sorted(halves):
             node.neighbor_table[half] = half_ext
             self._direct(node, half_ext, Bind(renamed, node.ext_id))
         self._after_table_change(node)
@@ -1391,7 +1385,7 @@ class SimNetwork:
         # a sync can be in flight while the edge to the coordinator goes
         # away; only current neighbors hold replicas
         holds_edge = any(
-            is_all_zeros(strip_identity(nb)) and ext == src
+            is_all_zeros(nb) and ext == src
             for nb, ext in node.neighbor_table.items()
         )
         if holds_edge:

@@ -186,7 +186,7 @@ def test_half_lemma_all_split_side():
 
 def test_half_lemma_single_unsplit_vertex():
     st = state_at(6, 6, 1)
-    v = sorted(st.unsplit, key=lambda x: x.key())[0]
+    v = min(st.unsplit)
     dec = cut_decomposition(st, [v])
     assert dec.wh_blocks["uu"] == 2 * dec.wg_blocks["uu"]
     assert dec.wh_blocks["us"] == 2 * dec.wg_blocks["us"]

@@ -114,6 +114,28 @@ def test_verify_catches_corrupted_weight(tmp_path):
     assert "degree invariant" in res.stdout or "weight classes" in res.stdout
 
 
+def test_verify_lists_violations_in_canonical_order(tmp_path, capsys):
+    lines = graph_to_text(graph_at(6, 9, 1)).splitlines()
+    for i in (2, 7, 12):
+        a, b, w = lines[i].split()
+        lines[i] = f"{a} {b} {int(w) + 1}"
+    graph = tmp_path / "g.graph"
+    graph.write_text("\n".join(lines) + "\n")
+    assert cli.main(["verify", "--input", str(graph), "--lift-seed", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL weight classes: edge 0:1-2:1 has weight 3, expected 2",
+        "FAIL weight classes: edge 1:0-0:01 has weight 2, expected 1",
+        "FAIL weight classes: edge 2:0-0:01 has weight 2, expected 1",
+        "FAIL degree invariant: vertex 0:1 has weighted degree 7, expected 6",
+        "FAIL degree invariant: vertex 1:0 has weighted degree 7, expected 6",
+        "FAIL degree invariant: vertex 2:0 has weighted degree 7, expected 6",
+        "FAIL degree invariant: vertex 2:1 has weighted degree 7, expected 6",
+        "FAIL degree invariant: vertex 0:01 has weighted degree 8, expected 6",
+        "FAIL sequence equality: graph differs from the deterministic "
+        "reference at n = 9",
+    ]
+
+
 def test_verify_accepts_genuine_file(tmp_path):
     graph = tmp_path / "g.graph"
     run_cli("grow", "--d", "6", "--n", "9", "--lift-seed", "1",

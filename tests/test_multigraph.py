@@ -123,7 +123,7 @@ simple_names = st.builds(
 @st.composite
 def small_graphs(draw):
     names = draw(st.sets(simple_names, min_size=2, max_size=6))
-    names = sorted(names, key=lambda v: v.key())
+    names = sorted(names)
     weights = {}
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
@@ -168,7 +168,7 @@ def test_serialization_is_canonical_and_lf():
 
     def line_key(s):
         a, b, _ = s.split()
-        return (parse_name(a).key(), parse_name(b).key())
+        return (parse_name(a), parse_name(b))
 
     assert lines[1:] == sorted(lines[1:], key=line_key)
 

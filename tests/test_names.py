@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -64,7 +67,29 @@ def test_all_zeros():
     assert not is_all_zeros(VertexName(1))
 
 
+def canonical(v):
+    return (len(v.bits), v.base, v.bits)
+
+
 @given(names, names)
-def test_key_orders_by_depth_first(a, b):
-    if a.depth < b.depth:
-        assert a.key() < b.key()
+def test_natural_order_is_canonical(a, b):
+    assert (a < b) == (canonical(a) < canonical(b))
+    assert (a == b) == (canonical(a) == canonical(b))
+    assert sorted([a, b]) == sorted([a, b], key=canonical)
+    twin = VertexName(a.base, tuple(list(a.bits)))
+    assert twin == a and hash(twin) == hash(a)
+
+
+@given(names)
+def test_copy_and_pickle_roundtrip(name):
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    pickled = [pickle.loads(pickle.dumps(name, p)) for p in protocols]
+    for back in (copy.copy(name), copy.deepcopy(name), *pickled):
+        assert back == name and hash(back) == hash(name)
+        assert type(back) is VertexName
+        assert (back.base, back.bits, back.depth) == (name.base, name.bits, name.depth)
+
+
+def test_repr_reads_base_and_bits():
+    assert repr(VertexName(2, (1, 0))) == "VertexName(2, (1, 0))"
+    assert repr(VertexName(0)) == "VertexName(0, ())"

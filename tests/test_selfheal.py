@@ -21,6 +21,7 @@ from expanderseq.selfheal import (
     ScriptError,
     SimNetwork,
     TakeoverJob,
+    Unsplit,
     parse_script,
     report_to_json,
     run_script,
@@ -468,3 +469,28 @@ def test_generated_adversary_matches_reference(d, moves):
 def test_generated_adversary_round_budget(d, moves):
     for e, log2n in run_with_log2n(d, moves):
         assert e["rounds"] <= 6 * log2n, e
+
+
+def test_unsplit_handover_spans_two_chunks(monkeypatch):
+    """At d = 20 the bit cap packs fewer halves than a split can lose."""
+    unsplits = []
+    real_send = SimNetwork._send
+
+    def spy(self, src_ext, dst_ext, msg):
+        body = msg.body
+        if isinstance(body, Unsplit) and all(b is not body for b in unsplits):
+            unsplits.append(body)
+        real_send(self, src_ext, dst_ext, msg)
+
+    monkeypatch.setattr(SimNetwork, "_send", spy)
+    # each insert attaches to g0 and the previous newcomer, reaching n = 22
+    events = [
+        InsertEvent(f"x{k}", ("g0",) + ((f"x{k - 1}",) if k else ()))
+        for k in range(11)
+    ]
+    events.append(DeleteEvent("g3"))
+    rep = run_script(20, 1, events)
+    assert [(b.total, len(b.halves)) for b in unsplits] == [(2, 8), (2, 1)]
+    assert rep.digest == (
+        "5bb87e67f2558edc9f13bc9aaadfaa858f7c00155f7f8429396d4873d00ede58"
+    )
