@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grower import GrowthState, graph_at, state_at
+from .grower import GrowthState, changelog_at, graph_at
 from .lifts import SpectralReport, spectral_report
 from .multigraph import (
     WeightedMultigraph,
@@ -184,8 +184,12 @@ def _regular_degree(g: WeightedMultigraph) -> int:
     return degs.pop()
 
 
-def cheeger_bounds(d: int, lambda2: float) -> tuple[float, float]:
-    """Cheeger's sandwich (d - lambda2)/2 <= h <= sqrt(2d(d - lambda2))."""
+def cheeger_bounds(g: WeightedMultigraph, lambda2: float) -> tuple[float, float]:
+    """Cheeger's sandwich (d - lambda2)/2 <= h <= sqrt(2d(d - lambda2)).
+
+    Raises ``AnalysisError`` unless ``g`` is d-regular.
+    """
+    d = _regular_degree(g)
     return (d - lambda2) / 2.0, math.sqrt(max(0.0, 2.0 * d * (d - lambda2)))
 
 
@@ -199,8 +203,7 @@ def cheeger_check(
     ``h`` and ``spectrum`` are the graph's exact expansion and spectrum when
     the caller already has them.
     """
-    d = _regular_degree(g)
-    lower, upper = cheeger_bounds(d, (spectrum or spectral_report(g)).lambda2)
+    lower, upper = cheeger_bounds(g, (spectrum or spectral_report(g)).lambda2)
     if h is None:
         h = edge_expansion_exact(g).h
     ok = (lower - CHEEGER_SLACK) <= float(h) <= (upper + CHEEGER_SLACK)
@@ -476,11 +479,10 @@ def rayleigh_lower_bound_check(
     if n - 1 > 2048:
         raise AnalysisError(f"n - 1 = {n - 1} exceeds the eigensolver reach")
     g = graph_at(d, n, seed)
-    state = state_at(d, n, seed)
+    log = changelog_at(d, n, seed)
     rep = spectral_report(g)
     index = _index(g)
-    v0 = state.split_order[0].child(0)
-    v1 = state.split_order[0].child(1)
+    v0, v1 = log.split_vertex.child(0), log.new_vertex
     x = np.full(n, -2.0 / n)
     x[index[v0]] = 1.0 - 2.0 / n
     x[index[v1]] = 1.0 - 2.0 / n

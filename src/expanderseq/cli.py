@@ -17,12 +17,7 @@ from fractions import Fraction
 
 from . import analysis, grower, selfheal
 from .lifts import SpectralReport, spectral_report
-from .multigraph import (
-    graph_from_text,
-    graph_to_text,
-    graphs_equal,
-    weighted_degree,
-)
+from .multigraph import graph_from_text, graph_to_text, graphs_equal
 from .names import format_name
 
 EXIT_OK = 0
@@ -143,8 +138,7 @@ def _analysis_payload(args: argparse.Namespace) -> dict:
     if args.spectral or not args.exact:
         payload["lambda2"] = spectrum.lambda2
         payload["lambda"] = spectrum.lambda_
-        d_reg = weighted_degree(g, min(g.vertices))
-        lower, upper = analysis.cheeger_bounds(d_reg, spectrum.lambda2)
+        lower, upper = analysis.cheeger_bounds(g, spectrum.lambda2)
         payload["bounds"] = {"cheeger_lower": lower, "cheeger_upper": upper}
     suites = []
     for name in suite_names:

@@ -7,9 +7,11 @@ split of ``u`` into ``u.0`` and ``u.1`` rewires edges so that all weighted
 degrees stay ``d`` and every edge weight stays in {1, 2} apart from the
 shrinking edge between split partners.
 
-The split order is the canonical name order over the unsplit set, fixed at
-the start of the cycle, which makes the whole sequence a deterministic
-function of (d, seed).
+The next vertex to split is the canonically smallest unsplit one, so the
+depth-k name ``u`` is the split that produces G_n with n = ``split_n(d, u)``,
+and the whole sequence is a deterministic function of (d, seed).  Each
+split's ``ChangeLog`` records its neighbourhood and weight changes; readers
+take the split rule from the log instead of re-deriving it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Set
 from dataclasses import dataclass
 
-from .lifts import DEFAULT_SEARCH_BUDGET, next_bl_expander
+from .lifts import next_bl_expander
 from .multigraph import (
     Edge,
     WeightedMultigraph,
@@ -39,14 +41,29 @@ class ConstructionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChangeLog:
-    """Exact weight transitions of one split, on persistent-identity edges."""
+    """One split: its neighbourhood and its weight changes.
+
+    ``halves`` pairs, per split neighbour, the half the 0 copy keeps with the
+    half the new vertex takes.  ``changes`` lists the exact weight transitions
+    on persistent-identity edges.  Every vertex tuple is in canonical order.
+    """
 
     split_vertex: VertexName
     new_vertex: VertexName
     changes: tuple[tuple[Edge, int, int], ...]
     cost: int
-    n_unsplit_neighbors: int
-    n_split_neighbors: int
+    unsplit_neighbors: tuple[VertexName, ...]
+    halves: tuple[tuple[VertexName, VertexName], ...]
+
+    n_unsplit_neighbors = property(lambda log: len(log.unsplit_neighbors))
+    n_split_neighbors = property(lambda log: 2 * len(log.halves))
+    lost_halves = property(lambda log: tuple(lost for _, lost in log.halves))
+
+    @property
+    def new_neighbors(self) -> tuple[VertexName, ...]:
+        """The new vertex's neighbours in G_n, in canonical order."""
+        pair = (self.split_vertex.child(0),) if self.unsplit_neighbors else ()
+        return tuple(sorted(self.unsplit_neighbors + self.lost_halves + pair))
 
     @property
     def topology_changes(self) -> int:
@@ -56,15 +73,19 @@ class ChangeLog:
 
 @dataclass(frozen=True)
 class GrowthState:
-    """Mid-cycle snapshot: current graph plus the split bookkeeping."""
+    """Mid-cycle snapshot: current graph, target lift and the S/U split."""
 
     current: WeightedMultigraph
-    cycle_index: int
     target: WeightedMultigraph
     split: frozenset[VertexName]
     unsplit: frozenset[VertexName]
-    split_order: tuple[VertexName, ...]
-    next_split: int
+
+
+def split_n(d: int, u: VertexName) -> int:
+    """The n of the G_n that the split of ``u`` produces (the split order)."""
+    k = u.depth
+    bits = int("0" + "".join(map(str, u.bits)), 2)
+    return ((d // 2 + 1) << k) + (u.base << k) + bits + 1
 
 
 def initial_graph(d: int) -> WeightedMultigraph:
@@ -84,43 +105,30 @@ def _cycle_seed(seed: int, cycle_index: int) -> int:
     return seed * 1_000_003 + cycle_index
 
 
-def begin_cycle(
-    g_star: WeightedMultigraph,
-    seed: int = 0,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> GrowthState:
+def begin_cycle(g_star: WeightedMultigraph, seed: int = 0) -> GrowthState:
     """Start a cycle at a doubled expander: S empty, U everything."""
     depths = {v.depth for v in g_star.vertices}
     if len(depths) != 1:
         raise ValueError("cycle base must have uniform name depth")
-    i = depths.pop()
-    target = next_bl_expander(
-        g_star, seed=_cycle_seed(seed, i), search_budget=search_budget
-    )
-    order = tuple(sorted(g_star.vertices))
+    target = next_bl_expander(g_star, seed=_cycle_seed(seed, depths.pop()))
     return GrowthState(
         current=g_star,
-        cycle_index=i,
         target=target,
         split=frozenset(),
         unsplit=frozenset(g_star.vertices),
-        split_order=order,
-        next_split=0,
     )
 
 
 def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     """Split the next unsplit vertex, returning the new state and its audit log."""
     if not state.unsplit:
-        raise CycleComplete(f"cycle {state.cycle_index} has no unsplit vertices")
+        raise CycleComplete("every vertex of the cycle has split")
     g = state.current
     h = state.target
-    u = state.split_order[state.next_split]
-    if u not in state.unsplit:
-        raise ConstructionError(f"split order desync at {format_name(u)}")
+    u = min(state.unsplit)
     u0, u1 = u.child(0), u.child(1)
     nbrs = g.neighbors(u)
-    unsplit_nbrs = sorted(v for v in nbrs if v in state.unsplit)
+    unsplit_nbrs = tuple(sorted(v for v in nbrs if v in state.unsplit))
     split_nbrs = sorted(v for v in nbrs if v in state.split)
     if len(unsplit_nbrs) + len(split_nbrs) != len(nbrs):
         raise ConstructionError("S/U does not partition the neighborhood")
@@ -130,64 +138,57 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     }
     changes: list[tuple[Edge, int, int]] = []
 
+    def put(a: VertexName, b: VertexName, old: int, new: int) -> None:
+        """Set the G_n weight of a-b and log it on the persistent-identity edge."""
+        if new:
+            weights[edge_key(a, b)] = new
+        else:
+            weights.pop(edge_key(a, b), None)
+        changes.append((edge_key(strip_identity(a), strip_identity(b)), old, new))
+
     for v in unsplit_nbrs:
         if nbrs[v] != 2:
             raise ConstructionError(
                 f"edge to unsplit {format_name(v)} has weight {nbrs[v]}, expected 2"
             )
-        weights[edge_key(u0, v)] = 1
-        weights[edge_key(u1, v)] = 1
-        changes.append((edge_key(strip_identity(u), strip_identity(v)), 2, 1))
-        changes.append((edge_key(strip_identity(u1), strip_identity(v)), 0, 1))
+        put(u0, v, 2, 1)
+        put(u1, v, 0, 1)
 
     parents = sorted({v.parent() for v in split_nbrs})
     if 2 * len(parents) != len(split_nbrs):
         raise ConstructionError("split neighbors do not decompose into pairs")
+    halves = []
     for p in parents:
         v0, v1 = p.child(0), p.child(1)
         if v0 not in nbrs or v1 not in nbrs or nbrs[v0] != 1 or nbrs[v1] != 1:
             raise ConstructionError(
                 f"expected weight-1 edges to both halves of {format_name(p)}"
             )
-        pk = edge_key(v0, v1)
-        old_pair = weights.get(pk, 0)
+        old_pair = g.weight(v0, v1)
         if old_pair < 1:
             raise ConstructionError(
                 f"partner edge {format_name(v0)}-{format_name(v1)} missing"
             )
-        if old_pair == 1:
-            del weights[pk]
-        else:
-            weights[pk] = old_pair - 1
-        changes.append(
-            (edge_key(strip_identity(v0), strip_identity(v1)), old_pair, old_pair - 1)
-        )
+        put(v0, v1, old_pair, old_pair - 1)
         to_u0 = h.weight(u0, v0) > 0
-        crossed = h.weight(u0, v1) > 0
-        if to_u0 == crossed:
+        if to_u0 == (h.weight(u0, v1) > 0):
             raise ConstructionError(
                 f"target matching between {format_name(u)} and {format_name(p)} "
                 "is not a perfect matching"
             )
         kept, lost = (v0, v1) if to_u0 else (v1, v0)
-        weights[edge_key(u0, kept)] = 2
-        weights[edge_key(u1, lost)] = 2
-        changes.append((edge_key(strip_identity(u), strip_identity(kept)), 1, 2))
-        changes.append((edge_key(strip_identity(u), strip_identity(lost)), 1, 0))
-        changes.append((edge_key(strip_identity(u1), strip_identity(lost)), 0, 2))
+        put(u0, kept, 1, 2)
+        put(u0, lost, 1, 0)
+        put(u1, lost, 0, 2)
+        halves.append((kept, lost))
 
     if unsplit_nbrs:
-        weights[edge_key(u0, u1)] = len(unsplit_nbrs)
-        changes.append(
-            (edge_key(strip_identity(u), strip_identity(u1)), 0, len(unsplit_nbrs))
-        )
+        put(u0, u1, 0, len(unsplit_nbrs))
 
     vertices = (set(g.vertices) - {u}) | {u0, u1}
     new_graph = WeightedMultigraph(g.d, vertices, weights)
     cost = sum(abs(new - old) for _, old, new in changes)
     n_u, n_s = len(unsplit_nbrs), len(split_nbrs)
-    if n_s % 2 != 0:
-        raise ConstructionError(f"|S(u)| = {n_s} is odd")
     if cost != 3 * n_u + 5 * n_s // 2:
         raise ConstructionError(
             f"cost {cost} != 3*{n_u} + 5*{n_s}/2 at {format_name(u)}"
@@ -199,17 +200,14 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
         new_vertex=u1,
         changes=tuple(changes),
         cost=cost,
-        n_unsplit_neighbors=n_u,
-        n_split_neighbors=n_s,
+        unsplit_neighbors=unsplit_nbrs,
+        halves=tuple(halves),
     )
     new_state = GrowthState(
         current=new_graph,
-        cycle_index=state.cycle_index,
         target=state.target,
         split=state.split | {u0, u1},
         unsplit=state.unsplit - {u},
-        split_order=state.split_order,
-        next_split=state.next_split + 1,
     )
     return new_state, log
 

@@ -307,17 +307,13 @@ def find_good_signing(
     return Signing.from_int(edges, best_code)
 
 
-def next_bl_expander(
-    g_star: WeightedMultigraph,
-    seed: int = 0,
-    lambda_budget: float | None = None,
-    search_budget: int = DEFAULT_SEARCH_BUDGET,
-) -> WeightedMultigraph:
+def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMultigraph:
     """The next doubled expander: halve, sign-search, lift, re-double.
 
     The input must have every weight exactly 2 over a (d/2)-regular simple
-    graph.  The chosen lift's lambda is re-verified by a direct eigensolve,
-    independent of the search's spectral shortcut.
+    graph.  The search spends ``DEFAULT_SEARCH_BUDGET`` signings against
+    ``default_lambda_budget``, and the chosen lift's lambda is re-verified
+    by a direct eigensolve, independent of the search's spectral shortcut.
     """
     halved: dict[Edge, int] = {}
     for u, v, w in g_star.edges():
@@ -331,9 +327,8 @@ def next_bl_expander(
     r = _require_simple_regular(base)
     if r != g_star.d // 2:
         raise ValueError(f"base is {r}-regular, expected {g_star.d // 2}")
-    if lambda_budget is None:
-        lambda_budget = default_lambda_budget(g_star.d)
-    signing = find_good_signing(base, lambda_budget, search_budget, seed)
+    lambda_budget = default_lambda_budget(g_star.d)
+    signing = find_good_signing(base, lambda_budget, seed=seed)
     lifted = two_lift(base, signing)
     direct = spectral_report(lifted).lambda_
     if direct > lambda_budget + EIG_TOL:

@@ -85,12 +85,13 @@ from dataclasses import dataclass, field
 from functools import cache, singledispatchmethod
 from typing import Iterable
 
-from .grower import bl_expander, changelog_at, graph_at
+from .grower import bl_expander, changelog_at, graph_at, split_n
 from .multigraph import WeightedMultigraph, bfs_distances, edge_key, graph_to_text
 from .multigraph import expansion_cost  # noqa: F401  perfbench's tracer binds it
 from .names import VertexName, format_name, is_all_zeros, partner, strip_identity
 
 MSG_BIT_CAP_FACTOR = 64
+ROUND_LIMIT = 100_000
 
 
 class ProtocolError(RuntimeError):
@@ -770,10 +771,10 @@ class SimNetwork:
 
     # -- round loop -------------------------------------------------------
 
-    def run_to_quiescence(self, round_limit: int = 100_000) -> None:
+    def run_to_quiescence(self) -> None:
         while self._queues:
             self.rounds += 1
-            if self.rounds > round_limit:
+            if self.rounds > ROUND_LIMIT:
                 raise ProtocolError("round limit exceeded; protocol livelock")
             deliveries: list[tuple[str, str, Message]] = []
             for (src, dst), q in list(self._queues.items()):
@@ -868,13 +869,11 @@ class SimNetwork:
         """The new node learns n, hence its name and the vertex that splits."""
         log = changelog_at(self.d, body.n, self.seed)
         node.name = log.new_vertex
-        joining = node.joining
-        ref = graph_at(self.d, body.n, self.seed)
-        joining.expected_neighbors = frozenset(ref.neighbors(log.new_vertex))
+        node.joining.expected_neighbors = frozenset(log.new_neighbors)
         # one entry per neighbor of the splitting vertex
-        joining.entries_expected = log.n_unsplit_neighbors + log.n_split_neighbors
+        node.joining.entries_expected = log.n_unsplit_neighbors + log.n_split_neighbors
         split_req = SplitReq(node.ext_id, log.new_vertex, log.split_vertex)
-        self._direct(node, joining.relay_ext, split_req)
+        self._direct(node, node.joining.relay_ext, split_req)
 
     @_on.register
     def _on_split_req(self, body: SplitReq, node: NodeState, src: str) -> None:
@@ -883,40 +882,29 @@ class SimNetwork:
 
     @_on.register
     def _on_split_relay(self, body: SplitRelay, node: NodeState, src: str) -> None:
-        """The splitting vertex renames to its 0 copy and rewires its edges."""
+        """The splitting vertex renames to its 0 copy and rewires its edges.
+
+        Its name fixes the growth step, whose log it reads locally.
+        """
         new_ext = body.new_ext
         old_name = node.name
-        x0 = old_name.child(0)
-        x1 = old_name.child(1)
+        log = changelog_at(self.d, split_n(self.d, old_name), self.seed)
+        x0, x1 = old_name.child(0), log.new_vertex
+        table = node.neighbor_table
+        if table.keys() != set(log.unsplit_neighbors).union(*log.halves):
+            raise ProtocolError(f"table of {format_name(old_name)} disagrees with log")
         node.name = x0
         node.partner_ext = new_ext
         node.attach_links.discard(new_ext)
-        level = x0.depth
-        h = bl_expander(self.d, level, self.seed)
-        old_table = dict(node.neighbor_table)
-        unsplit = sorted(w for w in old_table if w.depth < level)
-        split = sorted(w for w in old_table if w.depth == level)
-        if len(unsplit) + len(split) != len(old_table):
-            raise ProtocolError("neighbor depths are inconsistent at split")
-        for w in sorted(old_table):
-            entry = NeighborEntry(w, old_table[w], new_ext)
-            self._route(node, entry, body.via)
-        for w in unsplit:
-            link = BindLink(x0, node.ext_id, old_name, x1, new_ext)
-            self._direct(node, old_table[w], link)
-        for p in sorted({w.parent() for w in split}):
-            v0, v1 = p.child(0), p.child(1)
-            if v0 not in old_table or v1 not in old_table:
-                raise ProtocolError(
-                    f"split neighbors of {format_name(old_name)} not paired"
-                )
-            if (h.weight(x0, v0) > 0) == (h.weight(x0, v1) > 0):
-                raise ProtocolError("target matching is not a perfect matching")
-            kept, lost = (v0, v1) if h.weight(x0, v0) > 0 else (v1, v0)
-            self._direct(node, old_table[kept], Bind(x0, node.ext_id, old_name))
-            self._direct(node, old_table[lost], DropLink(old_name, x1, new_ext))
-            del node.neighbor_table[lost]
-        if unsplit:
+        for w in sorted(table):
+            self._route(node, NeighborEntry(w, table[w], new_ext), body.via)
+        link = BindLink(x0, node.ext_id, old_name, x1, new_ext)
+        for w in log.unsplit_neighbors:
+            self._direct(node, table[w], link)
+        for kept, lost in log.halves:
+            self._direct(node, table[kept], Bind(x0, node.ext_id, old_name))
+            self._direct(node, table.pop(lost), DropLink(old_name, x1, new_ext))
+        if log.unsplit_neighbors:
             node.neighbor_table[x1] = new_ext
             self._direct(node, new_ext, Bind(x0, node.ext_id))
         self._after_table_change(node)
@@ -1008,10 +996,15 @@ class SimNetwork:
         parent's unsplit neighbors; in the unweighted overlay it must exist
         exactly while that count is positive.  The 0 half always initiates,
         since it knows the 1 half's id from the split.
+
+        A split partner collecting ``Unsplit`` chunks needs no guard: the
+        only table change that can reach it meanwhile is a remote-partner
+        ``Wire``, which binds a split name (an unsplit slot would have kept
+        the pair edge), so it has no unsplit neighbour and no pair edge.
         """
         if node.name is None or node.name.depth == 0:
             return
-        if node.joining or node.takeover or node.handover:
+        if node.joining or node.takeover:
             return  # the role's own completion re-checks the pair edge
         pn = partner(node.name)
         level = node.name.depth
@@ -1191,8 +1184,7 @@ class SimNetwork:
         # newest vertex) absorbs the slot and becomes the unsplit parent
         absorb = dead_name == p0
         slot = log.split_vertex if absorb else dead_name
-        ref_prev = graph_at(self.d, n_pre - 1, self.seed)
-        targets = sorted(ref_prev.neighbors(slot))
+        targets = sorted(graph_at(self.d, n_pre - 1, self.seed).neighbors(slot))
         node.takeover = TakeoverJob(
             dead=dead_name,
             slot=slot,
@@ -1220,13 +1212,8 @@ class SimNetwork:
         """
         x1 = log.new_vertex
         p0 = log.split_vertex.child(0)
-        ref = graph_at(self.d, n_pre, self.seed)
-        lost_halves = [
-            (w, node.neighbor_table[w])
-            for w in sorted(ref.neighbors(x1))
-            if w != dead_name and w.depth == x1.depth and w != p0
-            and w in node.neighbor_table
-        ]
+        table = node.neighbor_table
+        lost_halves = [(w, table[w]) for w in log.lost_halves if w in table]
         chunk_size = max(1, (self._bit_cap() - 32) // (32 + x1.depth))
         chunks = [
             tuple(lost_halves[i : i + chunk_size])
@@ -1246,8 +1233,7 @@ class SimNetwork:
             return
         if t.coord_died and node.known_n is None:
             return  # wait for STATE_XFER
-        log = changelog_at(self.d, t.n_pre, self.seed)
-        self._undo_own_insertion(node, log, t)
+        self._undo_own_insertion(node, changelog_at(self.d, t.n_pre, self.seed), t)
         node.name = t.slot
         node.takeover = None
         if node.name.depth:
@@ -1272,8 +1258,7 @@ class SimNetwork:
         x1 = log.new_vertex
         p = log.split_vertex
         p0 = p.child(0)
-        ref = graph_at(self.d, t.n_pre, self.seed)
-        old_names = sorted(w for w in ref.neighbors(x1) if w != t.dead)
+        old_names = [w for w in log.new_neighbors if w != t.dead]
         for w in old_names:
             if w != p0:
                 self._direct(node, node.neighbor_table[w], DropName(x1))
@@ -1307,9 +1292,7 @@ class SimNetwork:
         x1 = log.new_vertex
         renamed = node.name.parent()
         ref = graph_at(self.d, n_pre, self.seed)
-        for half in sorted(ref.neighbors(x1)):
-            if half.depth != x1.depth or half == node.name:
-                continue
+        for half in log.lost_halves:
             relays = sorted(r for r in ref.neighbors(half) if r != x1)
             if not relays:
                 raise ProtocolError(f"no live relay toward {format_name(half)}")
@@ -1358,14 +1341,12 @@ class SimNetwork:
         node.name = renamed
         node.partner_ext = None
         if renamed.depth:
-            pn = partner(renamed)
-            if pn in node.neighbor_table:
-                node.partner_ext = node.neighbor_table[pn]
-            else:
-                # renaming can land back on an active split name (a deletion
-                # unwinding a doubling boundary); re-introduce ourselves to
-                # the sibling so pair-edge decisions stay possible
-                self._route(node, PartnerAnnounce(renamed, node.ext_id), pn)
+            # a deletion unwinding a doubling boundary lands back on an
+            # active split name: re-introduce ourselves to the sibling so
+            # pair-edge decisions stay possible.  It is never a neighbour:
+            # the depth-k name is in cycle k + 1 or at its boundary, where
+            # depth-k siblings share no 2-lift edge and no pair edge.
+            self._route(node, PartnerAnnounce(renamed, node.ext_id), partner(renamed))
         for _name, ext in sorted(node.neighbor_table.items()):
             self._direct(node, ext, Bind(renamed, node.ext_id, old))
         for half, half_ext in sorted(halves):

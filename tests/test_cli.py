@@ -194,10 +194,19 @@ def test_simulate_bad_script_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+def irregular_graph(tmp):
+    """G_9 (d = 6) with one edge weight raised by one, so it is not regular."""
+    path = tmp / "irregular.graph"
+    path.write_text(graph_to_text(graph_at(6, 9, 1)).replace(" 2\n", " 3\n", 1))
+    return str(path)
+
+
 INPUT_ERRORS = {
     "analyze-missing-input": lambda tmp: [
         "analyze", "--input", str(tmp / "none.graph")],
     "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
+    "analyze-spectral-irregular": lambda tmp: [
+        "analyze", "--input", irregular_graph(tmp), "--spectral"],
     "bench-negative-cycles": lambda tmp: [
         "bench", "--d", "6", "--cycles", "-1"],
     "grow-odd-degree": lambda tmp: ["grow", "--d", "7", "--n", "5"],

@@ -12,6 +12,7 @@ from expanderseq.grower import (
     finalize_cycle,
     graph_at,
     initial_graph,
+    split_n,
     split_next,
     state_at,
     structure_violations,
@@ -183,7 +184,7 @@ def unweighted(g):
 
 @pytest.mark.parametrize("d", [6, 8, 10, 12])
 def test_changelog_audits_match_weight_diff(d):
-    """The log's counts equal the whole-graph diffs, over two doublings."""
+    """The log's counts and neighbourhoods match the graphs, over two doublings."""
     base = d // 2 + 1
     for n in range(base + 1, 4 * base + 1):
         prev, cur = graph_at(d, n - 1, 1), graph_at(d, n, 1)
@@ -191,6 +192,15 @@ def test_changelog_audits_match_weight_diff(d):
         diff = expansion_cost(prev, cur)
         assert log.cost == diff == sum(abs(new - old) for _, old, new in log.changes)
         assert log.topology_changes == expansion_cost(unweighted(prev), unweighted(cur))
+        u = log.split_vertex
+        assert split_n(d, u) == n
+        kept = {k for k, _ in log.halves}
+        assert set(log.unsplit_neighbors) | kept | set(log.lost_halves) == set(
+            prev.neighbors(u)
+        )
+        assert set(log.new_neighbors) == set(cur.neighbors(log.new_vertex))
+        matched = state_at(d, n, 1).target.neighbors(u.child(0))
+        assert all(k in matched and lost not in matched for k, lost in log.halves)
 
 
 def test_bl_expander_reads_the_growth_cache(monkeypatch):
