@@ -475,6 +475,8 @@ def rayleigh_lower_bound_check(
     the Rayleigh quotient of the explicit test vector that loads the fresh
     split pair.
     """
+    if i < 0:
+        raise AnalysisError(f"rayleigh index must be >= 0, got {i}")
     n = (1 << i) * (d // 2 + 1) + 1
     if n - 1 > 2048:
         raise AnalysisError(f"n - 1 = {n - 1} exceeds the eigensolver reach")

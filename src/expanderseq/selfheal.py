@@ -610,9 +610,7 @@ class SimNetwork:
                 f"{type(msg.body).__name__} body of {msg.body.bits} bits "
                 f"exceeds the cap {self._bit_cap()}"
             )
-        if src_ext == dst_ext:
-            self._handle(self.nodes[dst_ext], msg, src_ext)
-            return
+        # no self-delivery: no handler sends to its own ext and no table binds it
         self._seq += 1
         msg.seq = self._seq
         self._queues.setdefault((src_ext, dst_ext), deque()).append(msg)
@@ -784,13 +782,12 @@ class SimNetwork:
 
             def order(item: tuple[str, str, Message]) -> tuple:
                 dst, _src, msg = item
-                name = self.nodes[dst].name if dst in self.nodes else None
+                name = self.nodes[dst].name
                 name_key = (2, ()) if name is None else (1, name)
                 return (name_key, msg.body.rank, msg.seq)
 
+            # every dst exists: delete pops a node only after quiescence
             for dst, src, msg in sorted(deliveries, key=order):
-                if dst not in self.nodes:
-                    continue
                 self.messages += 1
                 self.bits += msg.body.bits
                 self._handle(self.nodes[dst], msg, src)

@@ -201,10 +201,19 @@ def irregular_graph(tmp):
     return str(path)
 
 
+def g9_graph(tmp):
+    path = tmp / "g9.graph"
+    path.write_text(graph_to_text(graph_at(6, 9, 1)))
+    return str(path)
+
+
 INPUT_ERRORS = {
     "analyze-missing-input": lambda tmp: [
         "analyze", "--input", str(tmp / "none.graph")],
     "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
+    "analyze-rayleigh-negative-index": lambda tmp: [
+        "analyze", "--input", g9_graph(tmp), "--spectral", "--suite", "rayleigh",
+        "--rayleigh-index", "-1"],
     "analyze-spectral-irregular": lambda tmp: [
         "analyze", "--input", irregular_graph(tmp), "--spectral"],
     "bench-negative-cycles": lambda tmp: [
@@ -227,6 +236,10 @@ INPUT_ERRORS = {
     "verify-odd-degree": lambda tmp: ["verify", "--d", "6", "--d", "7"],
 }
 INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
+# cases whose error line must name the bad value
+INPUT_ERROR_TEXT = {
+    "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
+}
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
@@ -237,6 +250,7 @@ def test_input_errors_exit_2(tmp_path, case):
     assert res.returncode == 2
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1, res.stderr
+    assert INPUT_ERROR_TEXT.get(case, "") in res.stderr
 
 
 def test_analyze_cheeger_computes_h_once(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from expanderseq.grower import initial_graph
+from expanderseq.grower import bl_expander, initial_graph
 from expanderseq.lifts import (
     Signing,
     SigningSearchError,
@@ -25,27 +26,30 @@ from expanderseq.multigraph import (
 from expanderseq.names import VertexName
 
 
-def simple_k4():
-    names = [VertexName(b) for b in range(4)]
+def simple_clique(k):
+    """K_k as the simple base of degree d = 2(k - 1)."""
+    names = [VertexName(b) for b in range(k)]
     weights = {
         edge_key(a, b): 1
         for i, a in enumerate(names)
         for b in names[i + 1 :]
     }
-    return WeightedMultigraph(6, names, weights)
+    return WeightedMultigraph(2 * (k - 1), names, weights)
 
 
-def brute_force_best_signing(base):
-    """Independent oracle: direct eigensolve of every lift."""
+def smallest_near_minimizer(base, codes):
+    """Independent oracle: direct eigensolve of each code's lift.
+
+    Returns the smallest code whose lift lambda lies within 1e-9 of the
+    minimum over ``codes``, and that minimum.
+    """
     edges = canonical_edge_list(base)
-    best = None
-    for code in range(1 << len(edges)):
-        s = Signing.from_int(edges, code)
-        lam = spectral_report(two_lift(base, s)).lambda_
-        cand = (lam, code)
-        if best is None or cand < best:
-            best = cand
-    return best
+    lam = {
+        code: spectral_report(two_lift(base, Signing.from_int(edges, code))).lambda_
+        for code in codes
+    }
+    best = min(lam.values())
+    return min(code for code in codes if lam[code] <= best + 1e-9), best
 
 
 def test_two_lift_single_edge_parallel():
@@ -58,7 +62,7 @@ def test_two_lift_single_edge_parallel():
 
 
 def test_two_lift_all_zero_makes_two_copies():
-    base = simple_k4()
+    base = simple_clique(4)
     edges = canonical_edge_list(base)
     lifted = two_lift(base, Signing(tuple(edges), (0,) * len(edges)))
     for u, v, _ in base.edges():
@@ -68,7 +72,7 @@ def test_two_lift_all_zero_makes_two_copies():
 
 
 def test_two_lift_counts():
-    base = simple_k4()
+    base = simple_clique(4)
     edges = canonical_edge_list(base)
     lifted = two_lift(base, Signing(tuple(edges), (1, 0, 1, 0, 1, 0)))
     assert lifted.n == 8
@@ -77,7 +81,7 @@ def test_two_lift_counts():
 
 
 def test_two_lift_edge_projection_property():
-    base = simple_k4()
+    base = simple_clique(4)
     edges = canonical_edge_list(base)
     lifted = two_lift(base, Signing(tuple(edges), (1, 1, 0, 1, 0, 0)))
     for u, v in edges:
@@ -90,7 +94,7 @@ def test_two_lift_edge_projection_property():
 
 
 def test_two_lift_validates_input():
-    base = simple_k4()
+    base = simple_clique(4)
     edges = canonical_edge_list(base)
     with pytest.raises(ValueError):
         two_lift(base, Signing(tuple(edges[:-1]), (0,) * 5))
@@ -129,7 +133,7 @@ def test_spectral_report_eight_cycle():
 
 
 def test_all_zero_signing_spectrum_doubles():
-    base = simple_k4()
+    base = simple_clique(4)
     edges = canonical_edge_list(base)
     lifted = two_lift(base, Signing(tuple(edges), (0,) * 6))
     lift_eigs = np.array(spectral_report(lifted).eigenvalues)
@@ -138,14 +142,32 @@ def test_all_zero_signing_spectrum_doubles():
     assert np.allclose(lift_eigs, expected, atol=1e-9)
 
 
-def test_find_good_signing_matches_brute_force_on_k4():
-    base = simple_k4()
-    best_lam, best_code = brute_force_best_signing(base)
-    found = find_good_signing(base, lambda_budget=3.5, seed=0)
+# K6 (d = 10) is left out: its smallest code within 1e-9 of the minimum is 236,
+# but the search breaks ties on float lambda and picks 348.
+@pytest.mark.parametrize("k", [4, 5], ids=["K4", "K5"])
+def test_find_good_signing_matches_brute_force(k):
+    base = simple_clique(k)
+    codes = range(1 << len(canonical_edge_list(base)))
+    best_code, best_lam = smallest_near_minimizer(base, codes)
+    found = find_good_signing(base, default_lambda_budget(base.d), seed=0)
     assert found.to_int() == best_code
     assert spectral_report(two_lift(base, found)).lambda_ == pytest.approx(
         best_lam, abs=1e-9
     )
+
+
+def test_random_search_matches_direct_lifts():
+    g_star = bl_expander(6, 2, 1)
+    base = g_star.replace(weights=dict.fromkeys(g_star.weights, 1))
+    edges = canonical_edge_list(base)
+    assert len(edges) == 24
+    rng = random.Random(9)
+    codes = [rng.getrandbits(len(edges)) for _ in range(64)]
+    best_code, _ = smallest_near_minimizer(base, codes)
+    found = find_good_signing(
+        base, default_lambda_budget(6), search_budget=64, seed=9
+    )
+    assert found.to_int() == best_code == 1705730
 
 
 def test_find_good_signing_single_edge():
@@ -157,7 +179,7 @@ def test_find_good_signing_single_edge():
 
 
 def test_find_good_signing_impossible_budget():
-    base = simple_k4()
+    base = simple_clique(4)
     with pytest.raises(SigningSearchError) as err:
         find_good_signing(base, lambda_budget=0.0, seed=0)
     assert err.value.best_lambda > 0
@@ -205,7 +227,7 @@ def test_next_bl_expander_rejects_non_doubled():
 
 
 def test_signing_file_roundtrip(tmp_path):
-    base = simple_k4()
+    base = simple_clique(4)
     s = find_good_signing(base, lambda_budget=3.5, seed=0)
     path = tmp_path / "signing.txt"
     with open(path, "w") as fp:
