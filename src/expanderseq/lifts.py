@@ -6,11 +6,21 @@ copies, chosen by a per-edge signing bit (0 keeps copies parallel, 1 crosses
 them).  The spectrum of the lift is the multiset union of the base spectrum
 and the spectrum of the signed adjacency matrix (+1 entries for bit 0, -1 for
 bit 1), so the signing search only ranks signed matrices.  One loop,
-``_best_signing``, fills each candidate's signed matrix from its code's bits
-through one pair of index arrays per base and keeps the smallest
-``(lambda, code)``.  The exhaustive search feeds it one candidate per
-switching class (signings that differ by flipping all edges at a vertex
-subset have conjugate signed matrices), the random search its seeded draws.
+``_best_signing``, keeps the smallest ``(lambda, code)`` over its
+candidates.  The exhaustive search feeds it one candidate per switching
+class (signings that differ by flipping all edges at a vertex subset have
+conjugate signed matrices), the random search its seeded draws.
+
+The loop prunes in two passes.  First, batched Lanczos runs a few steps on
+every candidate's sparse signed matrix; by Cauchy interlacing its largest
+|Ritz value| is at most the spectral radius, hence at most the lift's
+lambda, and so is the base's lambda.  Then candidates get a dense solve of
+their signed matrix in ascending order of that lower bound, until a bound
+exceeds the best lambda so far by more than ``PRUNE_SLACK``, far above the
+bound's rounding.  Every skipped candidate has a larger float lambda than
+the winner, and every solved one the same float lambda as a solve of all
+of them would give, so the prune cannot move the choice.
+
 Ties are decided on floating-point lambda, so the choice is the smallest code
 among the bit-exact minimizers, not among all signings within rounding of the
 minimum (on the K6 base of d = 10 it is 348, while 236 lies within 1e-9).
@@ -21,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -37,6 +47,10 @@ from .names import VertexName, format_name, parse_name
 EXHAUSTIVE_EDGE_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 512
 EIG_TOL = 1e-9
+# a candidate whose lower bound exceeds the incumbent's lambda by more than
+# this is skipped; Lanczos rounding moves a bound by about k * eps * ||A||
+PRUNE_SLACK = 1e-6
+KRYLOV_CHUNK_BYTES = 1 << 22  # Lanczos basis of one chunk of candidates
 
 
 class SpectralError(RuntimeError):
@@ -207,31 +221,109 @@ def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[in
     return masks
 
 
+def _code_bits(codes: Sequence[int], m: int) -> np.ndarray:
+    """``(len(codes), m)`` array of 0/1: row i holds the m bits of ``codes[i]``."""
+    width = (m + 7) // 8
+    packed = b"".join(c.to_bytes(width, "big") for c in codes)
+    packed = np.frombuffer(packed, np.uint8)
+    return np.unpackbits(packed.reshape(len(codes), width), axis=1)[:, -m:]
+
+
+def _lanczos_bounds(
+    nbr: np.ndarray, slot_edge: np.ndarray, bits: np.ndarray, steps: int
+) -> np.ndarray:
+    """A lower bound on the spectral radius of each row's signed matrix.
+
+    ``nbr[i, s]`` is the s-th neighbour of vertex i and ``slot_edge[i, s]``
+    the index of that edge, so row c of ``bits`` puts ``1 - 2 * bits[c, e]``
+    at ``(i, nbr[i, s])`` for ``e = slot_edge[i, s]``.  Each row runs
+    ``min(steps, n)`` Lanczos steps with full reorthogonalisation from one
+    fixed start vector, batched over chunks of rows; its bound is the
+    largest |Ritz value|, which Cauchy interlacing keeps inside the spectrum.
+    A Krylov space that turns invariant early goes on with zero vectors, so
+    its tridiagonal only gains zero Ritz values.
+    """
+    n = nbr.shape[0]
+    steps = min(steps, n)
+    start = np.sin(np.arange(1.0, n + 1))
+    start /= np.linalg.norm(start)
+    chunk = max(1, KRYLOV_CHUNK_BYTES // (8 * steps * n))
+    bounds = np.empty(len(bits))
+    for lo in range(0, len(bits), chunk):
+        signs = 1.0 - 2.0 * bits[lo : lo + chunk][:, slot_edge.T]  # (B, r, n)
+        b = len(signs)
+        basis = np.zeros((b, steps, n))
+        basis[:, 0] = start
+        tri = np.zeros((b, steps, steps))
+        beta = np.zeros(b)
+        for j in range(steps):
+            q = basis[:, j]
+            w = np.einsum("brn,brn->bn", signs, q[:, nbr.T])
+            alpha = np.einsum("bn,bn->b", w, q)
+            tri[:, j, j] = alpha
+            if j + 1 == steps:
+                break
+            w -= alpha[:, None] * q
+            if j:
+                w -= beta[:, None] * basis[:, j - 1]
+            done = basis[:, : j + 1]
+            overlap = np.matmul(done, w[:, :, None]).transpose(0, 2, 1)
+            w -= np.matmul(overlap, done)[:, 0]
+            beta = np.sqrt(np.einsum("bn,bn->b", w, w))
+            live = beta > 1e-10
+            beta[~live] = 0.0
+            tri[:, j + 1, j] = tri[:, j, j + 1] = beta
+            scale = np.divide(1.0, beta, out=np.zeros(b), where=live)
+            basis[:, j + 1] = w * scale[:, None]
+        bounds[lo : lo + b] = np.abs(_eigvalsh(tri)).max(axis=1)
+    return bounds
+
+
 def _best_signing(
     base: WeightedMultigraph,
     edges: Sequence[Edge],
     base_eigs: np.ndarray,
-    candidates: Iterable[tuple[int, int]],
-) -> tuple[float, int]:
-    """The smallest ``(lambda, code)`` over ``(matrix code, code)`` candidates.
+    candidates: Sequence[tuple[int, int]],
+) -> tuple[float, int, int]:
+    """The smallest ``(lambda, code)`` over ``(matrix code, code)`` candidates,
+    and the number of dense eigensolves spent finding it.
 
     lambda is read off the signed matrix of the matrix code; ``code`` is the
     signing that candidate stands for, which may differ when the two are
-    switching-equivalent (conjugate signed matrices).
+    switching-equivalent (conjugate signed matrices).  Candidates are solved
+    in ascending order of a lower bound on their lambda (the base's lambda,
+    raised by ``_lanczos_bounds``), and the loop stops at the first bound
+    above the incumbent's lambda plus ``PRUNE_SLACK``: every candidate left
+    has a larger float lambda, so the minimum is the one a solve of every
+    candidate would find.
     """
+    matrix_codes, codes = zip(*candidates)
+    n, m = base.n, len(edges)
     index = {v: i for i, v in enumerate(sorted(base.vertices))}
     rows = np.array([index[u] for u, _ in edges])
     cols = np.array([index[v] for _, v in edges])
-    m = len(edges)
-    a = np.zeros((base.n, base.n))  # every signed matrix has the base's support
-
-    def lift_lambda(matrix_code: int) -> float:
-        packed = np.frombuffer(matrix_code.to_bytes((m + 7) // 8, "big"), np.uint8)
-        a[rows, cols] = a[cols, rows] = 1.0 - 2.0 * np.unpackbits(packed)[-m:]
+    bits = _code_bits(matrix_codes, m)
+    by_end = np.argsort(np.concatenate([rows, cols]), kind="stable")
+    nbr = np.concatenate([cols, rows])[by_end].reshape(n, -1)
+    slot_edge = np.tile(np.arange(m), 2)[by_end].reshape(n, -1)
+    # fewest seconds near 2 sqrt(n) steps on 32- to 1024-vertex bases; the
+    # floor of 16 costs little below that and leaves fewer dense solves
+    steps = max(16, 2 * math.isqrt(n))
+    bounds = np.maximum(
+        max(base_eigs[-2], -base_eigs[0]),
+        _lanczos_bounds(nbr, slot_edge, bits, steps),
+    )
+    a = np.zeros((n, n))  # every signed matrix has the base's support
+    best = (math.inf, -1)
+    solves = 0
+    for c in np.argsort(bounds, kind="stable"):
+        if bounds[c] > best[0] + PRUNE_SLACK:
+            break
+        a[rows, cols] = a[cols, rows] = 1.0 - 2.0 * bits[c]
         spectrum = np.sort(np.concatenate([base_eigs, _eigvalsh(a)]))
-        return float(max(spectrum[-2], abs(spectrum[0])))
-
-    return min((lift_lambda(matrix_code), code) for matrix_code, code in candidates)
+        best = min(best, (float(max(spectrum[-2], abs(spectrum[0]))), codes[c]))
+        solves += 1
+    return best[0], best[1], solves
 
 
 def find_good_signing(
@@ -244,15 +336,18 @@ def find_good_signing(
 
     Exhaustive (the smallest code among the float-exact minimizers) when the
     base has at most ``EXHAUSTIVE_EDGE_LIMIT`` edges; otherwise the best of
-    ``search_budget`` seeded pseudo-random signings.  Deterministic in all
-    arguments.  Raises ``SigningSearchError`` when nothing meets the budget.
+    ``search_budget`` (at least 1) seeded pseudo-random signings.
+    Deterministic in all arguments.  Raises ``SigningSearchError`` when
+    nothing meets the budget.
     """
     _require_simple_regular(base)
     edges = canonical_edge_list(base)
     if not edges:
         raise ValueError("base has no edges")
-    base_eigs = _eigvalsh(adjacency_matrix(base).astype(np.float64))
     m = len(edges)
+    if m > EXHAUSTIVE_EDGE_LIMIT and search_budget < 1:
+        raise ValueError(f"search_budget must be at least 1, got {search_budget}")
+    base_eigs = _eigvalsh(adjacency_matrix(base).astype(np.float64))
     if m <= EXHAUSTIVE_EDGE_LIMIT:
         # one candidate per switching class: the representative's matrix,
         # standing for the smallest code in the class
@@ -263,16 +358,20 @@ def find_good_signing(
             parity = np.bitwise_count(codes & np.uint32(masks[j])) & 1
             reps |= parity.astype(np.uint32) << np.uint32(m - 1 - j)
         unique_reps, smallest = np.unique(reps, return_index=True)
-        candidates = zip(unique_reps.tolist(), smallest.tolist())
+        candidates = list(zip(unique_reps.tolist(), smallest.tolist()))
     else:
         rng = random.Random(seed)
         draws = [rng.getrandbits(m) for _ in range(search_budget)]
-        candidates = zip(draws, draws)
-    best_lambda, best_code = _best_signing(base, edges, base_eigs, candidates)
+        candidates = list(zip(draws, draws))
+    best_lambda, best_code, solves = _best_signing(
+        base, edges, base_eigs, candidates
+    )
     if best_lambda > lambda_budget:
         raise SigningSearchError(
             f"signing search exhausted: best lambda {best_lambda:.6f} "
-            f"exceeds budget {lambda_budget:.6f}",
+            f"exceeds budget {lambda_budget:.6f} (base n = {base.n}, "
+            f"{m} edges, {len(candidates)} candidates ranked, "
+            f"{solves} dense solves)",
             best_lambda=best_lambda,
             best=Signing.from_int(edges, best_code),
         )
@@ -306,7 +405,8 @@ def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMulti
     if direct > lambda_budget + EIG_TOL:
         raise SigningSearchError(
             f"verified lift lambda {direct:.6f} exceeds budget "
-            f"{lambda_budget:.6f}",
+            f"{lambda_budget:.6f} (base n = {base.n}, "
+            f"{len(signing.edges)} edges)",
             best_lambda=direct,
             best=signing,
         )
