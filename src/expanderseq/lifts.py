@@ -50,7 +50,9 @@ EIG_TOL = 1e-9
 # a candidate whose lower bound exceeds the incumbent's lambda by more than
 # this is skipped; Lanczos rounding moves a bound by about k * eps * ||A||
 PRUNE_SLACK = 1e-6
-KRYLOV_CHUNK_BYTES = 1 << 22  # Lanczos basis of one chunk of candidates
+# Lanczos basis of one chunk of candidates; a chunk has at least 16, so
+# call overhead stays small on large bases (the basis is 2.9 MB at n = 512)
+KRYLOV_CHUNK_BYTES = 1 << 19
 
 
 class SpectralError(RuntimeError):
@@ -224,9 +226,9 @@ def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[in
 def _code_bits(codes: Sequence[int], m: int) -> np.ndarray:
     """``(len(codes), m)`` array of 0/1: row i holds the m bits of ``codes[i]``."""
     width = (m + 7) // 8
-    packed = b"".join(c.to_bytes(width, "big") for c in codes)
-    packed = np.frombuffer(packed, np.uint8)
-    return np.unpackbits(packed.reshape(len(codes), width), axis=1)[:, -m:]
+    raw = b"".join(c.to_bytes(width, "big") for c in codes)
+    packed = np.frombuffer(raw, np.uint8).reshape(len(codes), width)
+    return np.unpackbits(packed, axis=1)[:, -m:]
 
 
 def _lanczos_bounds(
@@ -247,7 +249,7 @@ def _lanczos_bounds(
     steps = min(steps, n)
     start = np.sin(np.arange(1.0, n + 1))
     start /= np.linalg.norm(start)
-    chunk = max(1, KRYLOV_CHUNK_BYTES // (8 * steps * n))
+    chunk = max(16, KRYLOV_CHUNK_BYTES // (8 * steps * n))
     bounds = np.empty(len(bits))
     for lo in range(0, len(bits), chunk):
         signs = 1.0 - 2.0 * bits[lo : lo + chunk][:, slot_edge.T]  # (B, r, n)
