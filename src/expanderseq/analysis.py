@@ -38,7 +38,7 @@ from .multigraph import (
     vertex_order,
     weighted_degree,
 )
-from .names import VertexName, format_name, partner
+from .names import VertexName, format_name, locus, partner
 
 MAX_EXACT_N = 26
 FLOAT_SLACK = 1e-9
@@ -146,6 +146,15 @@ def _min_ratio(
     return best, minimizers, checked
 
 
+def require_exact_size(n: int) -> None:
+    """Raise ``AnalysisError`` when 2^(n-1) cuts are too many to enumerate."""
+    if n > MAX_EXACT_N:
+        raise AnalysisError(
+            f"n = {n} exceeds the exact enumeration bound {MAX_EXACT_N}; "
+            "use the spectral bounds instead"
+        )
+
+
 def _index(g: WeightedMultigraph) -> dict[VertexName, int]:
     return {v: i for i, v in enumerate(vertex_order(g))}
 
@@ -159,11 +168,7 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     n = g.n
     if n < 2:
         raise AnalysisError("graph needs at least 2 vertices")
-    if n > MAX_EXACT_N:
-        raise AnalysisError(
-            f"n = {n} exceeds the exact enumeration bound {MAX_EXACT_N}; "
-            "use the spectral bounds instead"
-        )
+    require_exact_size(n)
     order = vertex_order(g)
     index = {v: i for i, v in enumerate(order)}
     terms = [(index[u], index[v], w, 0) for u, v, w in g.edges()]
@@ -301,14 +306,9 @@ class CutDecomposition:
 
 
 def _future_set(state: GrowthState, a: set[VertexName]) -> set[VertexName]:
-    out: set[VertexName] = set()
-    for v in a:
-        if v in state.split:
-            out.add(v)
-        else:
-            out.add(v.child(0))
-            out.add(v.child(1))
-    return out
+    """The target vertices that the current vertices in ``a`` stand for."""
+    depth = min(state.target.vertices).depth
+    return set().union(*(locus(v, depth) for v in a))
 
 
 def _wg_between(
@@ -438,6 +438,7 @@ def future_cut_suite(state: GrowthState) -> int:
     check, in the order below, at the first cut index where it fails.
     """
     n = state.current.n
+    require_exact_size(n)
     checks = ["split-split block identity", "uu block identity",
               "su block identity", "half bound"]
     first_bad: list[int | None] = [None] * len(checks)
@@ -461,6 +462,7 @@ def future_cut_floor(state: GrowthState) -> Fraction:
     quantity, which replaces the asymptotic constants with computed future
     cut weights.
     """
+    require_exact_size(state.current.n)
     terms = [(i, j, w, 0) for i, j, w, col in _future_terms(state) if col >= 3]
     return _min_ratio(state.current.n, terms)[0] / 2
 

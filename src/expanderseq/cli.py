@@ -160,6 +160,7 @@ def _run_suite(
     seed = args.lift_seed
     d = g.d
     if name in ("lemma43", "lemma46"):
+        analysis.require_exact_size(g.n)
         state = grower.state_at(d, g.n, seed)
         if not graphs_equal(state.current, g):
             return {"ok": False, "detail": "input differs from the reference graph"}
@@ -255,14 +256,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 except grower.ConstructionError as exc:
                     failures.append(f"d={d} n={n}: {exc}")
                 prev = state.current
-            if d == 6 or args.future_cuts_all:
-                for n in range(base, min(max_n, 16) + 1):
-                    try:
-                        analysis.future_cut_suite(
-                            grower.state_at(d, n, args.lift_seed)
-                        )
-                    except analysis.LemmaViolation as exc:
-                        failures.append(f"future-cut d={d} n={n}: {exc}")
+            for n in range(base, min(max_n, 16) + 1):
+                try:
+                    analysis.future_cut_suite(grower.state_at(d, n, args.lift_seed))
+                except analysis.LemmaViolation as exc:
+                    failures.append(f"future-cut d={d} n={n}: {exc}")
             for n in range(base, min(max_n, 16) + 1):
                 res = analysis.cheeger_check(grower.graph_at(d, n, args.lift_seed))
                 if not res.ok:
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=16)
     p.add_argument("--input", default=None,
                    help="verify one graph file instead of generating")
-    p.add_argument("--future-cuts-all", action="store_true")
     p.add_argument("--lift-seed", type=int, default=_default_seed())
     p.set_defaults(func=cmd_verify)
 

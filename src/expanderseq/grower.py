@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Set
 from dataclasses import dataclass
+from functools import cached_property
 
 from .lifts import next_bl_expander
 from .multigraph import (
@@ -73,12 +74,23 @@ class ChangeLog:
 
 @dataclass(frozen=True)
 class GrowthState:
-    """Mid-cycle snapshot: current graph, target lift and the S/U split."""
+    """Mid-cycle snapshot: the current graph and the target lift it grows to.
+
+    A vertex has split this cycle when its name is as deep as the target's
+    names (S); the rest are one bit shallower and still unsplit (U).
+    """
 
     current: WeightedMultigraph
     target: WeightedMultigraph
-    split: frozenset[VertexName]
-    unsplit: frozenset[VertexName]
+
+    @cached_property
+    def split(self) -> frozenset[VertexName]:
+        depth = min(self.target.vertices).depth
+        return frozenset(v for v in self.current.vertices if v.depth == depth)
+
+    @cached_property
+    def unsplit(self) -> frozenset[VertexName]:
+        return self.current.vertices - self.split
 
 
 def split_n(d: int, u: VertexName) -> int:
@@ -111,27 +123,24 @@ def begin_cycle(g_star: WeightedMultigraph, seed: int = 0) -> GrowthState:
     if len(depths) != 1:
         raise ValueError("cycle base must have uniform name depth")
     target = next_bl_expander(g_star, seed=_cycle_seed(seed, depths.pop()))
-    return GrowthState(
-        current=g_star,
-        target=target,
-        split=frozenset(),
-        unsplit=frozenset(g_star.vertices),
-    )
+    return GrowthState(current=g_star, target=target)
 
 
 def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
-    """Split the next unsplit vertex, returning the new state and its audit log."""
-    if not state.unsplit:
-        raise CycleComplete("every vertex of the cycle has split")
+    """Split the next unsplit vertex, returning the new state and its audit log.
+
+    Unsplit names are the shallower ones, so the canonically smallest vertex
+    is the next to split, and its split neighbours are the deeper names.
+    """
     g = state.current
     h = state.target
-    u = min(state.unsplit)
+    if g.n == h.n:
+        raise CycleComplete("every vertex of the cycle has split")
+    u = min(g.vertices)
     u0, u1 = u.child(0), u.child(1)
     nbrs = g.neighbors(u)
-    unsplit_nbrs = tuple(sorted(v for v in nbrs if v in state.unsplit))
-    split_nbrs = sorted(v for v in nbrs if v in state.split)
-    if len(unsplit_nbrs) + len(split_nbrs) != len(nbrs):
-        raise ConstructionError("S/U does not partition the neighborhood")
+    unsplit_nbrs = tuple(sorted(v for v in nbrs if v.depth == u.depth))
+    split_nbrs = sorted(v for v in nbrs if v.depth > u.depth)
 
     weights: dict[Edge, int] = {
         e: w for e, w in g.weights.items() if u not in e
@@ -203,19 +212,15 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
         unsplit_neighbors=unsplit_nbrs,
         halves=tuple(halves),
     )
-    new_state = GrowthState(
-        current=new_graph,
-        target=state.target,
-        split=state.split | {u0, u1},
-        unsplit=state.unsplit - {u},
-    )
-    return new_state, log
+    return GrowthState(current=new_graph, target=h), log
 
 
 def finalize_cycle(state: GrowthState) -> WeightedMultigraph:
     """End-of-cycle check: the grown graph must equal the doubled lift exactly."""
-    if state.unsplit:
-        raise ValueError(f"{len(state.unsplit)} vertices have not split yet")
+    if state.current.n != state.target.n:
+        raise ValueError(
+            f"{state.target.n - state.current.n} vertices have not split yet"
+        )
     if not graphs_equal(state.current, state.target):
         raise ConstructionError(
             "end-of-cycle graph differs from the doubled lift: "
@@ -279,7 +284,7 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
     else:
         st = _STATE_CACHE[(d, start, seed)]
     for m in range(start + 1, n + 1):
-        if not st.unsplit:
+        if st.current.n == st.target.n:
             st = begin_cycle(finalize_cycle(st), seed)
         st, log = split_next(st)
         _STATE_CACHE[(d, m, seed)] = st
@@ -303,14 +308,7 @@ def changelog_at(d: int, n: int, seed: int = 0) -> ChangeLog:
 
 
 def check_state_invariants(state: GrowthState) -> None:
-    """Assert the structural invariants of a mid-cycle state.
-
-    Covers the S/U partition and every rule of ``structure_violations``.
-    """
-    if state.split | state.unsplit != state.current.vertices or (
-        state.split & state.unsplit
-    ):
-        raise ConstructionError("S and U do not partition the vertex set")
+    """Assert every rule of ``structure_violations`` on a mid-cycle state."""
     for problem in structure_violations(state.current, state.split):
         raise ConstructionError(problem)
 

@@ -39,6 +39,7 @@ from .multigraph import (
     Edge,
     WeightedMultigraph,
     adjacency_matrix,
+    bfs_distances,
     edge_key,
     weighted_degree,
 )
@@ -187,40 +188,26 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[int]:
     """Per-edge bit masks whose parity gives the switching-canonical bit.
 
-    A spanning forest (BFS in canonical order) defines, for every vertex, the
-    set of tree edges on its root path.  Flipping the signing along the unique
-    switching that zeroes all tree edge bits maps every signing to its class
-    representative; that map is GF(2)-linear, so each representative bit is
-    the parity of the signing masked by ``{edge} xor rootpath(u) xor
-    rootpath(v)``.
+    A spanning forest (BFS from each component's smallest vertex) defines,
+    for every vertex, the set of tree edges on its root path.  Flipping the
+    signing along the unique switching that zeroes all tree edge bits maps
+    every signing to its class representative; that map is GF(2)-linear, so
+    each representative bit is the parity of the signing masked by
+    ``{edge} xor rootpath(u) xor rootpath(v)``.
     """
     m = len(edges)
-    eidx = {e: j for j, e in enumerate(edges)}
+    bit = {e: 1 << (m - 1 - j) for j, e in enumerate(edges)}
     root_path: dict[VertexName, int] = {}
-    order = sorted(base.vertices)
-    visited: set[VertexName] = set()
-    for root in order:
-        if root in visited:
+    for root in sorted(base.vertices):
+        if root in root_path:
             continue
+        dist = bfs_distances(base.neighbors, root)
         root_path[root] = 0
-        visited.add(root)
-        frontier = [root]
-        while frontier:
-            frontier.sort()
-            nxt = []
-            for u in frontier:
-                for v in sorted(base.neighbors(u)):
-                    if v in visited:
-                        continue
-                    visited.add(v)
-                    j = eidx[edge_key(u, v)]
-                    root_path[v] = root_path[u] ^ (1 << (m - 1 - j))
-                    nxt.append(v)
-            frontier = nxt
-    masks = []
-    for j, (u, v) in enumerate(edges):
-        masks.append((1 << (m - 1 - j)) ^ root_path[u] ^ root_path[v])
-    return masks
+        # each vertex hangs from its smallest neighbour one level nearer the root
+        for v in sorted(dist, key=dist.__getitem__)[1:]:
+            u = min(w for w in base.neighbors(v) if dist[w] == dist[v] - 1)
+            root_path[v] = root_path[u] ^ bit[edge_key(u, v)]
+    return [bit[e] ^ root_path[e[0]] ^ root_path[e[1]] for e in edges]
 
 
 def _code_bits(codes: Sequence[int], m: int) -> np.ndarray:

@@ -17,6 +17,9 @@ import numpy as np
 from .names import VertexName, format_name, parse_name, strip_identity
 
 Edge = tuple[VertexName, VertexName]
+# the largest weight a graph file may carry, so that the int64 cut and
+# adjacency kernels cannot overflow on any sum of a file's weights
+MAX_FILE_WEIGHT = 2**31 - 1
 
 
 def edge_key(u: VertexName, v: VertexName) -> Edge:
@@ -238,8 +241,10 @@ def read_graph(fp: TextIO) -> WeightedMultigraph:
             w = int(fields[2])
         except ValueError:
             raise ValueError(f"line {lineno}: bad weight {fields[2]!r}") from None
-        if w < 1:
-            raise ValueError(f"line {lineno}: weight must be >= 1")
+        if not 1 <= w <= MAX_FILE_WEIGHT:
+            raise ValueError(
+                f"line {lineno}: weight must be in [1, {MAX_FILE_WEIGHT}], got {w}"
+            )
         k = edge_key(u, v)
         if k in weights:
             raise ValueError(f"line {lineno}: duplicate edge {_fmt_edge(k)}")

@@ -6,7 +6,8 @@ appends a 0 bit and the newly created half appends a 1 bit, so the 0-suffixed
 name continues the identity of its parent.  Stripping trailing zeros therefore
 yields a persistent identity that is stable across the whole life of a vertex;
 ``expansion_cost`` compares graphs under that identity while structural
-equality stays on raw names.
+equality stays on raw names.  ``locus`` tells which names of another depth
+a name stands for.
 
 Names compare in the canonical order (bit length, base, bits), which every
 deterministic choice of the construction follows: split order, edge order,
@@ -16,6 +17,8 @@ order, so ``<``, ``sorted`` and ``min`` need no key.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import product
 from operator import itemgetter
 
 
@@ -54,6 +57,16 @@ def partner(name: VertexName) -> VertexName:
     if not name.bits:
         raise ValueError(f"name {format_name(name)} has no partner")
     return VertexName(name.base, name.bits[:-1] + (1 - name.bits[-1],))
+
+
+@cache
+def locus(name: VertexName, level: int) -> frozenset[VertexName]:
+    """The depth-``level`` names that ``name`` stands for: its ancestor there,
+    or, if ``name`` is shallower, every descendant (its future copies)."""
+    if name.depth >= level:
+        return frozenset([VertexName(name.base, name.bits[:level])])
+    tails = product((0, 1), repeat=level - name.depth)
+    return frozenset(VertexName(name.base, name.bits + t) for t in tails)
 
 
 def strip_identity(name: VertexName) -> VertexName:

@@ -81,14 +81,15 @@ import json
 import math
 import os
 from collections import deque
+from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
 from functools import cache, singledispatchmethod
-from typing import Iterable
 
 from .grower import bl_expander, changelog_at, graph_at, split_n
 from .multigraph import WeightedMultigraph, bfs_distances, edge_key, graph_to_text
 from .multigraph import expansion_cost  # noqa: F401  perfbench's tracer binds it
-from .names import VertexName, format_name, is_all_zeros, partner, strip_identity
+from .names import VertexName, format_name, is_all_zeros, locus, partner
+from .names import strip_identity
 
 MSG_BIT_CAP_FACTOR = 64
 ROUND_LIMIT = 100_000
@@ -477,31 +478,25 @@ def parse_script(text: str) -> list[AdversaryEvent]:
     return events
 
 
-def _closest(
-    candidates: Iterable[VertexName], dist: dict[VertexName, int], here: int | None
+def _hop(
+    neighbors: Callable[[VertexName], Iterable[VertexName]],
+    dist: dict[VertexName, int],
+    locus: Set[VertexName],
 ) -> VertexName | None:
-    """The smallest-named candidate one step nearer than ``here``.
+    """The canonical next hop out of ``locus`` toward the target of ``dist``.
 
-    When ``here`` is unknown (the node's own vertex is excluded), the nearest
-    reachable candidate instead.
+    The smallest-named neighbour of the locus one step nearer than the
+    locus's nearest vertex; when every locus vertex is excluded from
+    ``dist``, the nearest reachable neighbour instead.
     """
+    here = min((dist[v] for v in locus if v in dist), default=None)
     steps = [
-        w for w in candidates if w in dist and (here is None or dist[w] == here - 1)
+        w
+        for v in locus
+        for w in neighbors(v)
+        if w in dist and w not in locus and (here is None or dist[w] == here - 1)
     ]
     return min(steps, key=lambda w: (dist[w], w), default=None)
-
-
-def _covers(name: VertexName, ref_vertex: VertexName, level: int) -> bool:
-    """Whether the node named ``name`` stands for ``ref_vertex`` at ``level``.
-
-    A deeper name stands for its level-``level`` ancestor; a shallower
-    (unsplit) name stands for every descendant.
-    """
-    if name.base != ref_vertex.base:
-        return False
-    if name.depth >= level:
-        return name.bits[:level] == ref_vertex.bits
-    return ref_vertex.bits[: name.depth] == name.bits
 
 
 # The routing tables below are deterministic functions of their arguments,
@@ -526,7 +521,7 @@ def _ref_dist(
     return bfs_distances(
         _ref_adj(d, i, seed).__getitem__,
         target,
-        lambda w: any(_covers(x, w, i) for x in exclude),
+        lambda w: any(w in locus(x, i) for x in exclude),
     )
 
 
@@ -671,26 +666,6 @@ class SimNetwork:
 
     # -- routing ----------------------------------------------------------
 
-    @staticmethod
-    def _image_in_level(name: VertexName, i: int) -> VertexName:
-        """The level-i vertex carrying this name's identity (pad 0s or project)."""
-        return VertexName(name.base, (name.bits + (0,) * i)[:i])
-
-    @staticmethod
-    def _locus(name: VertexName, level: int) -> set[VertexName]:
-        """All level-``level`` vertices this physical node stands for.
-
-        A deeper name projects to its ancestor; a shallower (unsplit) name
-        covers every descendant, since the node is the contraction of its
-        future copies.
-        """
-        if name.depth >= level:
-            return {VertexName(name.base, name.bits[:level])}
-        out = {name}
-        for _ in range(level - name.depth):
-            out = {v.child(b) for v in out for b in (0, 1)}
-        return out
-
     def _exact_next_hop(
         self,
         node: NodeState,
@@ -701,7 +676,7 @@ class SimNetwork:
         """Next hop on the true shortest path in the exact n-vertex graph."""
         dist = _true_dist(self.d, self.seed, n, dst, exclude)
         pos = _by_identity(self.d, self.seed, n)[strip_identity(node.name)]
-        w = _closest(graph_at(self.d, n, self.seed).neighbors(pos), dist, dist.get(pos))
+        w = _hop(graph_at(self.d, n, self.seed).neighbors, dist, {pos})
         if w is None:
             raise ProtocolError(
                 f"no exact hop from {format_name(node.name)} to {format_name(dst)}"
@@ -739,14 +714,9 @@ class SimNetwork:
                 return nb
         if level is None:
             level = self._working_level(node)
-        dist = _ref_dist(
-            self.d, level, self.seed, self._image_in_level(dst, level), exclude
-        )
+        dist = _ref_dist(self.d, level, self.seed, min(locus(dst, level)), exclude)
         adjacency = _ref_adj(self.d, level, self.seed)
-        locus = self._locus(node.name, level)
-        candidates = set().union(*(adjacency[v] for v in locus)) - locus
-        here = min((dist[v] for v in locus if v in dist), default=None)
-        best = _closest(candidates, dist, here)
+        best = _hop(adjacency.__getitem__, dist, locus(node.name, level))
         if best is None:
             raise ProtocolError(
                 f"no hop from {format_name(node.name)} to {format_name(dst)} "
@@ -760,7 +730,7 @@ class SimNetwork:
     ) -> VertexName:
         """The physical neighbor name carrying a reference vertex."""
         for nb in sorted(node.neighbor_table):
-            if _covers(nb, ref_vertex, level):
+            if ref_vertex in locus(nb, level):
                 return nb
         raise ProtocolError(
             f"{node.ext_id} has no physical neighbor matching "
@@ -1105,17 +1075,16 @@ class SimNetwork:
         any knowledge of the vertex count.
         """
         level = dead_name.depth
-        target = self._image_in_level(VertexName(0), level)
+        target = VertexName(0, (0,) * level)
         dist = _ref_dist(self.d, level, self.seed, target, frozenset())
-        adjacency = _ref_adj(self.d, level, self.seed)
-        hop = _closest(adjacency[dead_name], dist, dist[dead_name])
+        hop = _hop(_ref_adj(self.d, level, self.seed).__getitem__, dist, {dead_name})
         if hop is None:
             raise ProtocolError("deleted vertex has no hop toward the coordinator")
         matches = [
             nb
             for nb in neighbors
             if nb.name is not None
-            and _covers(nb.name, hop, level)
+            and hop in locus(nb.name, level)
             and not any(nb.name.bits[level:])
         ]
         if len(matches) != 1:
@@ -1131,12 +1100,9 @@ class SimNetwork:
         """Replica holders agree on the neighbor toward the newest vertex."""
         x_name = changelog_at(self.d, n, self.seed).new_vertex
         dist = _true_dist(self.d, self.seed, n, x_name, frozenset())
-        g = graph_at(self.d, n, self.seed)
-        hop = _closest(g.neighbors(dead_name), dist, dist[dead_name])
+        hop = _hop(graph_at(self.d, n, self.seed).neighbors, dist, {dead_name})
         if hop is None:
-            raise ProtocolError(
-                "no hop from the dead coordinator to the newest vertex"
-            )
+            raise ProtocolError("no hop from the dead coordinator to the newest vertex")
         matches = [nb for nb in neighbors if nb.name == hop]
         if len(matches) != 1:
             raise ProtocolError("temporary-coordinator election failed")

@@ -207,7 +207,28 @@ def g9_graph(tmp):
     return str(path)
 
 
+def g40_graph(tmp):
+    path = tmp / "g40.graph"
+    path.write_text(graph_to_text(graph_at(6, 40, 1)))
+    return str(path)
+
+
+def heavy_triangle(tmp, weight):
+    """K3 with every weight ``weight``, beyond what int64 cut sums can hold."""
+    path = tmp / f"k3-{weight}.graph"
+    path.write_text(f"6 3\n0: 1: {weight}\n0: 2: {weight}\n1: 2: {weight}\n")
+    return str(path)
+
+
 INPUT_ERRORS = {
+    "analyze-lemma43-above-exact-bound": lambda tmp: [
+        "analyze", "--input", g40_graph(tmp), "--spectral", "--suite", "lemma43"],
+    "analyze-exact-weight-2-62": lambda tmp: [
+        "analyze", "--input", heavy_triangle(tmp, 2**62), "--exact"],
+    "analyze-weight-10-20": lambda tmp: [
+        "analyze", "--input", heavy_triangle(tmp, 10**20)],
+    "verify-weight-10-20": lambda tmp: [
+        "verify", "--input", heavy_triangle(tmp, 10**20)],
     "analyze-missing-input": lambda tmp: [
         "analyze", "--input", str(tmp / "none.graph")],
     "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
@@ -238,6 +259,9 @@ INPUT_ERRORS = {
 INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
 # cases whose error line must name the bad value
 INPUT_ERROR_TEXT = {
+    "analyze-lemma43-above-exact-bound": "n = 40 exceeds the exact enumeration",
+    "analyze-exact-weight-2-62": "line 2: weight must be in [1, 2147483647]",
+    "analyze-weight-10-20": "line 2: weight must be in [1, 2147483647]",
     "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
 }
 
@@ -251,6 +275,18 @@ def test_input_errors_exit_2(tmp_path, case):
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1, res.stderr
     assert INPUT_ERROR_TEXT.get(case, "") in res.stderr
+
+
+def test_future_cut_suite_refuses_large_n_before_growing(tmp_path, monkeypatch):
+    path = g40_graph(tmp_path)
+
+    def grow(*args):
+        raise AssertionError("the reference was grown")
+
+    monkeypatch.setattr(cli.grower, "state_at", grow)
+    rc = cli.main(["analyze", "--input", path, "--spectral",
+                   "--suite", "lemma46", "--lift-seed", "1"])
+    assert rc == 2
 
 
 def test_analyze_cheeger_computes_h_once(tmp_path, monkeypatch, capsys):

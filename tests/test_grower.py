@@ -219,3 +219,25 @@ def test_bl_expander_reads_the_growth_cache(monkeypatch):
     assert graphs_equal(bl_expander(6, 2, 1), graph_at(6, 16, 1))
     assert graphs_equal(bl_expander(6, 1, 1), graph_at(6, 8, 1))
     assert searches == []
+
+
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_depth_derived_split_sets_match_split_arithmetic(d):
+    """Over two doublings, S and U read from name depths equal the sets built
+    by split arithmetic (S starts empty and U full; each split moves u out of
+    U and puts u.0 and u.1 into S), and each step splits min(U)."""
+    g = initial_graph(d)
+    for _ in range(2):
+        st = begin_cycle(g, seed=1)
+        split, unsplit = frozenset(), frozenset(g.vertices)
+        while True:
+            assert (st.split, st.unsplit) == (split, unsplit)
+            if not unsplit:
+                break
+            u = min(unsplit)
+            st, log = split_next(st)
+            assert log.split_vertex == u
+            split, unsplit = split | {u.child(0), u.child(1)}, unsplit - {u}
+        with pytest.raises(CycleComplete):
+            split_next(st)
+        g = finalize_cycle(st)

@@ -356,3 +356,60 @@ def test_lanczos_bound_is_below_spectral_radius(name, steps):
         assert bound <= rho + 1e-12, (name, code)
         if steps >= base.n:  # the Krylov space is the whole space
             assert bound >= rho - 1e-9, (name, code)
+
+
+def sorted_frontier_masks(base, edges):
+    """Reference switching masks from an explicit sorted-frontier BFS forest."""
+    m = len(edges)
+    eidx = {e: j for j, e in enumerate(edges)}
+    root_path = {}
+    visited = set()
+    for root in sorted(base.vertices):
+        if root in visited:
+            continue
+        root_path[root] = 0
+        visited.add(root)
+        frontier = [root]
+        while frontier:
+            frontier.sort()
+            nxt = []
+            for u in frontier:
+                for v in sorted(base.neighbors(u)):
+                    if v in visited:
+                        continue
+                    visited.add(v)
+                    j = eidx[edge_key(u, v)]
+                    root_path[v] = root_path[u] ^ (1 << (m - 1 - j))
+                    nxt.append(v)
+            frontier = nxt
+    return [
+        (1 << (m - 1 - j)) ^ root_path[u] ^ root_path[v]
+        for j, (u, v) in enumerate(edges)
+    ]
+
+
+def mask_bases():
+    """Every base with at most 24 edges for d in 6..14 over cycles 0-3,
+    and two disjoint copies of K4."""
+    bases = {}
+    for d in range(6, 15, 2):
+        for i in range(4):
+            if ((d // 2 + 1) << i) * d // 4 <= 24:
+                g_star = bl_expander(d, i, 1)
+                bases[f"d{d}-c{i}"] = g_star.replace(
+                    weights=dict.fromkeys(g_star.weights, 1)
+                )
+    halves = [[VertexName(b, (bit,)) for b in range(4)] for bit in (0, 1)]
+    bases["two-K4"] = WeightedMultigraph(
+        6,
+        halves[0] + halves[1],
+        {edge_key(a, b): 1 for h in halves for a in h for b in h if a < b},
+    )
+    return bases
+
+
+@pytest.mark.parametrize("name", sorted(mask_bases()))
+def test_switching_masks_match_sorted_frontier_forest(name):
+    base = mask_bases()[name]
+    edges = canonical_edge_list(base)
+    assert lifts._switching_masks(base, edges) == sorted_frontier_masks(base, edges)

@@ -8,6 +8,7 @@ from expanderseq.names import (
     VertexName,
     format_name,
     is_all_zeros,
+    locus,
     parse_name,
     partner,
     strip_identity,
@@ -93,3 +94,40 @@ def test_copy_and_pickle_roundtrip(name):
 def test_repr_reads_base_and_bits():
     assert repr(VertexName(2, (1, 0))) == "VertexName(2, (1, 0))"
     assert repr(VertexName(0)) == "VertexName(0, ())"
+
+
+def covers_oracle(name, ref_vertex, level):
+    """Reference coverage test: whether ``name`` stands for ``ref_vertex`` at
+    ``level``, written out case by case."""
+    if name.base != ref_vertex.base:
+        return False
+    if name.depth >= level:
+        return name.bits[:level] == ref_vertex.bits
+    return ref_vertex.bits[: name.depth] == name.bits
+
+
+def image_oracle(name, i):
+    """The level-i vertex carrying this name's identity (pad 0s or project)."""
+    return VertexName(name.base, (name.bits + (0,) * i)[:i])
+
+
+@st.composite
+def name_and_level_vertex(draw):
+    """A name, a level and a level-deep name that often shares its prefix."""
+    name = draw(names)
+    level = draw(st.integers(0, 7))
+    related = draw(st.booleans())
+    base = name.base if related else draw(st.integers(0, 9))
+    prefix = name.bits[:level] if related else ()
+    tail = draw(st.lists(st.integers(0, 1), min_size=level - len(prefix),
+                         max_size=level - len(prefix)))
+    return name, level, VertexName(base, prefix + tuple(tail))
+
+
+@given(name_and_level_vertex())
+def test_locus_matches_covers_and_image(case):
+    name, level, w = case
+    assert (w in locus(name, level)) == covers_oracle(name, w, level)
+    assert min(locus(name, level)) == image_oracle(name, level)
+    assert all(v.depth == level for v in locus(name, level))
+    assert len(locus(name, level)) == 1 << max(0, level - name.depth)
