@@ -16,10 +16,7 @@ from .multigraph import (
     graph_from_text,
     graph_to_text,
     graphs_equal,
-    read_graph,
-    vertex_order,
     weighted_degree,
-    write_graph,
 )
 from .lifts import (
     Signing,

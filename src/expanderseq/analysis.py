@@ -32,12 +32,7 @@ import numpy as np
 
 from .grower import GrowthState, changelog_at, graph_at
 from .lifts import SpectralReport, spectral_report
-from .multigraph import (
-    WeightedMultigraph,
-    adjacency_matrix,
-    vertex_order,
-    weighted_degree,
-)
+from .multigraph import WeightedMultigraph, adjacency_matrix, weighted_degree
 from .names import VertexName, format_name, locus, partner
 
 MAX_EXACT_N = 26
@@ -156,7 +151,7 @@ def require_exact_size(n: int) -> None:
 
 
 def _index(g: WeightedMultigraph) -> dict[VertexName, int]:
-    return {v: i for i, v in enumerate(vertex_order(g))}
+    return {v: i for i, v in enumerate(sorted(g.vertices))}
 
 
 def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
@@ -169,7 +164,7 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     if n < 2:
         raise AnalysisError("graph needs at least 2 vertices")
     require_exact_size(n)
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     index = {v: i for i, v in enumerate(order)}
     terms = [(index[u], index[v], w, 0) for u, v, w in g.edges()]
     h, minimizers, checked = _min_ratio(n, terms)
@@ -518,7 +513,7 @@ def unbalanced_bound_check(
 
 def unbalanced_suite(h_graph: WeightedMultigraph, max_size: int = 4) -> int:
     """Exhaustive unbalanced-cut floor over all small sides; returns count."""
-    order = vertex_order(h_graph)
+    order = sorted(h_graph.vertices)
     checked = 0
     for k in range(1, min(max_size, h_graph.n // 2) + 1):
         for combo in combinations(order, k):

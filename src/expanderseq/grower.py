@@ -142,9 +142,9 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     unsplit_nbrs = tuple(sorted(v for v in nbrs if v.depth == u.depth))
     split_nbrs = sorted(v for v in nbrs if v.depth > u.depth)
 
-    weights: dict[Edge, int] = {
-        e: w for e, w in g.weights.items() if u not in e
-    }
+    weights = g.weights
+    for v in nbrs:
+        del weights[edge_key(u, v)]
     changes: list[tuple[Edge, int, int]] = []
 
     def put(a: VertexName, b: VertexName, old: int, new: int) -> None:
@@ -234,13 +234,11 @@ def _diff_graphs(a: WeightedMultigraph, b: WeightedMultigraph) -> str:
         format_name(v) for v in a.vertices.symmetric_difference(b.vertices)
     )
     edge_diff = []
-    keys = set(a.weights) | set(b.weights)
-    for k in keys:
-        wa, wb = a.weights.get(k, 0), b.weights.get(k, 0)
-        if wa != wb:
-            edge_diff.append(
-                f"{format_name(k[0])}-{format_name(k[1])}: {wa} vs {wb}"
-            )
+    wa, wb = a.weights, b.weights
+    for k in wa.keys() | wb.keys():
+        x, y = wa.get(k, 0), wb.get(k, 0)
+        if x != y:
+            edge_diff.append(f"{format_name(k[0])}-{format_name(k[1])}: {x} vs {y}")
     return f"vertex diff {missing}; edge diff {sorted(edge_diff)[:20]}"
 
 

@@ -129,15 +129,14 @@ def canonical_edge_list(g: WeightedMultigraph) -> list[Edge]:
 
 
 def _require_simple_regular(base: WeightedMultigraph) -> int:
-    degrees = set()
-    for u, v, w in base.edges():
-        if w != 1:
-            raise ValueError(
-                f"base must be simple; edge {format_name(u)}-{format_name(v)} "
-                f"has weight {w}"
-            )
-    for v in base.vertices:
-        degrees.add(weighted_degree(base, v))
+    bad = min(((u, v, w) for u, v, w in base.edges() if w != 1), default=None)
+    if bad:
+        u, v, w = bad
+        raise ValueError(
+            f"base must be simple; edge {format_name(u)}-{format_name(v)} "
+            f"has weight {w}"
+        )
+    degrees = {weighted_degree(base, v) for v in base.vertices}
     if len(degrees) != 1:
         raise ValueError(f"base must be regular; found degrees {sorted(degrees)}")
     return degrees.pop()
@@ -375,15 +374,13 @@ def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMulti
     ``default_lambda_budget``, and the chosen lift's lambda is re-verified
     by a direct eigensolve, independent of the search's spectral shortcut.
     """
-    halved: dict[Edge, int] = {}
-    for u, v, w in g_star.edges():
-        if w != 2:
-            raise ValueError(
-                f"expected all weights 2, found {w} on "
-                f"{format_name(u)}-{format_name(v)}"
-            )
-        halved[(u, v)] = 1
-    base = WeightedMultigraph(g_star.d, g_star.vertices, halved)
+    bad = min(((u, v, w) for u, v, w in g_star.edges() if w != 2), default=None)
+    if bad:
+        u, v, w = bad
+        raise ValueError(
+            f"expected all weights 2, found {w} on {format_name(u)}-{format_name(v)}"
+        )
+    base = g_star.replace(weights=dict.fromkeys(g_star.weights, 1))
     r = _require_simple_regular(base)
     if r != g_star.d // 2:
         raise ValueError(f"base is {r}-regular, expected {g_star.d // 2}")

@@ -1,16 +1,17 @@
 """Integer-weighted undirected multigraphs without self-loops.
 
-A multigraph is stored as a weighted simple graph: a map from unordered
-vertex pairs to a positive integer weight (the number of parallel edges).
-Absent pairs mean weight zero and weight-zero entries are never stored, so
-the weight map doubles as a multiset of edges and symmetric differences are
-well defined.  Every graph carries its target degree ``d`` (even, >= 6);
-actual regularity is a property of grower output, not of the type.
+A multigraph is stored as a weighted simple graph: one adjacency map holds
+the positive integer weight of each unordered vertex pair (the number of
+parallel edges) under both endpoints.  Absent pairs mean weight zero and
+weight-zero entries are never stored, so the weights double as a multiset of
+edges and symmetric differences are well defined.  Every graph carries its
+target degree ``d`` (even, >= 6); actual regularity is a property of grower
+output, not of the type.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,7 +33,7 @@ def edge_key(u: VertexName, v: VertexName) -> Edge:
 class WeightedMultigraph:
     """Immutable weighted multigraph on split-history names."""
 
-    __slots__ = ("d", "_vertices", "_weights", "_adj")
+    __slots__ = ("d", "_vertices", "_adj")
 
     def __init__(
         self,
@@ -44,20 +45,18 @@ class WeightedMultigraph:
             raise ValueError(f"degree target must be an even integer >= 6, got {d}")
         self.d = d
         self._vertices = frozenset(vertices)
-        canon: dict[Edge, int] = {}
         adj: dict[VertexName, dict[VertexName, int]] = {v: {} for v in self._vertices}
         for (u, v), w in weights.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
-            k = edge_key(u, v)
-            if k in canon:
+            nu, nv = adj.get(u), adj.get(v)
+            if nu is None or nv is None or u == v or v in nu:
+                k = edge_key(u, v)  # raises on a self-loop
+                if nu is None or nv is None:
+                    raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
                 raise ValueError(f"duplicate edge {_fmt_edge(k)}")
-            if u not in self._vertices or v not in self._vertices:
-                raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
-            canon[k] = w
-            adj[u][v] = w
-            adj[v][u] = w
-        self._weights = canon
+            nu[v] = w
+            nv[u] = w
         self._adj = adj
 
     @property
@@ -65,8 +64,9 @@ class WeightedMultigraph:
         return self._vertices
 
     @property
-    def weights(self) -> Mapping[Edge, int]:
-        return self._weights
+    def weights(self) -> dict[Edge, int]:
+        """A fresh canonical map from ``(u, v)`` with ``u < v`` to the weight."""
+        return {(u, v): w for u, v, w in self.edges()}
 
     @property
     def n(self) -> int:
@@ -80,15 +80,15 @@ class WeightedMultigraph:
             raise KeyError(f"vertex {format_name(v)} not in graph")
         return self._adj[v]
 
-    def __contains__(self, v: VertexName) -> bool:
-        return v in self._vertices
-
     def edges(self) -> Iterator[tuple[VertexName, VertexName, int]]:
-        for (u, v), w in self._weights.items():
-            yield u, v, w
+        """Each edge once as ``(u, v, w)`` with ``u < v``, in no fixed order."""
+        for u, nbrs in self._adj.items():
+            for v, w in nbrs.items():
+                if u < v:
+                    yield u, v, w
 
     def sorted_edges(self) -> list[tuple[VertexName, VertexName, int]]:
-        return sorted((u, v, w) for (u, v), w in self._weights.items())
+        return sorted(self.edges())
 
     def replace(
         self,
@@ -98,7 +98,7 @@ class WeightedMultigraph:
         return WeightedMultigraph(
             self.d,
             self._vertices if vertices is None else vertices,
-            self._weights if weights is None else weights,
+            self.weights if weights is None else weights,
         )
 
 
@@ -106,28 +106,14 @@ def _fmt_edge(e: Edge) -> str:
     return f"{{{format_name(e[0])}, {format_name(e[1])}}}"
 
 
-def vertex_order(g: WeightedMultigraph) -> list[VertexName]:
-    """Canonical vertex order (see ``names``)."""
-    return sorted(g.vertices)
-
-
 def weighted_degree(g: WeightedMultigraph, v: VertexName) -> int:
     """Sum of edge weights incident to ``v``."""
     return sum(g.neighbors(v).values())
 
 
-def adjacency_matrix(
-    g: WeightedMultigraph, order: Sequence[VertexName] | None = None
-) -> np.ndarray:
-    """Symmetric integer adjacency matrix; entry (i, j) is the edge weight.
-
-    ``order`` defaults to the canonical vertex order and must cover the whole
-    vertex set.
-    """
-    names = vertex_order(g) if order is None else list(order)
-    if set(names) != set(g.vertices) or len(names) != g.n:
-        raise ValueError("order must enumerate exactly the graph's vertices")
-    index = {v: i for i, v in enumerate(names)}
+def adjacency_matrix(g: WeightedMultigraph) -> np.ndarray:
+    """Symmetric adjacency matrix of edge weights, in canonical vertex order."""
+    index = {v: i for i, v in enumerate(sorted(g.vertices))}
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, w in g.edges():
         i, j = index[u], index[v]
@@ -180,85 +166,80 @@ def expansion_cost(g1: WeightedMultigraph, g2: WeightedMultigraph) -> int:
 
 def _identity_weights(g: WeightedMultigraph) -> dict[Edge, int]:
     out: dict[Edge, int] = {}
+    collisions = []
     for u, v, w in g.edges():
         k = edge_key(strip_identity(u), strip_identity(v))
         if k in out:
-            raise ValueError(f"identity collision on edge {_fmt_edge(k)}")
+            collisions.append(k)
         out[k] = w
+    if collisions:
+        raise ValueError(f"identity collision on edge {_fmt_edge(min(collisions))}")
     return out
 
 
 def graphs_equal(g1: WeightedMultigraph, g2: WeightedMultigraph) -> bool:
     """Exact equality of vertex sets and weight maps (raw names)."""
-    return g1.vertices == g2.vertices and dict(g1.weights) == dict(g2.weights)
+    return g1.vertices == g2.vertices and g1._adj == g2._adj
 
 
-def write_graph(g: WeightedMultigraph, fp: TextIO) -> None:
-    """Write the interchange format: ``d n`` then ``NAME1 NAME2 W`` lines.
+def graph_to_text(g: WeightedMultigraph) -> str:
+    """The interchange format: ``d n`` then ``NAME1 NAME2 W`` lines.
 
     Edges are sorted canonically and lines end with LF.  Isolated vertices
     cannot be represented and are rejected.
     """
+    label = {}
     for v in g.vertices:
         if not g.neighbors(v):
             raise ValueError(
                 f"vertex {format_name(v)} has no edges; the file format "
                 "cannot represent isolated vertices"
             )
-    fp.write(f"{g.d} {g.n}\n")
-    for u, v, w in g.sorted_edges():
-        fp.write(f"{format_name(u)} {format_name(v)} {w}\n")
+        label[v] = format_name(v)
+    body = "".join(f"{label[u]} {label[v]} {w}\n" for u, v, w in g.sorted_edges())
+    return f"{g.d} {g.n}\n{body}"
 
 
-def graph_to_text(g: WeightedMultigraph) -> str:
-    import io
-
-    buf = io.StringIO()
-    write_graph(g, buf)
-    return buf.getvalue()
-
-
-def read_graph(fp: TextIO) -> WeightedMultigraph:
-    header = fp.readline()
-    parts = header.split()
-    if len(parts) != 2:
-        raise ValueError(f"bad header {header!r}: expected 'd n'")
+def _numeral(field: str) -> int | None:
+    """``int(field)`` when ``graph_to_text`` spells that integer ``field``."""
     try:
-        d, n = int(parts[0]), int(parts[1])
+        value = int(field)
     except ValueError:
-        raise ValueError(f"bad header {header!r}: expected integers") from None
+        return None
+    return value if str(value) == field else None
+
+
+def graph_from_text(text: str) -> WeightedMultigraph:
+    """Parse the interchange format, accepting names and numbers only in the
+    spelling ``graph_to_text`` writes."""
+    header, _, body = text.partition("\n")
+    parts = [_numeral(x) for x in header.split()]
+    if len(parts) != 2 or None in parts:
+        raise ValueError(f"line 1: bad header {header!r}: expected integers 'd n'")
+    d, n = parts
     weights: dict[Edge, int] = {}
-    vertices: set[VertexName] = set()
-    for lineno, line in enumerate(fp, start=2):
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(body.split("\n"), start=2):
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 3:
             raise ValueError(f"line {lineno}: expected 'NAME1 NAME2 W'")
-        u = parse_name(fields[0])
-        v = parse_name(fields[1])
         try:
-            w = int(fields[2])
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad weight {fields[2]!r}") from None
-        if not 1 <= w <= MAX_FILE_WEIGHT:
+            k = edge_key(parse_name(fields[0]), parse_name(fields[1]))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        w = _numeral(fields[2])
+        if w is None or not 1 <= w <= MAX_FILE_WEIGHT:
             raise ValueError(
-                f"line {lineno}: weight must be in [1, {MAX_FILE_WEIGHT}], got {w}"
+                f"line {lineno}: weight must be in [1, {MAX_FILE_WEIGHT}], "
+                f"got {fields[2]!r}"
             )
-        k = edge_key(u, v)
         if k in weights:
             raise ValueError(f"line {lineno}: duplicate edge {_fmt_edge(k)}")
         weights[k] = w
-        vertices.add(u)
-        vertices.add(v)
+    vertices = {x for e in weights for x in e}
     if len(vertices) != n:
         raise ValueError(
             f"header claims {n} vertices but edges cover {len(vertices)}"
         )
     return WeightedMultigraph(d, vertices, weights)
-
-
-def graph_from_text(text: str) -> WeightedMultigraph:
-    import io
-
-    return read_graph(io.StringIO(text))

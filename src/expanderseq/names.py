@@ -89,15 +89,13 @@ def format_name(name: VertexName) -> str:
 
 
 def parse_name(text: str) -> VertexName:
+    """The name ``format_name`` writes as ``text``; any other spelling fails."""
     base_part, sep, bit_part = text.partition(":")
     if not sep:
         raise ValueError(f"malformed vertex name {text!r}: missing ':'")
-    try:
-        base = int(base_part)
-    except ValueError:
-        raise ValueError(f"malformed vertex name {text!r}: bad base") from None
-    if base < 0:
-        raise ValueError(f"malformed vertex name {text!r}: negative base")
+    digits = base_part.isascii() and base_part.isdigit()
+    if not digits or str(int(base_part)) != base_part:
+        raise ValueError(f"malformed vertex name {text!r}: bad base")
     if bit_part.strip("01"):
         raise ValueError(f"malformed vertex name {text!r}: bits must be 0/1")
-    return VertexName(base, tuple(int(b) for b in bit_part))
+    return VertexName(int(base_part), tuple(int(b) for b in bit_part))

@@ -460,21 +460,19 @@ def parse_script(text: str) -> list[AdversaryEvent]:
         if not isinstance(item, dict) or "op" not in item:
             raise ScriptError(f"event {i}: expected an object with an 'op'")
         op = item["op"]
+        if op not in ("insert", "delete"):
+            raise ScriptError(f"event {i}: unknown op {op!r}")
+        if not isinstance(item.get("id"), str):
+            raise ScriptError(f"event {i}: {op} needs a string 'id'")
         if op == "insert":
             attach = item.get("attach", [])
             if not isinstance(attach, list) or not all(
                 isinstance(a, str) for a in attach
             ):
                 raise ScriptError(f"event {i}: 'attach' must be a string list")
-            if "id" not in item:
-                raise ScriptError(f"event {i}: insert needs an 'id'")
-            events.append(InsertEvent(str(item["id"]), tuple(attach)))
-        elif op == "delete":
-            if "id" not in item:
-                raise ScriptError(f"event {i}: delete needs an 'id'")
-            events.append(DeleteEvent(str(item["id"])))
+            events.append(InsertEvent(item["id"], tuple(attach)))
         else:
-            raise ScriptError(f"event {i}: unknown op {op!r}")
+            events.append(DeleteEvent(item["id"]))
     return events
 
 
@@ -573,7 +571,9 @@ class SimNetwork:
             ext = f"g{v.base}"
             ids[v] = ext
             self.nodes[ext] = NodeState(ext_id=ext, name=v)
-        for u, v, _ in base.edges():
+        # canonical edge order fills every table in the same order, whatever
+        # the hash order of the vertex set
+        for u, v, _ in base.sorted_edges():
             self.nodes[ids[u]].neighbor_table[v] = ids[v]
             self.nodes[ids[v]].neighbor_table[u] = ids[u]
         coord = self._coordinator()
@@ -1364,7 +1364,9 @@ class SimNetwork:
                 raise ProtocolError(f"{node.ext_id} is still mid-takeover")
         topo = self.topology()
         ref = graph_at(self.d, self.n, self.seed)
-        if topo.vertices != ref.vertices or topo.weights.keys() != ref.weights.keys():
+        if topo.vertices != ref.vertices or any(
+            topo.neighbors(v).keys() != ref.neighbors(v).keys() for v in ref.vertices
+        ):
             raise ProtocolError(
                 f"simulated topology diverged from the reference at n = {self.n}"
             )

@@ -24,13 +24,13 @@ from expanderseq.analysis import (
     unbalanced_suite,
 )
 from expanderseq.grower import bl_expander, graph_at, initial_graph, state_at
-from expanderseq.multigraph import WeightedMultigraph, edge_key, vertex_order
+from expanderseq.multigraph import WeightedMultigraph, edge_key
 from expanderseq.names import VertexName
 
 
 def brute_force_h(g):
     """Independent oracle: plain subset enumeration with Fractions."""
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     n = len(order)
     best = None
     for size in range(1, n // 2 + 1):
@@ -79,7 +79,7 @@ def test_edge_expansion_rejects_large_n():
 def test_edge_expansion_relabel_invariant():
     g = graph_at(6, 8, 1)
     rng = random.Random(0)
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     shuffled = order[:]
     rng.shuffle(shuffled)
     mapping = dict(zip(order, shuffled))
@@ -100,13 +100,13 @@ def test_expansion_of_set_tightness_instance():
 
 def test_expansion_of_set_singleton_is_degree():
     g = graph_at(6, 9, 1)
-    v = vertex_order(g)[0]
+    v = min(g.vertices)
     assert expansion_of_set(g, [v]) == 6
 
 
 def test_expansion_of_set_complement_symmetric_cut():
     g = graph_at(6, 7, 1)
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     s = set(order[:3])
     comp = set(order[3:])
     assert expansion_of_set(g, s) * 3 == expansion_of_set(g, comp) * len(comp)
@@ -147,13 +147,13 @@ def test_cheeger_whole_small_sequence():
 
 def test_mixing_disjoint_singletons():
     g = initial_graph(6)
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     assert mixing_check(g, [order[0]], [order[1]])
 
 
 def test_mixing_rejects_overlap():
     g = initial_graph(6)
-    v = vertex_order(g)[0]
+    v = min(g.vertices)
     with pytest.raises(AnalysisError):
         mixing_check(g, [v], [v])
 
@@ -170,7 +170,7 @@ def test_mixing_suite_sampled():
 
 def test_half_lemma_single_cuts():
     st = state_at(6, 6, 1)
-    order = vertex_order(st.current)
+    order = sorted(st.current.vertices)
     for k in (1, 2, 3):
         assert half_lemma_check(st, order[:k])
 
@@ -224,7 +224,7 @@ def test_rayleigh_rejects_oversized():
 
 def test_unbalanced_bound_singletons_and_half():
     h = bl_expander(6, 1, 1)
-    order = vertex_order(h)
+    order = sorted(h.vertices)
     assert unbalanced_bound_check(h, [order[0]])
     assert unbalanced_bound_check(h, order[:4])
 
@@ -236,7 +236,7 @@ def test_unbalanced_suite_exhaustive_small():
 def test_unbalanced_rejects_large_side():
     h = bl_expander(6, 1, 1)
     with pytest.raises(AnalysisError):
-        unbalanced_bound_check(h, vertex_order(h)[:5])
+        unbalanced_bound_check(h, sorted(h.vertices)[:5])
 
 
 def test_rayleigh_threshold_recorded():
@@ -281,7 +281,7 @@ def test_cut_kernel_matches_scalar_oracle(d):
     """Every cut's kernel columns against the scalar path, for every n <= 11."""
     for n in range(d // 2 + 1, 12):
         st = state_at(d, n, 1)
-        order = vertex_order(st.current)
+        order = sorted(st.current.vertices)
         ((masks, _, cuts),) = analysis._cut_chunks(
             n, analysis._future_terms(st), 6
         )

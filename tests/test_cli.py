@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -186,6 +187,41 @@ def test_simulate_determinism(tmp_path):
     assert a.stdout == b.stdout
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """Edges and vertex sets iterate in hash order; no output may show it."""
+    graph = tmp_path / "g13.graph"
+    graph.write_text(graph_to_text(graph_at(6, 13, 1)))
+    rng = random.Random(80)
+    live, events = [f"g{i}" for i in range(4)], []
+    for k in range(80):
+        if len(live) > 4 and rng.random() < 0.3:
+            victim = rng.choice(live)
+            live.remove(victim)
+            events.append({"op": "delete", "id": victim})
+        else:
+            events.append({"op": "insert", "id": f"n{k}",
+                           "attach": rng.sample(live, 2)})
+            live.append(f"n{k}")
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps(events))
+    commands = [
+        ["grow", "--d", "8", "--n", "5", "--n-to", "60", "--trace", "-",
+         "--lift-seed", "1"],
+        ["bench", "--d", "6", "--cycles", "3", "--lift-seed", "1"],
+        ["analyze", "--input", str(graph), "--exact", "--suite", "lemma43",
+         "--suite", "cheeger", "--lift-seed", "1"],
+        ["simulate", "--d", "6", "--seed", "1", "--script", str(script)],
+    ]
+    for cmd in commands:
+        a, b = (
+            subprocess.run([*CLI, *cmd], capture_output=True,
+                           env={**os.environ, "PYTHONHASHSEED": h})
+            for h in ("0", "1")
+        )
+        assert a.returncode == b.returncode == 0, cmd
+        assert a.stdout == b.stdout, cmd
+
+
 def test_simulate_bad_script_exit_2(tmp_path):
     script = tmp_path / "s.json"
     script.write_text('[{"op":"delete","id":"missing"}]')
@@ -213,6 +249,19 @@ def g40_graph(tmp):
     return str(path)
 
 
+def edge_file(tmp, line, name="edge.graph"):
+    """A two-vertex d = 6 graph file whose one edge line is ``line``."""
+    path = tmp / name
+    path.write_text(f"6 2\n{line}\n", encoding="utf-8")
+    return str(path)
+
+
+def null_id_script(tmp):
+    path = tmp / "null-id.json"
+    path.write_text('[{"op": "insert", "id": null, "attach": ["g0"]}]')
+    return str(path)
+
+
 def heavy_triangle(tmp, weight):
     """K3 with every weight ``weight``, beyond what int64 cut sums can hold."""
     path = tmp / f"k3-{weight}.graph"
@@ -232,6 +281,12 @@ INPUT_ERRORS = {
     "analyze-missing-input": lambda tmp: [
         "analyze", "--input", str(tmp / "none.graph")],
     "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
+    "analyze-name-plus-sign": lambda tmp: [
+        "analyze", "--input", edge_file(tmp, "0: +1: 6")],
+    "analyze-name-arabic-digit": lambda tmp: [
+        "analyze", "--input", edge_file(tmp, "0: \u0661: 6")],
+    "analyze-weight-underscore": lambda tmp: [
+        "analyze", "--input", edge_file(tmp, "0: 1: 0_6")],
     "analyze-rayleigh-negative-index": lambda tmp: [
         "analyze", "--input", g9_graph(tmp), "--spectral", "--suite", "rayleigh",
         "--rayleigh-index", "-1"],
@@ -243,6 +298,8 @@ INPUT_ERRORS = {
     "grow-out-below-missing-dir": lambda tmp: [
         "grow", "--d", "6", "--n", "5", "--out", str(tmp / "none" / "g")],
     "grow-seed-env-not-integer": lambda tmp: ["grow", "--d", "6", "--n", "5"],
+    "simulate-id-not-string": lambda tmp: [
+        "simulate", "--d", "6", "--script", null_id_script(tmp)],
     "simulate-missing-script": lambda tmp: [
         "simulate", "--d", "6", "--script", str(tmp / "none.json")],
     "simulate-odd-degree": lambda tmp: [
@@ -251,6 +308,12 @@ INPUT_ERRORS = {
         "simulate", "--d", "6", "--script", str(tmp / "s.json"),
         "--snapshot-dir", str(tmp / "s.json" / "snaps")],
     "verify-bad-header": lambda tmp: ["verify", "--input", os.devnull],
+    "verify-name-leading-zero": lambda tmp: [
+        "verify", "--input", edge_file(tmp, "0: 01: 6")],
+    "verify-name-underscore": lambda tmp: [
+        "verify", "--input", edge_file(tmp, "0: 1_0: 6")],
+    "verify-weight-plus-sign": lambda tmp: [
+        "verify", "--input", edge_file(tmp, "0: 1: +6")],
     "verify-max-n-below-base": lambda tmp: ["verify", "--d", "6", "--max-n", "2"],
     "verify-max-n-below-larger-base": lambda tmp: [
         "verify", "--d", "6", "--d", "12", "--max-n", "5"],
@@ -263,6 +326,13 @@ INPUT_ERROR_TEXT = {
     "analyze-exact-weight-2-62": "line 2: weight must be in [1, 2147483647]",
     "analyze-weight-10-20": "line 2: weight must be in [1, 2147483647]",
     "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
+    "analyze-name-plus-sign": "line 2: malformed vertex name '+1:'",
+    "analyze-name-arabic-digit": "line 2: malformed vertex name",
+    "analyze-weight-underscore": "line 2: weight must be in",
+    "simulate-id-not-string": "event 0: insert needs a string 'id'",
+    "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
+    "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
+    "verify-weight-plus-sign": "line 2: weight must be in",
 }
 
 

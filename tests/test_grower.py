@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
 from expanderseq.grower import (
     ConstructionError,
     CycleComplete,
+    GrowthState,
     begin_cycle,
     bl_expander,
     changelog_at,
@@ -24,7 +27,7 @@ from expanderseq.multigraph import (
     graphs_equal,
     weighted_degree,
 )
-from expanderseq.names import partner
+from expanderseq.names import format_name, partner
 
 
 def test_initial_graph_shapes():
@@ -88,6 +91,17 @@ def test_finalize_requires_completion():
     st = begin_cycle(initial_graph(6), seed=1)
     with pytest.raises(ValueError):
         finalize_cycle(st)
+
+
+def test_finalize_names_the_differing_edge():
+    st = state_at(6, 8, 1)
+    weights = st.current.weights
+    (u, v), w = min(weights.items())
+    weights[(u, v)] = w + 1
+    grown = GrowthState(current=st.current.replace(weights=weights), target=st.target)
+    diff = f"edge diff ['{format_name(u)}-{format_name(v)}: {w + 1} vs {w}']"
+    with pytest.raises(ConstructionError, match=re.escape(diff)):
+        finalize_cycle(grown)
 
 
 def test_graph_at_base_and_boundary():

@@ -25,7 +25,7 @@ from expanderseq.multigraph import (
     graphs_equal,
     weighted_degree,
 )
-from expanderseq.names import VertexName
+from expanderseq.names import VertexName, parse_name
 
 
 def simple_clique(k):
@@ -229,6 +229,21 @@ def test_next_bl_expander_rejects_non_doubled():
     bad = WeightedMultigraph(6, g.vertices, {e: 1 for e in g.weights})
     with pytest.raises(ValueError):
         next_bl_expander(bad, seed=1)
+
+
+def test_weight_checks_name_the_smallest_bad_edge():
+    g = bl_expander(6, 1, 1)
+    bad = [tuple(map(parse_name, e)) for e in (("0:1", "1:1"), ("0:0", "1:0"))]
+    simple = dict.fromkeys(g.weights, 1)
+    simple.update(dict.fromkeys(bad, 2))
+    base = g.replace(weights=simple)
+    edges = canonical_edge_list(base)
+    with pytest.raises(ValueError, match="edge 0:0-1:0 has weight 2$"):
+        two_lift(base, Signing(tuple(edges), (0,) * len(edges)))
+    doubled = g.weights
+    doubled.update(dict.fromkeys(bad, 1))
+    with pytest.raises(ValueError, match="found 1 on 0:0-1:0$"):
+        next_bl_expander(g.replace(weights=doubled), seed=1)
 
 
 def test_signing_file_roundtrip(tmp_path):

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,10 +12,9 @@ from expanderseq.multigraph import (
     graph_from_text,
     graph_to_text,
     graphs_equal,
-    vertex_order,
     weighted_degree,
 )
-from expanderseq.names import VertexName
+from expanderseq.names import VertexName, parse_name
 
 
 def k4_doubled():
@@ -37,6 +34,14 @@ def test_rejects_self_loop_and_bad_weight():
         edge_key(a, a)
     with pytest.raises(ValueError):
         WeightedMultigraph(6, [a, b], {(a, b): 0})
+
+
+def test_rejects_duplicate_edge_and_unknown_vertex():
+    a, b, c = VertexName(0), VertexName(1), VertexName(2)
+    with pytest.raises(ValueError, match=r"duplicate edge \{0:, 1:\}"):
+        WeightedMultigraph(6, [a, b], {(a, b): 1, (b, a): 1})
+    with pytest.raises(ValueError, match=r"edge \{0:, 2:\} uses an unknown vertex"):
+        WeightedMultigraph(6, [a, b], {(a, b): 1, (c, a): 1})
 
 
 def test_weighted_degree_doubled_k4():
@@ -83,15 +88,9 @@ def test_adjacency_split_pair_weight():
 def test_adjacency_row_sums_are_degrees():
     g = graph_at(6, 7, 1)
     a = adjacency_matrix(g)
-    order = vertex_order(g)
+    order = sorted(g.vertices)
     for i, v in enumerate(order):
         assert a[i].sum() == weighted_degree(g, v)
-
-
-def test_adjacency_rejects_partial_order():
-    g = k4_doubled()
-    with pytest.raises(ValueError):
-        adjacency_matrix(g, order=vertex_order(g)[:-1])
 
 
 def test_expansion_cost_identity():
@@ -105,6 +104,16 @@ def test_expansion_cost_first_split_is_nine():
 
 def test_expansion_cost_last_split_is_five_halves_d():
     assert expansion_cost(graph_at(6, 7, 1), graph_at(6, 8, 1)) == 15
+
+
+def test_identity_collision_names_the_smallest_edge():
+    names = {t: parse_name(t) for t in ("0:", "1:", "1:0", "2:", "2:0")}
+    pairs = [("0:", "2:0"), ("0:", "2:"), ("0:", "1:0"), ("0:", "1:")]
+    g = WeightedMultigraph(
+        6, names.values(), {(names[a], names[b]): 1 for a, b in pairs}
+    )
+    with pytest.raises(ValueError, match=r"identity collision on edge \{0:, 1:\}$"):
+        expansion_cost(g, g)
 
 
 def test_graphs_equal():
@@ -146,9 +155,58 @@ def test_expansion_cost_metric_axioms(g1, g2, g3):
 
 
 def test_serialization_roundtrip_sequence_graphs():
-    for n in range(4, 10):
-        g = graph_at(6, n, 1)
+    for d in (6, 8, 10, 12):
+        for n in range(d // 2 + 1, 131):
+            g = graph_at(d, n, 1)
+            assert graphs_equal(graph_from_text(graph_to_text(g)), g)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A graph on at most 12 names and the canonical weight map it was built
+    from; each edge is passed to the constructor in a random orientation."""
+    names = sorted(draw(st.sets(
+        st.builds(
+            VertexName,
+            base=st.integers(min_value=0, max_value=5),
+            bits=st.lists(st.integers(0, 1), max_size=3).map(tuple),
+        ),
+        min_size=1,
+        max_size=12,
+    )))
+    given_weights, canon = {}, {}
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            w = draw(st.integers(min_value=0, max_value=3))
+            if w:
+                given_weights[(u, v) if draw(st.booleans()) else (v, u)] = w
+                canon[(u, v)] = w
+    return WeightedMultigraph(6, names, given_weights), canon
+
+
+@given(weighted_graphs())
+def test_edge_views_agree(case):
+    g, canon = case
+    edges = list(g.edges())
+    assert all(u < v for u, v, _ in edges)
+    assert sorted(edges) == g.sorted_edges() == sorted(
+        (u, v, w) for (u, v), w in canon.items()
+    )
+    assert g.weights == canon
+    for u in g.vertices:
+        incident = {}
+        for (a, b), w in canon.items():
+            if u in (a, b):
+                incident[b if a == u else a] = w
+        assert g.neighbors(u) == incident
+        assert weighted_degree(g, u) == sum(incident.values())
+        for v in g.vertices:
+            assert g.weight(u, v) == incident.get(v, 0)
+    if all(g.neighbors(v) for v in g.vertices):
         assert graphs_equal(graph_from_text(graph_to_text(g)), g)
+    else:
+        with pytest.raises(ValueError, match="isolated"):
+            graph_to_text(g)
 
 
 @given(small_graphs())
@@ -159,8 +217,6 @@ def test_serialization_roundtrip_random(g):
 
 
 def test_serialization_is_canonical_and_lf():
-    from expanderseq.names import parse_name
-
     text = graph_to_text(graph_at(6, 5, 1))
     assert text.endswith("\n") and "\r" not in text
     lines = text.splitlines()
@@ -182,13 +238,18 @@ def test_parse_rejects_malformed():
         graph_from_text("6 3\n0: 1: 2\n")  # vertex count mismatch
     with pytest.raises(ValueError):
         graph_from_text("6 2\n0: 1: 2\n0: 1: 1\n")  # duplicate edge
+    # names and numbers are read only in the spelling graph_to_text writes
+    for line in ("0: +1: 6", "0: 01: 6", "0: \u0661: 6", "0: 1_0: 6",
+                 "0: 1: +6", "0: 1: 0_6", "0: 1: 06"):
+        with pytest.raises(ValueError, match="^line 2: "):
+            graph_from_text(f"6 2\n{line}\n")
+    for header in ("+6 2", "6 02", "6 \u0662"):
+        with pytest.raises(ValueError, match="^line 1: "):
+            graph_from_text(f"{header}\n0: 1: 6\n")
 
 
 def test_write_rejects_isolated_vertex():
     names = [VertexName(0), VertexName(1), VertexName(2)]
     g = WeightedMultigraph(6, names, {edge_key(names[0], names[1]): 1})
     with pytest.raises(ValueError):
-        io_buf = io.StringIO()
-        from expanderseq.multigraph import write_graph
-
-        write_graph(g, io_buf)
+        graph_to_text(g)

@@ -27,7 +27,7 @@ def test_format_examples():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("3", "a:01", "1:012", "-1:0"):
+    for bad in ("3", "a:01", "1:012", "-1:0", "+1:", "01:", "\u0661:", "1_0:", " 1:"):
         try:
             parse_name(bad)
         except ValueError:

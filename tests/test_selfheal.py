@@ -216,6 +216,7 @@ def test_stale_attach_links_are_dropped():
     ("attach-link", "still holds attach links"),
     ("takeover-job", "still mid-takeover"),
     ("handover", "still mid-takeover"),
+    ("dropped-edge", "simulated topology diverged"),
 ])
 def test_common_checks_reject_leftover_state(leftover, message):
     net = grow_net(6, 1, 9)
@@ -229,8 +230,12 @@ def test_common_checks_reject_leftover_state(leftover, message):
             dead=slot, slot=slot, absorb=False, n_pre=9, coord_died=False,
             targets_cur=frozenset(),
         )
-    else:
+    elif leftover == "handover":
         node.handover = Handover(chunks_left=1)
+    else:
+        name, ext = min(node.neighbor_table.items())
+        del node.neighbor_table[name]
+        del net.nodes[ext].neighbor_table[node.name]
     with pytest.raises(ProtocolError, match=message):
         net._common_checks()
 
@@ -309,7 +314,9 @@ def test_parse_script_roundtrip():
 
 
 def test_parse_script_rejects_malformed():
-    for bad in ("{}", "[1]", '[{"op":"x"}]', '[{"op":"insert"}]', "nope"):
+    for bad in ("{}", "[1]", '[{"op":"x"}]', '[{"op":"insert"}]', "nope",
+                '[{"op":"insert","id":null,"attach":["g0"]}]',
+                '[{"op":"delete","id":5}]'):
         with pytest.raises(ScriptError):
             parse_script(bad)
 
