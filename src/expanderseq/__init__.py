@@ -19,16 +19,13 @@ from .multigraph import (
     weighted_degree,
 )
 from .lifts import (
-    Signing,
     SigningSearchError,
     SpectralReport,
     default_lambda_budget,
     find_good_signing,
     next_bl_expander,
-    read_signing,
     spectral_report,
     two_lift,
-    write_signing,
 )
 from .grower import (
     ChangeLog,

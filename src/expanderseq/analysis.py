@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grower import GrowthState, changelog_at, graph_at
+from .grower import GrowthState, changelog_at, graph_at, split_n
 from .lifts import SpectralReport, spectral_report
 from .multigraph import WeightedMultigraph, adjacency_matrix, weighted_degree
 from .names import VertexName, format_name, locus, partner
@@ -474,7 +474,7 @@ def rayleigh_lower_bound_check(
     """
     if i < 0:
         raise AnalysisError(f"rayleigh index must be >= 0, got {i}")
-    n = (1 << i) * (d // 2 + 1) + 1
+    n = split_n(d, VertexName(0, (0,) * i))
     if n - 1 > 2048:
         raise AnalysisError(f"n - 1 = {n - 1} exceeds the eigensolver reach")
     g = graph_at(d, n, seed)

@@ -165,7 +165,9 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
 
     parents = sorted({v.parent() for v in split_nbrs})
     if 2 * len(parents) != len(split_nbrs):
-        raise ConstructionError("split neighbors do not decompose into pairs")
+        raise ConstructionError(
+            f"split neighbors of {format_name(u)} do not decompose into pairs"
+        )
     halves = []
     for p in parents:
         v0, v1 = p.child(0), p.child(1)
@@ -203,7 +205,9 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
             f"cost {cost} != 3*{n_u} + 5*{n_s}/2 at {format_name(u)}"
         )
     if 2 * n_u + n_s != g.d:
-        raise ConstructionError(f"2|U(u)| + |S(u)| = {2 * n_u + n_s} != d")
+        raise ConstructionError(
+            f"2|U(u)| + |S(u)| = {2 * n_u + n_s} != d at {format_name(u)}"
+        )
     log = ChangeLog(
         split_vertex=u,
         new_vertex=u1,
@@ -258,14 +262,15 @@ def bl_expander(d: int, i: int, seed: int = 0) -> WeightedMultigraph:
     if i == 0:
         return initial_graph(d)
     # the target of cycle i - 1, fixed by the state of its first split
-    return state_at(d, (d // 2 + 1) * (1 << (i - 1)) + 1, seed).target
+    return state_at(d, split_n(d, VertexName(0, (0,) * (i - 1))), seed).target
 
 
 def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
     """The growth state when the graph first reaches ``n`` vertices.
 
     For n at a cycle boundary (other than the starting clique) this is the
-    end-of-cycle state with every vertex split.
+    end-of-cycle state with every vertex split.  A ``ConstructionError`` of
+    growth re-raises, same type, prefixed with d, n and the cycle.
     """
     base_n = d // 2 + 1
     if n < base_n:
@@ -277,14 +282,16 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
     while start > base_n and (d, start, seed) not in _STATE_CACHE:
         start -= 1
     if start == base_n:
-        st = begin_cycle(initial_graph(d), seed)
-        _STATE_CACHE[(d, base_n, seed)] = st
-    else:
-        st = _STATE_CACHE[(d, start, seed)]
+        _STATE_CACHE[(d, base_n, seed)] = begin_cycle(initial_graph(d), seed)
+    st = _STATE_CACHE[(d, start, seed)]
     for m in range(start + 1, n + 1):
-        if st.current.n == st.target.n:
-            st = begin_cycle(finalize_cycle(st), seed)
-        st, log = split_next(st)
+        try:
+            if st.current.n == st.target.n:
+                st = begin_cycle(finalize_cycle(st), seed)
+            st, log = split_next(st)
+        except ConstructionError as exc:
+            cycle = min(st.target.vertices).depth - 1
+            raise type(exc)(f"d = {d}, n = {m}, cycle {cycle}: {exc}") from exc
         _STATE_CACHE[(d, m, seed)] = st
         _LOG_CACHE[(d, m, seed)] = log
     return _STATE_CACHE[key]

@@ -3,13 +3,16 @@
 A 2-lift doubles a simple base graph: every vertex ``v`` becomes ``v.0`` and
 ``v.1`` and every base edge becomes a perfect matching between the endpoint
 copies, chosen by a per-edge signing bit (0 keeps copies parallel, 1 crosses
-them).  The spectrum of the lift is the multiset union of the base spectrum
-and the spectrum of the signed adjacency matrix (+1 entries for bit 0, -1 for
-bit 1), so the signing search only ranks signed matrices.  One loop,
-``_best_signing``, keeps the smallest ``(lambda, code)`` over its
-candidates.  The exhaustive search feeds it one candidate per switching
-class (signings that differ by flipping all edges at a vertex subset have
-conjugate signed matrices), the random search its seeded draws.
+them).  A signing is an m-bit integer code over the m edges of
+``canonical_edge_list(base)``: bit m - 1 - j (the j-th from the most
+significant end) signs the j-th edge.  The spectrum of the lift is the
+multiset union of the base spectrum and the spectrum of the signed adjacency
+matrix (+1 entries for bit 0, -1 for bit 1), so the signing search only ranks
+signed matrices.  One loop, ``_best_signing``, keeps the smallest
+``(lambda, code)`` over its candidates.  The exhaustive search feeds it one
+candidate per switching class (signings that differ by flipping all edges at
+a vertex subset have conjugate signed matrices), the random search its seeded
+draws.
 
 The loop prunes in two passes.  First, batched Lanczos runs a few steps on
 every candidate's sparse signed matrix; by Cauchy interlacing its largest
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +46,7 @@ from .multigraph import (
     edge_key,
     weighted_degree,
 )
-from .names import VertexName, format_name, parse_name
+from .names import VertexName, format_name
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 512
@@ -65,9 +68,9 @@ class SpectralError(RuntimeError):
 
 
 class SigningSearchError(RuntimeError):
-    """No signing met the spectral budget; carries the best one found."""
+    """No signing met the spectral budget; carries the best code found."""
 
-    def __init__(self, message: str, best_lambda: float, best: "Signing | None"):
+    def __init__(self, message: str, best_lambda: float, best: int):
         super().__init__(message)
         self.best_lambda = best_lambda
         self.best = best
@@ -76,33 +79,6 @@ class SigningSearchError(RuntimeError):
 def default_lambda_budget(d: int) -> float:
     """Slightly above the Ramanujan floor 2*sqrt(d/2 - 1) for a (d/2)-regular base."""
     return 2.0 * math.sqrt(d / 2 - 1) + 0.5
-
-
-@dataclass(frozen=True)
-class Signing:
-    """One bit per base edge, in canonical edge order."""
-
-    edges: tuple[Edge, ...]
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edges) != len(self.bits):
-            raise ValueError("signing bits must match the edge list")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("signing bits must be 0 or 1")
-
-    def as_mapping(self) -> dict[Edge, int]:
-        return dict(zip(self.edges, self.bits))
-
-    @classmethod
-    def from_int(cls, edges: Sequence[Edge], code: int) -> "Signing":
-        m = len(edges)
-        bits = tuple((code >> (m - 1 - j)) & 1 for j in range(m))
-        return cls(tuple(edges), bits)
-
-    def to_int(self) -> int:
-        m = len(self.bits)
-        return sum(b << (m - 1 - j) for j, b in enumerate(self.bits))
 
 
 @dataclass(frozen=True)
@@ -142,8 +118,8 @@ def _require_simple_regular(base: WeightedMultigraph) -> int:
     return degrees.pop()
 
 
-def two_lift(base: WeightedMultigraph, signing: Signing) -> WeightedMultigraph:
-    """Double ``base`` according to ``signing``.
+def two_lift(base: WeightedMultigraph, code: int) -> WeightedMultigraph:
+    """Double ``base`` according to the signing ``code``.
 
     Bit 0 on edge {u, v} yields {u.0, v.0} and {u.1, v.1}; bit 1 yields
     {u.0, v.1} and {u.1, v.0}.  The 0 copy plays the role of the base vertex
@@ -151,21 +127,14 @@ def two_lift(base: WeightedMultigraph, signing: Signing) -> WeightedMultigraph:
     """
     _require_simple_regular(base)
     edges = canonical_edge_list(base)
-    if set(signing.edges) != set(edges) or len(signing.edges) != len(edges):
-        raise ValueError("signing domain must be exactly the base edge set")
-    bit = signing.as_mapping()
-    vertices = []
-    for v in base.vertices:
-        vertices.append(v.child(0))
-        vertices.append(v.child(1))
+    m = len(edges)
+    if not 0 <= code < 1 << m:
+        raise ValueError(f"signing code {code} is outside [0, 2**{m})")
+    vertices = [v.child(b) for v in base.vertices for b in (0, 1)]
     weights: dict[Edge, int] = {}
-    for u, v in edges:
-        if bit[(u, v)] == 0:
-            weights[edge_key(u.child(0), v.child(0))] = 1
-            weights[edge_key(u.child(1), v.child(1))] = 1
-        else:
-            weights[edge_key(u.child(0), v.child(1))] = 1
-            weights[edge_key(u.child(1), v.child(0))] = 1
+    for (u, v), bit in zip(edges, _code_bits([code], m)[0].tolist()):
+        weights[edge_key(u.child(0), v.child(bit))] = 1
+        weights[edge_key(u.child(1), v.child(1 - bit))] = 1
     return WeightedMultigraph(base.d, vertices, weights)
 
 
@@ -319,8 +288,8 @@ def find_good_signing(
     lambda_budget: float,
     search_budget: int = DEFAULT_SEARCH_BUDGET,
     seed: int = 0,
-) -> Signing:
-    """Find a signing whose lift has lambda <= ``lambda_budget``.
+) -> int:
+    """The code of a signing whose lift has lambda <= ``lambda_budget``.
 
     Exhaustive (the smallest code among the float-exact minimizers) when the
     base has at most ``EXHAUSTIVE_EDGE_LIMIT`` edges; otherwise the best of
@@ -361,9 +330,9 @@ def find_good_signing(
             f"{m} edges, {len(candidates)} candidates ranked, "
             f"{solves} dense solves)",
             best_lambda=best_lambda,
-            best=Signing.from_int(edges, best_code),
+            best=best_code,
         )
-    return Signing.from_int(edges, best_code)
+    return best_code
 
 
 def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMultigraph:
@@ -385,36 +354,16 @@ def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMulti
     if r != g_star.d // 2:
         raise ValueError(f"base is {r}-regular, expected {g_star.d // 2}")
     lambda_budget = default_lambda_budget(g_star.d)
-    signing = find_good_signing(base, lambda_budget, seed=seed)
-    lifted = two_lift(base, signing)
+    code = find_good_signing(base, lambda_budget, seed=seed)
+    lifted = two_lift(base, code)
     direct = spectral_report(lifted).lambda_
     if direct > lambda_budget + EIG_TOL:
         raise SigningSearchError(
             f"verified lift lambda {direct:.6f} exceeds budget "
             f"{lambda_budget:.6f} (base n = {base.n}, "
-            f"{len(signing.edges)} edges)",
+            f"{len(base.weights)} edges)",
             best_lambda=direct,
-            best=signing,
+            best=code,
         )
-    doubled = {edge_key(u, v): 2 for u, v, _ in lifted.edges()}
-    return WeightedMultigraph(g_star.d, lifted.vertices, doubled)
+    return lifted.replace(weights=dict.fromkeys(lifted.weights, 2))
 
-
-def write_signing(signing: Signing, fp: TextIO) -> None:
-    """One line per base edge: ``NAME1 NAME2 BIT`` in canonical edge order."""
-    for (u, v), b in zip(signing.edges, signing.bits):
-        fp.write(f"{format_name(u)} {format_name(v)} {b}\n")
-
-
-def read_signing(fp: TextIO) -> Signing:
-    edges: list[Edge] = []
-    bits: list[int] = []
-    for lineno, line in enumerate(fp, start=1):
-        if not line.strip():
-            continue
-        fields = line.split()
-        if len(fields) != 3 or fields[2] not in ("0", "1"):
-            raise ValueError(f"line {lineno}: expected 'NAME1 NAME2 BIT'")
-        edges.append(edge_key(parse_name(fields[0]), parse_name(fields[1])))
-        bits.append(int(fields[2]))
-    return Signing(tuple(edges), tuple(bits))

@@ -107,12 +107,12 @@ def test_signing_codes_golden(d, seed):
     for i in range(len(SIGNING_CODES[d, seed])):
         g_star = bl_expander(d, i, seed)
         base = g_star.replace(weights=dict.fromkeys(g_star.weights, 1))
-        signing = find_good_signing(
+        code = find_good_signing(
             base, default_lambda_budget(d), seed=_cycle_seed(seed, i)
         )
         # the pinned code is the one the sequence lifted by
-        lifted = two_lift(base, signing)
+        lifted = two_lift(base, code)
         doubled = lifted.replace(weights=dict.fromkeys(lifted.weights, 2))
         assert graphs_equal(doubled, bl_expander(d, i + 1, seed))
-        codes.append(signing.to_int())
+        codes.append(code)
     assert tuple(codes) == SIGNING_CODES[d, seed]

@@ -22,12 +22,13 @@ from expanderseq.grower import (
 )
 from expanderseq.multigraph import (
     WeightedMultigraph,
+    edge_key,
     expansion_cost,
     graph_to_text,
     graphs_equal,
     weighted_degree,
 )
-from expanderseq.names import format_name, partner
+from expanderseq.names import VertexName, format_name, parse_name, partner
 
 
 def test_initial_graph_shapes():
@@ -255,3 +256,56 @@ def test_depth_derived_split_sets_match_split_arithmetic(d):
         with pytest.raises(CycleComplete):
             split_next(st)
         g = finalize_cycle(st)
+
+
+def test_growth_error_names_d_n_and_cycle(monkeypatch):
+    """A target with one matching edge moved breaks the split at n = 6 (of
+    vertex 1:, next to both halves of 0:); the error keeps its text and type
+    and gains d, n and the cycle."""
+    import expanderseq.grower as grower
+
+    real = grower.split_next
+
+    def moved_edge(state):
+        if state.current.n != 5:
+            return real(state)
+        u, p = min(state.current.vertices), VertexName(0)
+        u0, u1 = u.child(0), u.child(1)
+        weights = state.target.weights
+        v = next(h for h in (p.child(0), p.child(1)) if state.target.weight(u1, h))
+        del weights[edge_key(u1, v)]
+        weights[edge_key(u0, v)] = 2
+        return real(GrowthState(state.current, state.target.replace(weights=weights)))
+
+    monkeypatch.setattr(grower, "split_next", moved_edge)
+    text = "target matching between 1: and 0: is not a perfect matching"
+    with pytest.raises(ConstructionError) as err:
+        state_at(6, 6, 97)
+    assert str(err.value) == f"d = 6, n = 6, cycle 0: {text}"
+    assert str(err.value.__cause__) == text
+
+
+def test_growth_error_counts_the_cycle_across_a_boundary(monkeypatch):
+    import expanderseq.grower as grower
+
+    def broken(state):
+        raise ConstructionError("broken split")
+
+    state_at(6, 8, 97)
+    monkeypatch.setattr(grower, "split_next", broken)
+    with pytest.raises(ConstructionError, match=r"^d = 6, n = 9, cycle 1: broken"):
+        state_at(6, 9, 97)
+
+
+@pytest.mark.parametrize("drop, message", [
+    ("0:1", "split neighbors of 1: do not decompose into pairs"),
+    ("2:", "2|U(u)| + |S(u)| = 4 != d at 1:"),
+])
+def test_split_errors_name_the_split_vertex(drop, message):
+    st = state_at(6, 5, 1)
+    u = min(st.current.vertices)
+    weights = st.current.weights
+    del weights[edge_key(u, parse_name(drop))]
+    broken = GrowthState(current=st.current.replace(weights=weights), target=st.target)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        split_next(broken)

@@ -1,0 +1,63 @@
+"""Every module-level import of the package is used by its module.
+
+No linter ships with the project, so this stdlib ``ast`` check stands in for
+an unused-import rule.  An import whose line carries ``# noqa: F401`` is
+exempt, and so is ``__init__.py``, whose imports are the package's exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expanderseq"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Every bare name the tree reads, quoted annotations included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for c in ast.walk(note) if note else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    names |= referenced_names(ast.parse(c.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = referenced_names(tree)
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            marks = {lines[node.lineno - 1], lines[alias.lineno - 1]}
+            if any("# noqa: F401" in line for line in marks):
+                continue
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"line {alias.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_check_sees_plain_and_annotation_uses():
+    source = (
+        "from typing import Sequence, TextIO\n"
+        "import numpy as np\n"
+        "import os  # noqa: F401\n"
+        "def f(x: 'Sequence[int]') -> None:\n"
+        "    return np.sum(x)\n"
+    )
+    assert unused_imports(source) == ["line 1: TextIO"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []

@@ -8,16 +8,13 @@ from expanderseq import lifts
 from expanderseq.grower import _cycle_seed, bl_expander, initial_graph
 from expanderseq.lifts import (
     EXHAUSTIVE_EDGE_LIMIT,
-    Signing,
     SigningSearchError,
     canonical_edge_list,
     default_lambda_budget,
     find_good_signing,
     next_bl_expander,
-    read_signing,
     spectral_report,
     two_lift,
-    write_signing,
 )
 from expanderseq.multigraph import (
     WeightedMultigraph,
@@ -45,11 +42,7 @@ def smallest_near_minimizer(base, codes):
     Returns the smallest code whose lift lambda lies within 1e-9 of the
     minimum over ``codes``, and that minimum.
     """
-    edges = canonical_edge_list(base)
-    lam = {
-        code: spectral_report(two_lift(base, Signing.from_int(edges, code))).lambda_
-        for code in codes
-    }
+    lam = {code: spectral_report(two_lift(base, code)).lambda_ for code in codes}
     best = min(lam.values())
     return min(code for code in codes if lam[code] <= best + 1e-9), best
 
@@ -57,7 +50,7 @@ def smallest_near_minimizer(base, codes):
 def test_two_lift_single_edge_parallel():
     a, b = VertexName(0), VertexName(1)
     base = WeightedMultigraph(6, [a, b], {edge_key(a, b): 1})
-    lifted = two_lift(base, Signing((edge_key(a, b),), (0,)))
+    lifted = two_lift(base, 0)
     assert lifted.weight(a.child(0), b.child(0)) == 1
     assert lifted.weight(a.child(1), b.child(1)) == 1
     assert lifted.weight(a.child(0), b.child(1)) == 0
@@ -65,8 +58,7 @@ def test_two_lift_single_edge_parallel():
 
 def test_two_lift_all_zero_makes_two_copies():
     base = simple_clique(4)
-    edges = canonical_edge_list(base)
-    lifted = two_lift(base, Signing(tuple(edges), (0,) * len(edges)))
+    lifted = two_lift(base, 0)
     for u, v, _ in base.edges():
         assert lifted.weight(u.child(0), v.child(0)) == 1
         assert lifted.weight(u.child(1), v.child(1)) == 1
@@ -75,8 +67,7 @@ def test_two_lift_all_zero_makes_two_copies():
 
 def test_two_lift_counts():
     base = simple_clique(4)
-    edges = canonical_edge_list(base)
-    lifted = two_lift(base, Signing(tuple(edges), (1, 0, 1, 0, 1, 0)))
+    lifted = two_lift(base, 0b101010)
     assert lifted.n == 8
     assert len(list(lifted.edges())) == 12
     assert all(weighted_degree(lifted, v) == 3 for v in lifted.vertices)
@@ -85,7 +76,7 @@ def test_two_lift_counts():
 def test_two_lift_edge_projection_property():
     base = simple_clique(4)
     edges = canonical_edge_list(base)
-    lifted = two_lift(base, Signing(tuple(edges), (1, 1, 0, 1, 0, 0)))
+    lifted = two_lift(base, 0b110100)
     for u, v in edges:
         found = sum(
             1
@@ -97,13 +88,44 @@ def test_two_lift_edge_projection_property():
 
 def test_two_lift_validates_input():
     base = simple_clique(4)
-    edges = canonical_edge_list(base)
-    with pytest.raises(ValueError):
-        two_lift(base, Signing(tuple(edges[:-1]), (0,) * 5))
+    for code in (-1, 1 << 6):
+        with pytest.raises(ValueError, match=rf"signing code {code} is outside"):
+            two_lift(base, code)
     a, b = VertexName(0), VertexName(1)
     weighted = WeightedMultigraph(6, [a, b], {edge_key(a, b): 2})
     with pytest.raises(ValueError):
-        two_lift(weighted, Signing((edge_key(a, b),), (0,)))
+        two_lift(weighted, 0)
+
+
+def edge_by_edge_lift(base, code):
+    """Reference lift: the j-th canonical edge reads bit m - 1 - j of ``code``."""
+    edges = canonical_edge_list(base)
+    m = len(edges)
+    weights = {}
+    for j, (u, v) in enumerate(edges):
+        if (code >> (m - 1 - j)) & 1:
+            pairs = ((u.child(0), v.child(1)), (u.child(1), v.child(0)))
+        else:
+            pairs = ((u.child(0), v.child(0)), (u.child(1), v.child(1)))
+        weights.update((edge_key(a, b), 1) for a, b in pairs)
+    vertices = [v.child(b) for v in base.vertices for b in (0, 1)]
+    return WeightedMultigraph(base.d, vertices, weights)
+
+
+@pytest.mark.parametrize("cycle, m", [(None, 6), (2, 24), (4, 96)])
+def test_two_lift_reads_code_bits_in_canonical_edge_order(cycle, m):
+    if cycle is None:
+        base = simple_clique(4)
+    else:
+        g_star = bl_expander(6, cycle, 1)
+        base = g_star.replace(weights=dict.fromkeys(g_star.weights, 1))
+    assert len(canonical_edge_list(base)) == m
+    rng = random.Random(m)
+    codes = [0, 1, 1 << (m - 1), (1 << m) - 1] + [rng.getrandbits(m) for _ in range(4)]
+    for code in codes:
+        lifted, want = two_lift(base, code), edge_by_edge_lift(base, code)
+        assert lifted.vertices == want.vertices
+        assert lifted.weights == want.weights, code
 
 
 def test_spectral_report_doubled_k4():
@@ -136,8 +158,7 @@ def test_spectral_report_eight_cycle():
 
 def test_all_zero_signing_spectrum_doubles():
     base = simple_clique(4)
-    edges = canonical_edge_list(base)
-    lifted = two_lift(base, Signing(tuple(edges), (0,) * 6))
+    lifted = two_lift(base, 0)
     lift_eigs = np.array(spectral_report(lifted).eigenvalues)
     base_eigs = np.array(spectral_report(base).eigenvalues)
     expected = np.sort(np.concatenate([base_eigs, base_eigs]))[::-1]
@@ -152,7 +173,7 @@ def test_find_good_signing_matches_brute_force(k):
     codes = range(1 << len(canonical_edge_list(base)))
     best_code, best_lam = smallest_near_minimizer(base, codes)
     found = find_good_signing(base, default_lambda_budget(base.d), seed=0)
-    assert found.to_int() == best_code
+    assert found == best_code
     assert spectral_report(two_lift(base, found)).lambda_ == pytest.approx(
         best_lam, abs=1e-9
     )
@@ -169,7 +190,7 @@ def test_random_search_matches_direct_lifts():
     found = find_good_signing(
         base, default_lambda_budget(6), search_budget=64, seed=9
     )
-    assert found.to_int() == best_code == 1705730
+    assert found == best_code == 1705730
 
 
 def test_find_good_signing_single_edge():
@@ -185,7 +206,9 @@ def test_find_good_signing_impossible_budget():
     with pytest.raises(SigningSearchError) as err:
         find_good_signing(base, lambda_budget=0.0, seed=0)
     assert err.value.best_lambda > 0
-    assert err.value.best is not None
+    # the carried code's lift has the reported lambda, up to eigensolver rounding
+    best = spectral_report(two_lift(base, err.value.best)).lambda_
+    assert best == pytest.approx(err.value.best_lambda, abs=1e-9)
 
 
 def test_find_good_signing_deterministic():
@@ -237,24 +260,12 @@ def test_weight_checks_name_the_smallest_bad_edge():
     simple = dict.fromkeys(g.weights, 1)
     simple.update(dict.fromkeys(bad, 2))
     base = g.replace(weights=simple)
-    edges = canonical_edge_list(base)
     with pytest.raises(ValueError, match="edge 0:0-1:0 has weight 2$"):
-        two_lift(base, Signing(tuple(edges), (0,) * len(edges)))
+        two_lift(base, 0)
     doubled = g.weights
     doubled.update(dict.fromkeys(bad, 1))
     with pytest.raises(ValueError, match="found 1 on 0:0-1:0$"):
         next_bl_expander(g.replace(weights=doubled), seed=1)
-
-
-def test_signing_file_roundtrip(tmp_path):
-    base = simple_clique(4)
-    s = find_good_signing(base, lambda_budget=3.5, seed=0)
-    path = tmp_path / "signing.txt"
-    with open(path, "w") as fp:
-        write_signing(s, fp)
-    with open(path) as fp:
-        back = read_signing(fp)
-    assert back == s
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -322,7 +333,7 @@ def test_pruned_search_matches_dense_loop(d, seed, i, monkeypatch):
     )
     [(got, want, solves)] = seen
     assert got == want
-    assert signing.to_int() == want[1]
+    assert signing == want[1]
     if (d, seed, i) == (10, 1, 0):
         assert want[1] == 348
     if base.n >= 64:  # the prune skips most candidates
@@ -361,7 +372,7 @@ def test_lanczos_bound_is_below_spectral_radius(name, steps):
     nbr, slot_edge = neighbour_table(base, edges)
     rng = random.Random(5)
     codes = [0] + [rng.getrandbits(len(edges)) for _ in range(40)]  # 0: A_s = A
-    bits = np.array([Signing.from_int(edges, c).bits for c in codes], np.uint8)
+    bits = lifts._code_bits(codes, len(edges))
     bounds = lifts._lanczos_bounds(nbr, slot_edge, bits, steps)
     for code, row, bound in zip(codes, bits, bounds):
         signed = np.zeros((base.n, base.n))
