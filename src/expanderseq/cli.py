@@ -249,10 +249,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             prev = grower.graph_at(d, base, args.lift_seed)
             for n in range(base + 1, max_n + 1):
                 state = grower.state_at(d, n, args.lift_seed)
-                log = grower.changelog_at(d, n, args.lift_seed)
                 try:
                     grower.check_state_invariants(state)
-                    grower.check_split_cost(prev, state.current, log)
+                    grower.check_split_cost(prev, state.current, state.log)
                 except grower.ConstructionError as exc:
                     failures.append(f"d={d} n={n}: {exc}")
                 prev = state.current

@@ -11,7 +11,9 @@ The next vertex to split is the canonically smallest unsplit one, so the
 depth-k name ``u`` is the split that produces G_n with n = ``split_n(d, u)``,
 and the whole sequence is a deterministic function of (d, seed).  Each
 split's ``ChangeLog`` records its neighbourhood and weight changes; readers
-take the split rule from the log instead of re-deriving it.
+take the split rule from the log instead of re-deriving it.  The state a
+split produces carries that log, so one cache of states, keyed by
+(d, n, seed), holds every G_n, its target and the split that made it.
 """
 
 from __future__ import annotations
@@ -44,18 +46,19 @@ class ConstructionError(RuntimeError):
 class ChangeLog:
     """One split: its neighbourhood and its weight changes.
 
-    ``halves`` pairs, per split neighbour, the half the 0 copy keeps with the
-    half the new vertex takes.  ``changes`` lists the exact weight transitions
-    on persistent-identity edges.  Every vertex tuple is in canonical order.
+    Only what ``split_next`` decides is stored.  ``halves`` pairs, per split
+    neighbour, the half the 0 copy keeps with the half the new vertex takes.
+    ``changes`` lists the exact weight transitions on persistent-identity
+    edges.  Every vertex tuple is in canonical order.  The new vertex, the
+    cost and the neighbour counts are derived from these.
     """
 
     split_vertex: VertexName
-    new_vertex: VertexName
     changes: tuple[tuple[Edge, int, int], ...]
-    cost: int
     unsplit_neighbors: tuple[VertexName, ...]
     halves: tuple[tuple[VertexName, VertexName], ...]
 
+    new_vertex = property(lambda log: log.split_vertex.child(1))
     n_unsplit_neighbors = property(lambda log: len(log.unsplit_neighbors))
     n_split_neighbors = property(lambda log: 2 * len(log.halves))
     lost_halves = property(lambda log: tuple(lost for _, lost in log.halves))
@@ -67,6 +70,11 @@ class ChangeLog:
         return tuple(sorted(self.unsplit_neighbors + self.lost_halves + pair))
 
     @property
+    def cost(self) -> int:
+        """Total weight change of the split: the sum of |new - old|."""
+        return sum(abs(new - old) for _, old, new in self.changes)
+
+    @property
     def topology_changes(self) -> int:
         """Edges whose presence flips: the change of the unweighted graph."""
         return sum((old > 0) != (new > 0) for _, old, new in self.changes)
@@ -74,14 +82,17 @@ class ChangeLog:
 
 @dataclass(frozen=True)
 class GrowthState:
-    """Mid-cycle snapshot: the current graph and the target lift it grows to.
+    """Mid-cycle snapshot: the current graph, the target lift it grows to
+    and the log of the split that produced it (``None`` at a cycle's start).
 
     A vertex has split this cycle when its name is as deep as the target's
-    names (S); the rest are one bit shallower and still unsplit (U).
+    names (S); the rest are one bit shallower and still unsplit (U).  Both
+    sets are derived from the names of ``current``.
     """
 
     current: WeightedMultigraph
     target: WeightedMultigraph
+    log: ChangeLog | None = None
 
     @cached_property
     def split(self) -> frozenset[VertexName]:
@@ -90,7 +101,7 @@ class GrowthState:
 
     @cached_property
     def unsplit(self) -> frozenset[VertexName]:
-        return self.current.vertices - self.split
+        return frozenset(self.current.vertices - self.split)
 
 
 def split_n(d: int, u: VertexName) -> int:
@@ -126,8 +137,8 @@ def begin_cycle(g_star: WeightedMultigraph, seed: int = 0) -> GrowthState:
     return GrowthState(current=g_star, target=target)
 
 
-def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
-    """Split the next unsplit vertex, returning the new state and its audit log.
+def split_next(state: GrowthState) -> GrowthState:
+    """Split the next unsplit vertex, returning the new state with its log.
 
     Unsplit names are the shallower ones, so the canonically smallest vertex
     is the next to split, and its split neighbours are the deeper names.
@@ -196,27 +207,23 @@ def split_next(state: GrowthState) -> tuple[GrowthState, ChangeLog]:
     if unsplit_nbrs:
         put(u0, u1, 0, len(unsplit_nbrs))
 
-    vertices = (set(g.vertices) - {u}) | {u0, u1}
-    new_graph = WeightedMultigraph(g.d, vertices, weights)
-    cost = sum(abs(new - old) for _, old, new in changes)
+    new_graph = WeightedMultigraph(g.d, (g.vertices - {u}) | {u0, u1}, weights)
+    log = ChangeLog(
+        split_vertex=u,
+        changes=tuple(changes),
+        unsplit_neighbors=unsplit_nbrs,
+        halves=tuple(halves),
+    )
     n_u, n_s = len(unsplit_nbrs), len(split_nbrs)
-    if cost != 3 * n_u + 5 * n_s // 2:
+    if log.cost != 3 * n_u + 5 * n_s // 2:
         raise ConstructionError(
-            f"cost {cost} != 3*{n_u} + 5*{n_s}/2 at {format_name(u)}"
+            f"cost {log.cost} != 3*{n_u} + 5*{n_s}/2 at {format_name(u)}"
         )
     if 2 * n_u + n_s != g.d:
         raise ConstructionError(
             f"2|U(u)| + |S(u)| = {2 * n_u + n_s} != d at {format_name(u)}"
         )
-    log = ChangeLog(
-        split_vertex=u,
-        new_vertex=u1,
-        changes=tuple(changes),
-        cost=cost,
-        unsplit_neighbors=unsplit_nbrs,
-        halves=tuple(halves),
-    )
-    return GrowthState(current=new_graph, target=h), log
+    return GrowthState(current=new_graph, target=h, log=log)
 
 
 def finalize_cycle(state: GrowthState) -> WeightedMultigraph:
@@ -234,9 +241,7 @@ def finalize_cycle(state: GrowthState) -> WeightedMultigraph:
 
 
 def _diff_graphs(a: WeightedMultigraph, b: WeightedMultigraph) -> str:
-    missing = sorted(
-        format_name(v) for v in a.vertices.symmetric_difference(b.vertices)
-    )
+    missing = sorted(format_name(v) for v in a.vertices ^ b.vertices)
     edge_diff = []
     wa, wb = a.weights, b.weights
     for k in wa.keys() | wb.keys():
@@ -247,12 +252,10 @@ def _diff_graphs(a: WeightedMultigraph, b: WeightedMultigraph) -> str:
 
 
 _STATE_CACHE: dict[tuple[int, int, int], GrowthState] = {}
-_LOG_CACHE: dict[tuple[int, int, int], ChangeLog] = {}
 
 
 def clear_caches() -> None:
     _STATE_CACHE.clear()
-    _LOG_CACHE.clear()
 
 
 def bl_expander(d: int, i: int, seed: int = 0) -> WeightedMultigraph:
@@ -288,12 +291,11 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
         try:
             if st.current.n == st.target.n:
                 st = begin_cycle(finalize_cycle(st), seed)
-            st, log = split_next(st)
+            st = split_next(st)
         except ConstructionError as exc:
             cycle = min(st.target.vertices).depth - 1
             raise type(exc)(f"d = {d}, n = {m}, cycle {cycle}: {exc}") from exc
         _STATE_CACHE[(d, m, seed)] = st
-        _LOG_CACHE[(d, m, seed)] = log
     return _STATE_CACHE[key]
 
 
@@ -308,8 +310,7 @@ def changelog_at(d: int, n: int, seed: int = 0) -> ChangeLog:
     """The audit log of the split that produced G_n from G_{n-1}."""
     if n <= d // 2 + 1:
         raise ValueError("the starting clique has no predecessor")
-    state_at(d, n, seed)
-    return _LOG_CACHE[(d, n, seed)]
+    return state_at(d, n, seed).log
 
 
 def check_state_invariants(state: GrowthState) -> None:

@@ -60,11 +60,7 @@ KRYLOV_CHUNK_BYTES = 1 << 19
 
 
 class SpectralError(RuntimeError):
-    """Eigendecomposition failed; carries whatever context is available."""
-
-    def __init__(self, message: str, matrix: np.ndarray | None = None):
-        super().__init__(message)
-        self.matrix = matrix
+    """Eigendecomposition failed."""
 
 
 class SigningSearchError(RuntimeError):
@@ -150,7 +146,7 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigensolver did not converge: {exc}", matrix=a) from exc
+        raise SpectralError(f"eigensolver did not converge: {exc}") from exc
 
 
 def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[int]:

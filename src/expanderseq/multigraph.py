@@ -4,14 +4,16 @@ A multigraph is stored as a weighted simple graph: one adjacency map holds
 the positive integer weight of each unordered vertex pair (the number of
 parallel edges) under both endpoints.  Absent pairs mean weight zero and
 weight-zero entries are never stored, so the weights double as a multiset of
-edges and symmetric differences are well defined.  Every graph carries its
+edges and symmetric differences are well defined.  The map's keys are the
+vertex set (an isolated vertex keeps an empty row), so the vertex set, ``n``
+and the canonical weight map are all read from it.  Every graph carries its
 target degree ``d`` (even, >= 6); actual regularity is a property of grower
 output, not of the type.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, KeysView, Mapping
 
 import numpy as np
 
@@ -33,7 +35,7 @@ def edge_key(u: VertexName, v: VertexName) -> Edge:
 class WeightedMultigraph:
     """Immutable weighted multigraph on split-history names."""
 
-    __slots__ = ("d", "_vertices", "_adj")
+    __slots__ = ("d", "_adj")
 
     def __init__(
         self,
@@ -44,8 +46,7 @@ class WeightedMultigraph:
         if d < 6 or d % 2 != 0:
             raise ValueError(f"degree target must be an even integer >= 6, got {d}")
         self.d = d
-        self._vertices = frozenset(vertices)
-        adj: dict[VertexName, dict[VertexName, int]] = {v: {} for v in self._vertices}
+        adj: dict[VertexName, dict[VertexName, int]] = {v: {} for v in vertices}
         for (u, v), w in weights.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
@@ -60,8 +61,8 @@ class WeightedMultigraph:
         self._adj = adj
 
     @property
-    def vertices(self) -> frozenset[VertexName]:
-        return self._vertices
+    def vertices(self) -> KeysView[VertexName]:
+        return self._adj.keys()
 
     @property
     def weights(self) -> dict[Edge, int]:
@@ -70,13 +71,13 @@ class WeightedMultigraph:
 
     @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self._adj)
 
     def weight(self, u: VertexName, v: VertexName) -> int:
         return self._adj.get(u, {}).get(v, 0)
 
     def neighbors(self, v: VertexName) -> Mapping[VertexName, int]:
-        if v not in self._vertices:
+        if v not in self._adj:
             raise KeyError(f"vertex {format_name(v)} not in graph")
         return self._adj[v]
 
@@ -90,16 +91,9 @@ class WeightedMultigraph:
     def sorted_edges(self) -> list[tuple[VertexName, VertexName, int]]:
         return sorted(self.edges())
 
-    def replace(
-        self,
-        vertices: Iterable[VertexName] | None = None,
-        weights: Mapping[Edge, int] | None = None,
-    ) -> "WeightedMultigraph":
-        return WeightedMultigraph(
-            self.d,
-            self._vertices if vertices is None else vertices,
-            self.weights if weights is None else weights,
-        )
+    def replace(self, weights: Mapping[Edge, int]) -> "WeightedMultigraph":
+        """The graph on the same vertices with ``weights`` as its edges."""
+        return WeightedMultigraph(self.d, self._adj, weights)
 
 
 def _fmt_edge(e: Edge) -> str:
@@ -179,7 +173,7 @@ def _identity_weights(g: WeightedMultigraph) -> dict[Edge, int]:
 
 def graphs_equal(g1: WeightedMultigraph, g2: WeightedMultigraph) -> bool:
     """Exact equality of vertex sets and weight maps (raw names)."""
-    return g1.vertices == g2.vertices and g1._adj == g2._adj
+    return g1._adj == g2._adj
 
 
 def graph_to_text(g: WeightedMultigraph) -> str:

@@ -49,7 +49,7 @@ def test_initial_graph_rejects_odd_or_small():
 
 def test_begin_cycle_state():
     st = begin_cycle(initial_graph(6), seed=1)
-    assert len(st.unsplit) == 4 and not st.split
+    assert len(st.unsplit) == 4 and not st.split and st.log is None
     assert st.target.n == 8
     st2 = begin_cycle(initial_graph(6), seed=1)
     assert graphs_equal(st.target, st2.target)
@@ -58,7 +58,7 @@ def test_begin_cycle_state():
 
 def test_first_split_costs():
     st = begin_cycle(initial_graph(6), seed=1)
-    st, log = split_next(st)
+    log = split_next(st).log
     assert log.cost == 9
     assert log.n_unsplit_neighbors == 3 and log.n_split_neighbors == 0
 
@@ -68,7 +68,8 @@ def test_full_cycle_costs_and_invariants():
     prev = st.current
     costs = []
     while st.unsplit:
-        st, log = split_next(st)
+        st = split_next(st)
+        log = st.log
         check_state_invariants(st)
         check_split_cost(prev, st.current, log)
         assert 2 * log.n_unsplit_neighbors + log.n_split_neighbors == 6
@@ -79,6 +80,15 @@ def test_full_cycle_costs_and_invariants():
     final = finalize_cycle(st)
     assert final.n == 8
     assert all(v.depth == 1 for v in final.vertices)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_state_carries_the_log_of_its_split(d):
+    """Across the first two cycle boundaries, each cached G_n's state holds
+    the very log that changelog_at returns for n."""
+    base = d // 2 + 1
+    for n in range(base + 1, 4 * base + 2):
+        assert state_at(d, n, 1).log is changelog_at(d, n, 1)
 
 
 def test_split_next_exhausted_cycle_signals():
@@ -250,8 +260,8 @@ def test_depth_derived_split_sets_match_split_arithmetic(d):
             if not unsplit:
                 break
             u = min(unsplit)
-            st, log = split_next(st)
-            assert log.split_vertex == u
+            st = split_next(st)
+            assert st.log.split_vertex == u
             split, unsplit = split | {u.child(0), u.child(1)}, unsplit - {u}
         with pytest.raises(CycleComplete):
             split_next(st)

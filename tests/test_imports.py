@@ -1,8 +1,10 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and
+every private module-level name is used somewhere in the package.
 
-No linter ships with the project, so this stdlib ``ast`` check stands in for
-an unused-import rule.  An import whose line carries ``# noqa: F401`` is
-exempt, and so is ``__init__.py``, whose imports are the package's exports.
+No linter ships with the project, so these stdlib ``ast`` checks stand in
+for unused-import and unused-helper rules.  An import whose line carries
+``# noqa: F401`` is exempt, and so is ``__init__.py``, whose imports are the
+package's exports.
 """
 
 import ast
@@ -61,3 +63,42 @@ def test_unused_import_check_sees_plain_and_annotation_uses():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The ``_``-prefixed, non-dunder names a module binds at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                names |= {n.id for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in names if n[:1] == "_" and not (n[:2] == n[-2:] == "__")}
+
+
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Private module-level names of ``sources`` that none of them reads."""
+    trees = [ast.parse(s) for s in sources]
+    defined = set().union(*map(private_definitions, trees))
+    loaded = {
+        node.id
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(defined - loaded)
+
+
+def test_unused_private_name_check_sees_loads_in_other_modules():
+    sources = [
+        "_A, _B = 1, 2\n_C: int = 3\n__all__ = []\ndef _f(): return _A\n",
+        "from .m import _B\nclass _K: pass\nprint(_B)\n_D = 4\n",
+    ]
+    assert unused_private_names(sources) == ["_C", "_D", "_K", "_f"]
+
+
+def test_package_has_no_unused_private_names():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []

@@ -120,6 +120,10 @@ def test_graphs_equal():
     g = graph_at(6, 5, 1)
     assert graphs_equal(g, g)
     assert not graphs_equal(graph_at(6, 4, 1), g)
+    # the same edges and one isolated vertex more make a different graph
+    extra = WeightedMultigraph(6, [*g.vertices, VertexName(9)], g.weights)
+    assert extra.n == g.n + 1
+    assert not graphs_equal(g, extra) and not graphs_equal(extra, g)
 
 
 simple_names = st.builds(
