@@ -14,6 +14,13 @@ split's ``ChangeLog`` records its neighbourhood and weight changes; readers
 take the split rule from the log instead of re-deriving it.  The state a
 split produces carries that log, so one cache of states, keyed by
 (d, n, seed), holds every G_n, its target and the split that made it.
+
+A split derives G_n from G_{n-1} with ``WeightedMultigraph.with_rows``: only
+the two halves, the unsplit neighbours and both halves of each split
+neighbour get new rows, and every other row is shared with G_{n-1}.  So a
+split does O(d) Python work, the cached graphs of a cycle hold each
+untouched row once, and a row's memoised file text serves every later graph
+that shares it.  No reader may mutate a row.
 """
 
 from __future__ import annotations
@@ -153,17 +160,20 @@ def split_next(state: GrowthState) -> GrowthState:
     unsplit_nbrs = tuple(sorted(v for v in nbrs if v.depth == u.depth))
     split_nbrs = sorted(v for v in nbrs if v.depth > u.depth)
 
-    weights = g.weights
+    # fresh rows for u's neighbourhood and the two halves; the rest are shared
+    rows: dict[VertexName, dict[VertexName, int] | None] = {u: None, u0: {}, u1: {}}
     for v in nbrs:
-        del weights[edge_key(u, v)]
+        rows[v] = row = dict(g.neighbors(v))
+        del row[u]
     changes: list[tuple[Edge, int, int]] = []
 
     def put(a: VertexName, b: VertexName, old: int, new: int) -> None:
         """Set the G_n weight of a-b and log it on the persistent-identity edge."""
         if new:
-            weights[edge_key(a, b)] = new
+            rows[a][b] = rows[b][a] = new
         else:
-            weights.pop(edge_key(a, b), None)
+            rows[a].pop(b, None)
+            rows[b].pop(a, None)
         changes.append((edge_key(strip_identity(a), strip_identity(b)), old, new))
 
     for v in unsplit_nbrs:
@@ -207,7 +217,7 @@ def split_next(state: GrowthState) -> GrowthState:
     if unsplit_nbrs:
         put(u0, u1, 0, len(unsplit_nbrs))
 
-    new_graph = WeightedMultigraph(g.d, (g.vertices - {u}) | {u0, u1}, weights)
+    new_graph = g.with_rows(rows)
     log = ChangeLog(
         split_vertex=u,
         changes=tuple(changes),

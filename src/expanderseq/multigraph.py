@@ -9,6 +9,12 @@ vertex set (an isolated vertex keeps an empty row), so the vertex set, ``n``
 and the canonical weight map are all read from it.  Every graph carries its
 target degree ``d`` (even, >= 6); actual regularity is a property of grower
 output, not of the type.
+
+A graph is immutable, and so is each of its rows: ``with_rows`` derives a
+graph that shares every row it does not replace, so the graphs of the growth
+sequence share their untouched rows.  A row must never be mutated, and a row
+belongs to one vertex, so ``graph_to_text`` memoises each row's text on the
+row and formats only the rows no earlier call has seen.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ Edge = tuple[VertexName, VertexName]
 # the largest weight a graph file may carry, so that the int64 cut and
 # adjacency kernels cannot overflow on any sum of a file's weights
 MAX_FILE_WEIGHT = 2**31 - 1
+
+
+class _Row(dict):
+    """One vertex's neighbour weights; ``text`` is its memoised file text."""
+
+    __slots__ = ("text",)
 
 
 def edge_key(u: VertexName, v: VertexName) -> Edge:
@@ -46,7 +58,7 @@ class WeightedMultigraph:
         if d < 6 or d % 2 != 0:
             raise ValueError(f"degree target must be an even integer >= 6, got {d}")
         self.d = d
-        adj: dict[VertexName, dict[VertexName, int]] = {v: {} for v in vertices}
+        adj: dict[VertexName, _Row] = {v: _Row() for v in vertices}
         for (u, v), w in weights.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
@@ -77,6 +89,7 @@ class WeightedMultigraph:
         return self._adj.get(u, {}).get(v, 0)
 
     def neighbors(self, v: VertexName) -> Mapping[VertexName, int]:
+        """The row of ``v`` itself, which other graphs may share: read only."""
         if v not in self._adj:
             raise KeyError(f"vertex {format_name(v)} not in graph")
         return self._adj[v]
@@ -94,6 +107,53 @@ class WeightedMultigraph:
     def replace(self, weights: Mapping[Edge, int]) -> "WeightedMultigraph":
         """The graph on the same vertices with ``weights`` as its edges."""
         return WeightedMultigraph(self.d, self._adj, weights)
+
+    def with_rows(
+        self, rows: Mapping[VertexName, Mapping[VertexName, int] | None]
+    ) -> "WeightedMultigraph":
+        """The graph with a copy of ``rows[v]`` as the row of each ``v``
+        (``None`` deletes ``v``), sharing every other row with this one.
+
+        Only the given rows are checked, in O(their size): the constructor's
+        weight, self-loop and unknown-vertex rules, and symmetry with the
+        rows they name or used to name.
+        """
+        old = self._adj
+        adj = old.copy()
+        for v, row in rows.items():
+            if row is not None:
+                adj[v] = _Row(row)
+            elif adj.pop(v, None) is None:
+                raise ValueError(f"vertex {format_name(v)} not in graph")
+        for v in rows:
+            row = adj.get(v, {})
+            for x in old.get(v, ()):
+                if x not in row and v in adj.get(x, ()):
+                    raise _asymmetry(adj, v, x)
+            for x, w in row.items():
+                if not isinstance(w, int) or w < 1:
+                    raise ValueError(
+                        f"edge weight must be a positive integer, got {w!r}"
+                    )
+                if x not in adj or x == v:
+                    k = edge_key(v, x)  # raises on a self-loop
+                    raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
+                if adj[x].get(v) != w:
+                    raise _asymmetry(adj, v, x)
+        g = WeightedMultigraph.__new__(WeightedMultigraph)
+        g.d, g._adj = self.d, adj
+        return g
+
+
+def _asymmetry(adj: Mapping, v: VertexName, x: VertexName) -> ValueError:
+    """The error for rows of ``v`` and ``x`` that disagree on their edge."""
+    k = _fmt_edge(edge_key(v, x))
+    if v not in adj:
+        return ValueError(f"edge {k} uses an unknown vertex")
+    return ValueError(
+        f"edge {k} has weight {adj[v].get(x, 0)} at {format_name(v)} "
+        f"but {adj[x].get(v, 0)} at {format_name(x)}"
+    )
 
 
 def _fmt_edge(e: Edge) -> str:
@@ -176,22 +236,44 @@ def graphs_equal(g1: WeightedMultigraph, g2: WeightedMultigraph) -> bool:
     return g1._adj == g2._adj
 
 
+class _Labels(dict):
+    """``format_name`` of each vertex looked up, formatted once."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: VertexName) -> str:
+        text = self[v] = format_name(v)
+        return text
+
+
 def graph_to_text(g: WeightedMultigraph) -> str:
     """The interchange format: ``d n`` then ``NAME1 NAME2 W`` lines.
 
-    Edges are sorted canonically and lines end with LF.  Isolated vertices
-    cannot be represented and are rejected.
+    Edges are sorted canonically and lines end with LF: row by row in
+    canonical vertex order, each row's edges to greater names in canonical
+    order.  A row's text is memoised on the row.  Isolated vertices cannot be
+    represented and are rejected.
     """
-    label = {}
-    for v in g.vertices:
-        if not g.neighbors(v):
-            raise ValueError(
-                f"vertex {format_name(v)} has no edges; the file format "
-                "cannot represent isolated vertices"
-            )
-        label[v] = format_name(v)
-    body = "".join(f"{label[u]} {label[v]} {w}\n" for u, v, w in g.sorted_edges())
-    return f"{g.d} {g.n}\n{body}"
+    label = _Labels()
+    parts = [f"{g.d} {g.n}\n"]
+    for u in sorted(g._adj):
+        row = g._adj[u]
+        text = getattr(row, "text", None)
+        if text is None:
+            text = row.text = _row_text(u, row, label)
+        parts.append(text)
+    return "".join(parts)
+
+
+def _row_text(u: VertexName, row: Mapping[VertexName, int], label: _Labels) -> str:
+    """The file lines of ``u``'s edges to greater names, in canonical order."""
+    if not row:
+        raise ValueError(
+            f"vertex {format_name(u)} has no edges; the file format "
+            "cannot represent isolated vertices"
+        )
+    lu = label[u]
+    return "".join([f"{lu} {label[v]} {row[v]}\n" for v in sorted(row) if v > u])
 
 
 def _numeral(field: str) -> int | None:

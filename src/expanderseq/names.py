@@ -85,7 +85,7 @@ def is_all_zeros(name: VertexName) -> bool:
 
 def format_name(name: VertexName) -> str:
     """Serialize as ``base:bitstring`` (empty bit string allowed)."""
-    return f"{name.base}:{''.join(str(b) for b in name.bits)}"
+    return f"{name.base}:{''.join(['01'[b] for b in name.bits])}"
 
 
 def parse_name(text: str) -> VertexName:

@@ -319,3 +319,101 @@ def test_split_errors_name_the_split_vertex(drop, message):
     broken = GrowthState(current=st.current.replace(weights=weights), target=st.target)
     with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
         split_next(broken)
+
+
+def oracle_text(g):
+    """The file text as the codec wrote it before rows were memoised."""
+    body = "".join(
+        f"{format_name(u)} {format_name(v)} {w}\n" for u, v, w in g.sorted_edges()
+    )
+    return f"{g.d} {g.n}\n{body}"
+
+
+def assert_matches_rebuild(g):
+    """A derived graph equals its full rebuild, and its memoised text (read
+    cold and again warm) equals the oracle's."""
+    assert graphs_equal(g, WeightedMultigraph(g.d, g.vertices, g.weights))
+    assert graph_to_text(g) == graph_to_text(g) == oracle_text(g)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d", [6, 8, 12])
+def test_derived_graphs_match_a_full_rebuild(d, seed):
+    base = d // 2 + 1
+    for n in range(base, 8 * base + 1):  # every n through cycle 2
+        assert_matches_rebuild(graph_at(d, n, seed))
+
+
+def test_cached_states_match_a_full_rebuild_after_grow_and_churn(capsys):
+    """A shared row mutated, or a memoised text gone stale, by a grow sweep
+    or a self-heal script shows in some cached state."""
+    import random
+
+    from expanderseq import cli, grower
+    from expanderseq.selfheal import DeleteEvent, InsertEvent, run_script
+
+    argv = ["grow", "--d", "6", "--n", "4", "--n-to", "70", "--lift-seed", "3"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    rng = random.Random(5)
+    live, events = [f"g{i}" for i in range(5)], []
+    for k in range(80):
+        if len(live) > 5 and rng.random() < 0.3:
+            victim = rng.choice(live)
+            live.remove(victim)
+            events.append(DeleteEvent(victim))
+        else:
+            events.append(InsertEvent(f"n{k}", tuple(rng.sample(live, 2))))
+            live.append(f"n{k}")
+    run_script(8, 2, events)
+    assert (6, 70, 3) in grower._STATE_CACHE and (8, 40, 2) in grower._STATE_CACHE
+    graphs = {}
+    for st in grower._STATE_CACHE.values():
+        graphs[id(st.current)], graphs[id(st.target)] = st.current, st.target
+    for g in graphs.values():
+        assert_matches_rebuild(g)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_split_shares_every_untouched_row(d):
+    """Over three cycles, each split gives fresh rows to the two halves, the
+    unsplit neighbours and both halves of each split neighbour, drops the
+    split vertex's row, and shares every other row with its predecessor."""
+    g = initial_graph(d)
+    for _ in range(3):
+        st = begin_cycle(g, seed=1)
+        while st.unsplit:
+            prev = st.current
+            st = split_next(st)
+            log, cur = st.log, st.current
+            u = log.split_vertex
+            touched = {u.child(0), u.child(1), *log.unsplit_neighbors}
+            touched.update(half for pair in log.halves for half in pair)
+            assert u not in cur.vertices and touched <= cur.vertices
+            for v in cur.vertices - touched:
+                assert cur.neighbors(v) is prev.neighbors(v)
+            for v in touched & prev.vertices:
+                assert cur.neighbors(v) is not prev.neighbors(v)
+        g = finalize_cycle(st)
+
+
+def test_graphs_built_from_scratch_depend_on_cycles_not_splits(monkeypatch):
+    """Cold growth builds whole graphs only per cycle (clique, halved base,
+    lift, doubled target); splits derive theirs.  n = 257 is the first split
+    of cycle 6 and n = 300 the 44th, so both count the same builds."""
+    real = WeightedMultigraph.__init__
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightedMultigraph, "__init__", counted)
+    builds = {}
+    for n in (257, 300):
+        clear_caches()
+        calls.clear()
+        graph_at(6, n, 1)
+        builds[n] = len(calls)
+    clear_caches()
+    assert builds[257] == builds[300] <= 4 * 7

@@ -14,7 +14,7 @@ from expanderseq.multigraph import (
     graphs_equal,
     weighted_degree,
 )
-from expanderseq.names import VertexName, parse_name
+from expanderseq.names import VertexName, format_name, parse_name
 
 
 def k4_doubled():
@@ -257,3 +257,60 @@ def test_write_rejects_isolated_vertex():
     g = WeightedMultigraph(6, names, {edge_key(names[0], names[1]): 1})
     with pytest.raises(ValueError):
         graph_to_text(g)
+
+
+def derivation_error(g, rows):
+    with pytest.raises(ValueError) as err:
+        g.with_rows(rows)
+    return str(err.value)
+
+
+def constructor_error(g, weights):
+    with pytest.raises(ValueError) as err:
+        WeightedMultigraph(g.d, g.vertices, weights)
+    return str(err.value)
+
+
+def test_with_rows_rejects_what_the_constructor_rejects():
+    g = graph_at(6, 6, 1)
+    u = min(g.vertices)
+    x = min(g.neighbors(u))
+    w = g.weight(u, x)
+    for bad in (0, -1, 1.0, "1"):
+        assert derivation_error(g, {u: {**g.neighbors(u), x: bad}}) == (
+            constructor_error(g, {**g.weights, edge_key(u, x): bad})
+        )
+    stranger = VertexName(9)
+    assert derivation_error(g, {u: {**g.neighbors(u), stranger: 1}}) == (
+        constructor_error(g, {**g.weights, edge_key(u, stranger): 1})
+    ) == "edge {2:, 9:} uses an unknown vertex"
+    assert derivation_error(g, {u: {**g.neighbors(u), u: 1}}) == (
+        constructor_error(g, {**g.weights, (u, u): 1})
+    ) == "self-loop 2: is not allowed"
+    # rows that disagree on an edge, by weight or by omission of either end
+    assert (format_name(u), format_name(x)) == ("2:", "3:")
+    assert derivation_error(g, {u: {**g.neighbors(u), x: w + 1}}) == (
+        f"edge {{2:, 3:}} has weight {w + 1} at 2: but {w} at 3:"
+    )
+    row = dict(g.neighbors(u))
+    del row[x]
+    assert derivation_error(g, {u: row}) == (
+        f"edge {{2:, 3:}} has weight 0 at 2: but {w} at 3:"
+    )
+    assert derivation_error(g, {u: None}) == "edge {2:, 3:} uses an unknown vertex"
+    assert derivation_error(g, {stranger: None}) == "vertex 9: not in graph"
+
+
+def test_with_rows_shares_the_rest_and_copies_what_it_is_given():
+    g = graph_at(6, 6, 1)
+    u = min(g.vertices)
+    x = min(g.neighbors(u))
+    rows = {v: dict(g.neighbors(v)) for v in (u, x)}
+    rows[u][x] += 1
+    rows[x][u] += 1
+    h = g.with_rows(rows)
+    bumped = {**g.weights, edge_key(u, x): g.weight(u, x) + 1}
+    assert graphs_equal(h, WeightedMultigraph(6, g.vertices, bumped))
+    assert all(h.neighbors(v) is g.neighbors(v) for v in g.vertices - {u, x})
+    rows[u][x] += 1  # the graph holds copies, not the caller's dicts
+    assert h.weight(u, x) == g.weight(u, x) + 1
