@@ -11,12 +11,13 @@ preimages) through ``_min_ratio``, the exact minimum of weight / |side|;
 cut, each by number of split endpoints (uu, su, ss).  Exhaustive checks up
 to n = 16 run in milliseconds and n = 24 stays feasible.
 
-Two distinct cut-weight functions coexist on growth states: the expansion
-measurements count every edge, while the block machinery relating a cut to
-its image in the next doubled expander excludes edges between split partners.
-The scalar path (``expansion_of_set``, ``cut_decomposition``,
-``half_lemma_check``) computes both for one cut from vertex sets, without the
-kernel, and is the reference the kernel is tested against.
+Two cut weights coexist on growth states: the expansion measurements count
+every edge, while the block machinery relating a cut to its image in the next
+doubled expander excludes edges between split partners.  The scalar path
+(``expansion_of_set``, ``cut_decomposition``, ``half_lemma_check``) computes
+both for one cut from vertex sets with ``_weight_between``, the caller
+choosing the edges, without the kernel, and is the reference the kernel is
+tested against.
 """
 
 from __future__ import annotations
@@ -73,12 +74,15 @@ class RayleighResult:
     quotient: float
 
 
-def _cut_weight(g: WeightedMultigraph, members: set[VertexName]) -> int:
-    total = 0
-    for u, v, w in g.edges():
-        if (u in members) != (v in members):
-            total += w
-    return total
+def _weight_between(
+    edges: Iterable[tuple[VertexName, VertexName, int]],
+    xs: set[VertexName],
+    ys: set[VertexName],
+) -> int:
+    """Total weight of the edges with one end in ``xs`` and the other in ``ys``."""
+    return sum(
+        w for u, v, w in edges if (u in xs and v in ys) or (v in xs and u in ys)
+    )
 
 
 def expansion_of_set(g: WeightedMultigraph, s: Iterable[VertexName]) -> Fraction:
@@ -91,7 +95,8 @@ def expansion_of_set(g: WeightedMultigraph, s: Iterable[VertexName]) -> Fraction
         raise AnalysisError(
             f"unknown vertices: {sorted(format_name(v) for v in unknown)}"
         )
-    return Fraction(_cut_weight(g, members), len(members))
+    cut = _weight_between(g.edges(), members, g.vertices - members)
+    return Fraction(cut, len(members))
 
 
 def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
@@ -306,30 +311,6 @@ def _future_set(state: GrowthState, a: set[VertexName]) -> set[VertexName]:
     return set().union(*(locus(v, depth) for v in a))
 
 
-def _wg_between(
-    state: GrowthState, xs: set[VertexName], ys: set[VertexName]
-) -> int:
-    """Cut weight in the current graph, excluding split-partner edges."""
-    g = state.current
-    total = 0
-    for u, v, w in g.edges():
-        if u in state.split and v in state.split and partner(u) == v:
-            continue
-        if (u in xs and v in ys) or (v in xs and u in ys):
-            total += w
-    return total
-
-
-def _wh_between(
-    state: GrowthState, xs: set[VertexName], ys: set[VertexName]
-) -> int:
-    total = 0
-    for u, v, w in state.target.edges():
-        if (u in xs and v in ys) or (v in xs and u in ys):
-            total += w
-    return total
-
-
 def cut_decomposition(
     state: GrowthState, a: Iterable[VertexName]
 ) -> CutDecomposition:
@@ -341,18 +322,18 @@ def cut_decomposition(
     sa, ua = aset & state.split, aset & state.unsplit
     sb, ub = bset & state.split, bset & state.unsplit
     fa, fb = _future_set(state, aset), _future_set(state, bset)
-    wg = {
-        "ss": _wg_between(state, sa, sb),
-        "uu": _wg_between(state, ua, ub),
-        "su": _wg_between(state, sa, ub),
-        "us": _wg_between(state, ua, sb),
-    }
-    wh = {
-        "ss": _wh_between(state, _future_set(state, sa), _future_set(state, sb)),
-        "uu": _wh_between(state, _future_set(state, ua), _future_set(state, ub)),
-        "su": _wh_between(state, _future_set(state, sa), _future_set(state, ub)),
-        "us": _wh_between(state, _future_set(state, ua), _future_set(state, sb)),
-    }
+    # the current cut leaves out split-partner edges
+    g_edges = [
+        (u, v, w)
+        for u, v, w in g.edges()
+        if not (u in state.split and v in state.split and partner(u) == v)
+    ]
+    h_edges = list(state.target.edges())
+    blocks = {"ss": (sa, sb), "uu": (ua, ub), "su": (sa, ub), "us": (ua, sb)}
+    wg, wh = {}, {}
+    for k, (xs, ys) in blocks.items():
+        wg[k] = _weight_between(g_edges, xs, ys)
+        wh[k] = _weight_between(h_edges, _future_set(state, xs), _future_set(state, ys))
 
     def tup(x: set[VertexName]) -> tuple[VertexName, ...]:
         return tuple(sorted(x))
@@ -393,7 +374,7 @@ def half_lemma_check(state: GrowthState, a: Iterable[VertexName]) -> bool:
     aset = set(a)
     fa = _future_set(state, aset)
     fb = _future_set(state, set(state.current.vertices) - aset)
-    wh_direct = _wh_between(state, fa, fb)
+    wh_direct = _weight_between(state.target.edges(), fa, fb)
     if wh_direct != wh_total:
         raise LemmaViolation(
             f"future cut blocks do not add up: {wh_total} != {wh_direct}"
@@ -506,7 +487,7 @@ def unbalanced_bound_check(
         raise AnalysisError("X must be nonempty with |X| <= n/2")
     d = _regular_degree(h_graph)
     lam = spectral_report(h_graph).lambda_
-    cut = _cut_weight(h_graph, xs)
+    cut = _weight_between(h_graph.edges(), xs, h_graph.vertices - xs)
     bound = len(xs) * (d * (n - len(xs)) / n - 4.0 * lam)
     return cut >= bound - FLOAT_SLACK
 

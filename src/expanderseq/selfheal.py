@@ -576,20 +576,12 @@ class SimNetwork:
         for u, v, _ in base.sorted_edges():
             self.nodes[ids[u]].neighbor_table[v] = ids[v]
             self.nodes[ids[v]].neighbor_table[u] = ids[u]
-        coord = self._coordinator()
+        coord = self.nodes[ids[VertexName(0)]]
         coord.known_n = self.n
         for nb_ext in coord.neighbor_table.values():
             self.nodes[nb_ext].replica_n = self.n
 
     # -- bookkeeping ------------------------------------------------------
-
-    def _coordinator(self) -> NodeState:
-        coords = [x for x in self.nodes.values() if x.is_coordinator]
-        if len(coords) != 1:
-            raise ProtocolError(
-                f"expected exactly one coordinator, found {len(coords)}"
-            )
-        return coords[0]
 
     def reset_counters(self) -> None:
         self.rounds = 0
@@ -1338,50 +1330,57 @@ class SimNetwork:
     # -- observation -------------------------------------------------------
 
     def topology(self) -> WeightedMultigraph:
-        """The simulated unweighted topology, asserting table symmetry."""
-        weights = {}
-        for node in self.nodes.values():
-            if node.name is None:
-                raise ProtocolError(f"{node.ext_id} has no name at quiescence")
-            for name, ext in node.neighbor_table.items():
-                other = self.nodes.get(ext)
-                if other is None or other.name != name:
-                    raise ProtocolError(
-                        f"{node.ext_id} binds {format_name(name)} to {ext}, "
-                        "which does not match"
-                    )
-                if other.neighbor_table.get(node.name) != node.ext_id:
-                    raise ProtocolError(f"asymmetric edge {node.ext_id} -> {ext}")
-                weights[edge_key(node.name, name)] = 1
+        """The simulated unweighted topology, read off the node tables."""
+        weights = {
+            edge_key(node.name, name): 1
+            for node in self.nodes.values()
+            for name in node.neighbor_table
+        }
         names = [x.name for x in self.nodes.values()]
         return WeightedMultigraph(self.d, names, weights)
 
     def _common_checks(self) -> None:
-        for node in self.nodes.values():
-            if node.attach_links:
-                raise ProtocolError(f"{node.ext_id} still holds attach links")
-            if node.takeover is not None or node.handover is not None:
-                raise ProtocolError(f"{node.ext_id} is still mid-takeover")
-        topo = self.topology()
+        """Check every node against G_n in one walk.
+
+        Names are distinct vertices of G_n, tables hold exactly their name's
+        G_n neighbours, each bound to the node of that name.  G_n is connected
+        and symmetric, so every vertex (the all-zeros coordinator's included)
+        is then a node's name, and every entry has its mirror.
+        """
         ref = graph_at(self.d, self.n, self.seed)
-        if topo.vertices != ref.vertices or any(
-            topo.neighbors(v).keys() != ref.neighbors(v).keys() for v in ref.vertices
-        ):
-            raise ProtocolError(
-                f"simulated topology diverged from the reference at n = {self.n}"
-            )
+        diverged = f"simulated topology diverged from the reference at n = {self.n}"
+
+        def fault(node: NodeState, what: str, at: str = f"at n = {self.n}"):
+            name = format_name(node.name)
+            return ProtocolError(f"{at}: {node.ext_id} ({name}) {what}")
+
+        by_name: dict[VertexName, NodeState] = {}
+        holders = {}
         for node in self.nodes.values():
-            deg = len(node.neighbor_table)
-            if not (self.d // 2 <= deg <= self.d):
-                raise ProtocolError(
-                    f"{node.ext_id} has degree {deg} outside [d/2, d]"
-                )
-        coord = self._coordinator()
+            if node.name is None:
+                raise ProtocolError(f"at n = {self.n}: {node.ext_id} has no name")
+            if by_name.setdefault(node.name, node) is not node:
+                raise fault(node, f"shares its name with {by_name[node.name].ext_id}")
+            if node.attach_links:
+                raise fault(node, "still holds attach links")
+            if node.takeover is not None or node.handover is not None:
+                raise fault(node, "is still mid-takeover")
+            table = node.neighbor_table
+            row = ref.neighbors(node.name) if node.name in ref.vertices else None
+            if row is None or table.keys() != row.keys():
+                raise fault(node, "has a neighbourhood not in G_n", diverged)
+            for name, ext in table.items():
+                if ext not in self.nodes or self.nodes[ext].name != name:
+                    raise fault(node, f"binds {format_name(name)} to {ext}", diverged)
+            if not self.d // 2 <= len(table) <= self.d:
+                raise fault(node, f"has degree {len(table)} outside [d/2, d]")
+            if node.is_coordinator:
+                coord = node
+            if node.replica_n is not None:
+                holders[node.ext_id] = node.replica_n
         if coord.known_n != self.n:
-            raise ProtocolError("coordinator count diverged")
+            raise fault(coord, f"has coordinator count {coord.known_n}")
         # exactly the coordinator's neighbors hold a replica, and it is current
-        replicas = {x.ext_id: x.replica_n for x in self.nodes.values()}
-        holders = {ext: n for ext, n in replicas.items() if n is not None}
         expected = dict.fromkeys(coord.neighbor_table.values(), self.n)
         if holders != expected:
             raise ProtocolError(f"replicas {holders} differ from {expected}")

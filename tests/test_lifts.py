@@ -252,6 +252,20 @@ def test_next_bl_expander_rejects_non_doubled():
     bad = WeightedMultigraph(6, g.vertices, {e: 1 for e in g.weights})
     with pytest.raises(ValueError):
         next_bl_expander(bad, seed=1)
+    wrong_degree = WeightedMultigraph(8, g.vertices, g.weights)
+    with pytest.raises(ValueError, match=r"expected 4 neighbours .* found \[3\]$"):
+        next_bl_expander(wrong_degree, seed=1)
+
+
+def test_verified_lift_over_budget_carries_code_and_lambda(monkeypatch):
+    monkeypatch.setattr(lifts, "find_good_signing", lambda base, budget, seed: 5)
+    monkeypatch.setattr(lifts, "default_lambda_budget", lambda d: 0.5)
+    g = initial_graph(6)
+    base = g.replace(weights=dict.fromkeys(g.weights, 1))
+    with pytest.raises(SigningSearchError, match="lambda 2.236068 exceeds") as info:
+        next_bl_expander(g, seed=1)
+    assert info.value.best == 5
+    assert info.value.best_lambda == spectral_report(two_lift(base, 5)).lambda_
 
 
 def test_weight_checks_name_the_smallest_bad_edge():

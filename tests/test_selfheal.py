@@ -17,6 +17,7 @@ from expanderseq.selfheal import (
     DeleteEvent,
     Handover,
     InsertEvent,
+    NodeState,
     ProtocolError,
     ScriptError,
     SimNetwork,
@@ -92,7 +93,7 @@ def adversary_script(d, seed, moves):
             log = changelog_at(d, net.n, seed)
             by_name = {x.name: x.ext_id for x in net.nodes.values()}
             victim = {
-                "coordinator": by_name[net._coordinator().name],
+                "coordinator": next(x for x in live if net.nodes[x].is_coordinator),
                 "newest": by_name[log.new_vertex],
                 "partner": by_name[log.split_vertex.child(0)],
                 "random": rng.choice(live),
@@ -217,11 +218,15 @@ def test_stale_attach_links_are_dropped():
     ("takeover-job", "still mid-takeover"),
     ("handover", "still mid-takeover"),
     ("dropped-edge", "simulated topology diverged"),
+    ("swapped-binding", "simulated topology diverged"),
+    ("shared-name", "shares its name with g2"),
+    ("no-name", "has no name"),
 ])
 def test_common_checks_reject_leftover_state(leftover, message):
     net = grow_net(6, 1, 9)
     net._common_checks()
     node = net.nodes["g2"]
+    culprits = [node]
     if leftover == "attach-link":
         node.attach_links.add("g0")
     elif leftover == "takeover-job":
@@ -232,12 +237,27 @@ def test_common_checks_reject_leftover_state(leftover, message):
         )
     elif leftover == "handover":
         node.handover = Handover(chunks_left=1)
-    else:
+    elif leftover == "dropped-edge":
         name, ext = min(node.neighbor_table.items())
         del node.neighbor_table[name]
         del net.nodes[ext].neighbor_table[node.name]
-    with pytest.raises(ProtocolError, match=message):
+        culprits.append(net.nodes[ext])
+    elif leftover == "swapped-binding":
+        (a, x), (b, y) = sorted(node.neighbor_table.items())[:2]
+        node.neighbor_table.update({a: y, b: x})
+    elif leftover == "shared-name":
+        twin = NodeState("twin", node.name, dict(node.neighbor_table))
+        culprits = [net.nodes.setdefault("twin", twin)]
+    else:
+        culprits = [net.nodes.setdefault("late", NodeState("late", None))]
+    with pytest.raises(ProtocolError, match=message) as info:
         net._common_checks()
+    text = str(info.value)
+    assert "n = 9" in text
+    assert any(
+        (f"{x.ext_id} ({format_name(x.name)})" if x.name else x.ext_id) in text
+        for x in culprits
+    ), text
 
 
 # -- deletion ----------------------------------------------------------------
