@@ -2,9 +2,11 @@
 
 All subcommands are deterministic given their flags; identical invocations
 produce byte-identical outputs.  Exit codes: 0 success, 1 verification
-failure, 2 usage error; every bad input (a flag value out of range, an
-unreadable or malformed input file, an unwritable output path) is a usage
-error reported as one ``error:`` line on stderr.
+failure, 2 usage error.  Commands raise; ``main`` alone maps errors to exit
+codes and writes to stderr.  Every bad input (a flag value out of range, an
+unreadable or malformed input file, an unwritable output path) raises an
+``OSError`` or ``ValueError`` and is reported as one ``error:`` line; any
+other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -25,48 +27,46 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
 
+class UsageError(ValueError):
+    """A flag or environment value is out of range."""
+
+
 def _default_seed() -> int:
     env = os.environ.get("GROW_LIFT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: GROW_LIFT_SEED must be an integer, got {env!r}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return 1
+    try:
+        return 1 if env is None else int(env)
+    except ValueError:
+        raise UsageError(f"GROW_LIFT_SEED must be an integer, got {env!r}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fp:
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fp:
+        return fp.read()
+
+
+def _emit(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
         fp.write(text)
 
 
-def _bad_degree(d: int) -> bool:
-    """Report an invalid --d on stderr; true when it is invalid."""
-    if d % 2 == 0 and d >= 6:
-        return False
-    print(f"error: --d must be an even integer >= 6, got {d}", file=sys.stderr)
-    return True
+def _check_degree(d: int) -> None:
+    if d % 2 or d < 6:
+        raise UsageError(f"--d must be an even integer >= 6, got {d}")
 
 
 def cmd_grow(args: argparse.Namespace) -> int:
-    if _bad_degree(args.d):
-        return EXIT_USAGE
+    _check_degree(args.d)
     n_lo = args.n if args.n_to is None else min(args.n, args.n_to)
     n_hi = args.n if args.n_to is None else max(args.n, args.n_to)
     if n_lo < args.d // 2 + 1:
-        print(f"error: --n must be at least d/2 + 1 = {args.d // 2 + 1}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--n must be at least d/2 + 1 = {args.d // 2 + 1}")
     for n in range(n_lo, n_hi + 1):
-        g = grower.graph_at(args.d, n, args.lift_seed)
-        text = graph_to_text(g)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            path = args.out if n_lo == n_hi else f"{args.out}.{n}"
-            _write_text(path, text)
+        path = args.out if args.out is None or n_lo == n_hi else f"{args.out}.{n}"
+        _emit(path, graph_to_text(grower.graph_at(args.d, n, args.lift_seed)))
     if args.trace:
         logs = []
         for n in range(max(n_lo, args.d // 2 + 2), n_hi + 1):
@@ -87,20 +87,15 @@ def cmd_grow(args: argparse.Namespace) -> int:
                     "cost": log.cost,
                 }
             )
-        trace_text = json.dumps(logs, indent=2, sort_keys=True) + "\n"
-        if args.trace == "-":
-            sys.stdout.write(trace_text)
-        else:
-            _write_text(args.trace, trace_text)
+        _emit(None if args.trace == "-" else args.trace,
+              json.dumps(logs, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_bench_cost(args: argparse.Namespace) -> int:
-    if _bad_degree(args.d):
-        return EXIT_USAGE
+    _check_degree(args.d)
     if args.cycles < 0:
-        print(f"error: --cycles must be >= 0, got {args.cycles}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
     base = args.d // 2 + 1
     n_hi = base * (1 << args.cycles)
     rows = ["n,cost,U_u,S_u"]
@@ -112,17 +107,12 @@ def cmd_bench_cost(args: argparse.Namespace) -> int:
             f"{n},{log.cost},{log.n_unsplit_neighbors},{log.n_split_neighbors}"
         )
     rows.append(f"max,{worst},,")
-    text = "\n".join(rows) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.out, text)
+    _emit(args.out, "\n".join(rows) + "\n")
     return EXIT_OK
 
 
 def _analysis_payload(args: argparse.Namespace) -> dict:
-    with open(args.input) as fp:
-        g = graph_from_text(fp.read())
+    g = graph_from_text(_read(args.input))
     payload: dict = {"n": g.n, "d": g.d}
     suite_names = args.suite or []
     h = None
@@ -190,19 +180,8 @@ def _run_suite(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        payload = _analysis_payload(args)
-    except (ValueError, analysis.AnalysisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except analysis.LemmaViolation as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.json is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.json, text)
+    payload = _analysis_payload(args)
+    _emit(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     failed = any(
         not s["result"].get("ok", False) for s in payload.get("suite_results", [])
     )
@@ -214,8 +193,7 @@ def _verify_graph_file(path: str, seed: int) -> list[str]:
 
     The split vertices are inferred as every name deeper than the shallowest.
     """
-    with open(path) as fp:
-        g = graph_from_text(fp.read())
+    g = graph_from_text(_read(path))
     shallowest = min((v.depth for v in g.vertices), default=0)
     split = {v for v in g.vertices if v.depth > shallowest}
     failures = list(grower.structure_violations(g, split))
@@ -231,18 +209,15 @@ def _verify_graph_file(path: str, seed: int) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     if args.input:
-        try:
-            failures.extend(_verify_graph_file(args.input, args.lift_seed))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    elif any(_bad_degree(d) for d in args.d):
-        return EXIT_USAGE
-    elif args.max_n < max(args.d) // 2 + 1:
-        print(f"error: --max-n must be at least d/2 + 1 = {max(args.d) // 2 + 1}, "
-              f"got {args.max_n}", file=sys.stderr)
-        return EXIT_USAGE
+        failures.extend(_verify_graph_file(args.input, args.lift_seed))
     else:
+        for d in args.d:
+            _check_degree(d)
+        if args.max_n < max(args.d) // 2 + 1:
+            raise UsageError(
+                f"--max-n must be at least d/2 + 1 = {max(args.d) // 2 + 1}, "
+                f"got {args.max_n}"
+            )
         for d in args.d:
             base = d // 2 + 1
             max_n = args.max_n
@@ -276,27 +251,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if _bad_degree(args.d):
-        return EXIT_USAGE
-    try:
-        with open(args.script) as fp:
-            events = selfheal.parse_script(fp.read())
-        if args.snapshot_dir:
-            os.makedirs(args.snapshot_dir, exist_ok=True)
-        report = selfheal.run_script(
-            args.d, args.seed, events, snapshot_dir=args.snapshot_dir
-        )
-    except selfheal.ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except selfheal.ProtocolError as exc:
-        print(f"FAIL protocol: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    text = selfheal.report_to_json(report)
-    if args.report is None:
-        sys.stdout.write(text)
-    else:
-        _write_text(args.report, text)
+    _check_degree(args.d)
+    events = selfheal.parse_script(_read(args.script))
+    if args.snapshot_dir:
+        os.makedirs(args.snapshot_dir, exist_ok=True)
+    report = selfheal.run_script(
+        args.d, args.seed, events, snapshot_dir=args.snapshot_dir
+    )
+    _emit(args.report, selfheal.report_to_json(report))
     return EXIT_OK
 
 
@@ -363,15 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and not args.input and not args.d:
-        args.d = [6]
+    """Run one command; the only place that maps errors to exit codes."""
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "verify" and not args.input and not args.d:
+            args.d = [6]
         return args.func(args)
-    except OSError as exc:  # unreadable input or unwritable output path
+    except (OSError, ValueError) as exc:  # bad flag, file or path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except analysis.LemmaViolation as exc:
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    except selfheal.ProtocolError as exc:
+        print(f"FAIL protocol: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
 
 
 if __name__ == "__main__":

@@ -1372,8 +1372,6 @@ class SimNetwork:
             for name, ext in table.items():
                 if ext not in self.nodes or self.nodes[ext].name != name:
                     raise fault(node, f"binds {format_name(name)} to {ext}", diverged)
-            if not self.d // 2 <= len(table) <= self.d:
-                raise fault(node, f"has degree {len(table)} outside [d/2, d]")
             if node.is_coordinator:
                 coord = node
             if node.replica_n is not None:
@@ -1437,7 +1435,7 @@ def run_script(
         )
         if snapshot_dir is not None:
             path = os.path.join(snapshot_dir, f"event{idx:04d}.graph")
-            with open(path, "w", newline="\n") as fp:
+            with open(path, "w", encoding="utf-8", newline="\n") as fp:
                 fp.write(graph_to_text(net.topology()))
     final_text = graph_to_text(net.topology())
     digest_src = json.dumps(per_event, sort_keys=True) + final_text

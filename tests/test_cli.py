@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from expanderseq import analysis, cli, lifts
+from expanderseq import analysis, cli, grower, lifts, selfheal
 from expanderseq.grower import graph_at
 from expanderseq.multigraph import graph_to_text
 
@@ -269,6 +269,12 @@ def heavy_triangle(tmp, weight):
     return str(path)
 
 
+def not_utf8(tmp):
+    path = tmp / "not-utf8"
+    path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
 INPUT_ERRORS = {
     "analyze-lemma43-above-exact-bound": lambda tmp: [
         "analyze", "--input", g40_graph(tmp), "--spectral", "--suite", "lemma43"],
@@ -281,6 +287,7 @@ INPUT_ERRORS = {
     "analyze-missing-input": lambda tmp: [
         "analyze", "--input", str(tmp / "none.graph")],
     "analyze-bad-header": lambda tmp: ["analyze", "--input", os.devnull],
+    "analyze-input-not-utf8": lambda tmp: ["analyze", "--input", not_utf8(tmp)],
     "analyze-name-plus-sign": lambda tmp: [
         "analyze", "--input", edge_file(tmp, "0: +1: 6")],
     "analyze-name-arabic-digit": lambda tmp: [
@@ -302,12 +309,15 @@ INPUT_ERRORS = {
         "simulate", "--d", "6", "--script", null_id_script(tmp)],
     "simulate-missing-script": lambda tmp: [
         "simulate", "--d", "6", "--script", str(tmp / "none.json")],
+    "simulate-script-not-utf8": lambda tmp: [
+        "simulate", "--d", "6", "--script", not_utf8(tmp)],
     "simulate-odd-degree": lambda tmp: [
         "simulate", "--d", "7", "--script", str(tmp / "s.json")],
     "simulate-snapshot-below-file": lambda tmp: [
         "simulate", "--d", "6", "--script", str(tmp / "s.json"),
         "--snapshot-dir", str(tmp / "s.json" / "snaps")],
     "verify-bad-header": lambda tmp: ["verify", "--input", os.devnull],
+    "verify-input-not-utf8": lambda tmp: ["verify", "--input", not_utf8(tmp)],
     "verify-name-leading-zero": lambda tmp: [
         "verify", "--input", edge_file(tmp, "0: 01: 6")],
     "verify-name-underscore": lambda tmp: [
@@ -333,6 +343,9 @@ INPUT_ERROR_TEXT = {
     "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
     "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
     "verify-weight-plus-sign": "line 2: weight must be in",
+    "analyze-input-not-utf8": "codec can't decode",
+    "simulate-script-not-utf8": "codec can't decode",
+    "verify-input-not-utf8": "codec can't decode",
 }
 
 
@@ -345,6 +358,41 @@ def test_input_errors_exit_2(tmp_path, case):
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1, res.stderr
     assert INPUT_ERROR_TEXT.get(case, "") in res.stderr
+
+
+def test_internal_errors_keep_their_traceback(monkeypatch):
+    def broken(*args):
+        raise grower.ConstructionError("a growth invariant failed")
+
+    monkeypatch.setattr(cli.grower, "graph_at", broken)
+    with pytest.raises(grower.ConstructionError, match="growth invariant"):
+        cli.main(["grow", "--d", "6", "--n", "5", "--lift-seed", "1"])
+
+
+FAILED_CHECKS = {
+    "analyze": (analysis, "future_cut_suite", analysis.LemmaViolation, "FAIL: "),
+    "simulate": (selfheal, "run_script", selfheal.ProtocolError, "FAIL protocol: "),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILED_CHECKS))
+def test_failed_checks_exit_1_on_stderr(tmp_path, monkeypatch, capsys, command):
+    owner, attr, error, prefix = FAILED_CHECKS[command]
+
+    def fail(*args, **kwargs):
+        raise error("the check failed")
+
+    monkeypatch.setattr(owner, attr, fail)
+    graph, script = tmp_path / "g.graph", tmp_path / "s.json"
+    graph.write_text(graph_to_text(graph_at(6, 9, 1)))
+    script.write_text("[]")
+    argv = {
+        "analyze": ["analyze", "--input", str(graph), "--spectral",
+                    "--suite", "lemma43", "--lift-seed", "1"],
+        "simulate": ["simulate", "--d", "6", "--script", str(script)],
+    }[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"{prefix}the check failed\n")
 
 
 def test_future_cut_suite_refuses_large_n_before_growing(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""Every module-level import of the package is used by its module, and
-every private module-level name is used somewhere in the package.
+"""Every module-level import of the package is used by its module, every
+private module-level name is used somewhere in the package, and in the CLI
+only ``main`` reports errors.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for unused-import and unused-helper rules.  An import whose line carries
@@ -102,3 +103,40 @@ def test_unused_private_name_check_sees_loads_in_other_modules():
 def test_package_has_no_unused_private_names():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     assert unused_private_names(sources) == []
+
+
+def error_reports_outside_main(source: str) -> list[str]:
+    """Reads of ``stderr`` or ``EXIT_USAGE`` outside the function ``main``."""
+    tree = ast.parse(source)
+    main = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    inside = {id(n) for m in main for n in ast.walk(m)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        else:
+            continue
+        if name in ("stderr", "EXIT_USAGE") and id(node) not in inside:
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_error_report_check_sees_attributes_and_names():
+    source = (
+        "import sys\n"
+        "EXIT_USAGE = 2\n"
+        "def f():\n"
+        "    print('x', file=sys.stderr)\n"
+        "    return EXIT_USAGE\n"
+        "def main():\n"
+        "    sys.stderr.write('x')\n"
+        "    return EXIT_USAGE\n"
+    )
+    assert error_reports_outside_main(source) == [
+        "line 4: stderr", "line 5: EXIT_USAGE"]
+
+
+def test_only_cli_main_writes_to_stderr_or_exits_2():
+    assert error_reports_outside_main((PACKAGE / "cli.py").read_text()) == []

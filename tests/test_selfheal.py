@@ -219,6 +219,7 @@ def test_stale_attach_links_are_dropped():
     ("handover", "still mid-takeover"),
     ("dropped-edge", "simulated topology diverged"),
     ("swapped-binding", "simulated topology diverged"),
+    ("extra-entry", "simulated topology diverged"),
     ("shared-name", "shares its name with g2"),
     ("no-name", "has no name"),
 ])
@@ -245,6 +246,12 @@ def test_common_checks_reject_leftover_state(leftover, message):
     elif leftover == "swapped-binding":
         (a, x), (b, y) = sorted(node.neighbor_table.items())[:2]
         node.neighbor_table.update({a: y, b: x})
+    elif leftover == "extra-entry":
+        row = graph_at(6, 9, 1).neighbors(node.name)
+        other = next(
+            x for x in net.nodes.values() if x is not node and x.name not in row
+        )
+        node.neighbor_table[other.name] = other.ext_id
     elif leftover == "shared-name":
         twin = NodeState("twin", node.name, dict(node.neighbor_table))
         culprits = [net.nodes.setdefault("twin", twin)]
