@@ -209,18 +209,20 @@ def _verify_graph_file(path: str, seed: int) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     if args.input:
+        if args.d or args.max_n is not None:
+            raise UsageError("--d and --max-n do not apply to --input")
         failures.extend(_verify_graph_file(args.input, args.lift_seed))
     else:
         for d in args.d:
             _check_degree(d)
-        if args.max_n < max(args.d) // 2 + 1:
+        max_n = 16 if args.max_n is None else args.max_n
+        if max_n < max(args.d) // 2 + 1:
             raise UsageError(
                 f"--max-n must be at least d/2 + 1 = {max(args.d) // 2 + 1}, "
-                f"got {args.max_n}"
+                f"got {max_n}"
             )
         for d in args.d:
             base = d // 2 + 1
-            max_n = args.max_n
             prev = grower.graph_at(d, base, args.lift_seed)
             for n in range(base + 1, max_n + 1):
                 state = grower.state_at(d, n, args.lift_seed)
@@ -307,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suites")
     p.add_argument("--d", type=int, action="append",
                    help="degree(s) to verify (repeatable)")
-    p.add_argument("--max-n", type=int, default=16)
+    p.add_argument("--max-n", type=int, default=None,
+                   help="largest n to verify (default 16)")
     p.add_argument("--input", default=None,
                    help="verify one graph file instead of generating")
     p.add_argument("--lift-seed", type=int, default=_default_seed())

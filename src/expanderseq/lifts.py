@@ -73,8 +73,18 @@ class SigningSearchError(RuntimeError):
 
 
 def default_lambda_budget(d: int) -> float:
-    """Slightly above the Ramanujan floor 2*sqrt(d/2 - 1) for a (d/2)-regular base."""
-    return 2.0 * math.sqrt(d / 2 - 1) + 0.5
+    """The largest lift lambda accepted for a (d/2)-regular base, r = d/2.
+
+    Half a unit above the Ramanujan value 2*sqrt(r - 1), capped midway
+    between that value and r (the cap binds at d = 6 and 8).  The budget is
+    below r, so it rejects a lift that is disconnected or bipartite (lambda
+    = r): every doubled expander then has lambda_2 at most twice the budget,
+    below d, so it is connected with a spectral gap of at least d minus
+    twice the budget.
+    """
+    r = d / 2
+    ramanujan = 2.0 * math.sqrt(r - 1)
+    return min(ramanujan + 0.5, (r + ramanujan) / 2)
 
 
 @dataclass(frozen=True)

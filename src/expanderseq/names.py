@@ -69,6 +69,7 @@ def locus(name: VertexName, level: int) -> frozenset[VertexName]:
     return frozenset(VertexName(name.base, name.bits + t) for t in tails)
 
 
+@cache
 def strip_identity(name: VertexName) -> VertexName:
     """Persistent identity: the name with trailing 0 bits removed."""
     bits = name.bits

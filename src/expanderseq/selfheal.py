@@ -72,6 +72,13 @@ playing, each ``None`` when idle: ``Joining`` while a new node is wired in,
 ``TakeoverJob`` while the newest vertex moves into a deleted slot, and
 ``Handover`` while its split partner collects the ``Unsplit`` chunks.  A
 coordinator neighbor keeps ``replica_n``, its copy of the vertex count.
+
+After every event the harness checks the network against G_n: globally
+(names, the coordinator's count, replica holders) and table by table for the
+O(d) nodes the event wrote or whose G_n row it changed; the one dispatch all
+handlers run through records the nodes they write.  The full walk over every
+table runs after a script's last event, and in the test suite after every
+event of the generated scripts.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ import os
 from collections import deque
 from collections.abc import Callable, Iterable, Set
 from dataclasses import dataclass, field
-from functools import cache, singledispatchmethod
+from functools import cache
 
 from .grower import bl_expander, changelog_at, graph_at, split_n
 from .multigraph import WeightedMultigraph, bfs_distances, edge_key, graph_to_text
@@ -514,13 +521,10 @@ def _ref_dist(
 ) -> dict[VertexName, int]:
     """BFS distance to ``target`` in the i-th reference graph.
 
-    ``exclude`` removes vertices whose identity matches a dead name.
+    ``exclude`` removes the vertices that a dead name stands for at level i.
     """
-    return bfs_distances(
-        _ref_adj(d, i, seed).__getitem__,
-        target,
-        lambda w: any(w in locus(x, i) for x in exclude),
-    )
+    dead = set().union(*(locus(x, i) for x in exclude))
+    return bfs_distances(_ref_adj(d, i, seed).__getitem__, target, dead.__contains__)
 
 
 @cache
@@ -538,18 +542,31 @@ def _true_dist(
     Available to any holder of the authoritative vertex count: knowing n
     pins the whole deterministic topology, including the shrinking edges
     between split partners that the doubled references do not contain.
+    ``exclude`` removes the vertices whose identity is a dead name's.
     """
-    dead = {strip_identity(x) for x in exclude}
+    by_identity = _by_identity(d, seed, n)
+    dead = {by_identity[x] for x in map(strip_identity, exclude) if x in by_identity}
     return bfs_distances(
         graph_at(d, n, seed).neighbors,
-        _by_identity(d, seed, n)[strip_identity(dst)],
-        lambda w: strip_identity(w) in dead,
+        by_identity[strip_identity(dst)],
+        dead.__contains__,
     )
 
 
 def clear_route_cache() -> None:
     for table in (_ref_adj, _ref_dist, _by_identity, _true_dist):
         table.cache_clear()
+
+
+# Body type -> the SimNetwork method that handles it, filled once by the
+# class body; dispatch is on the exact type, so a subclass needs its own.
+_HANDLERS: dict[type[Body], Callable[..., None]] = {}
+
+
+def _handles(method: Callable[..., None]) -> Callable[..., None]:
+    """Register ``method`` for the body type its ``body`` parameter names."""
+    _HANDLERS[globals()[method.__annotations__["body"]]] = method
+    return method
 
 
 class SimNetwork:
@@ -580,6 +597,10 @@ class SimNetwork:
         coord.known_n = self.n
         for nb_ext in coord.neighbor_table.values():
             self.nodes[nb_ext].replica_n = self.n
+        # ext ids of the nodes written since the last check: every handler
+        # runs through ``_on``, and ``insert``/``delete`` add the nodes they
+        # write directly
+        self._dirty: set[str] = set(self.nodes)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -699,10 +720,11 @@ class SimNetwork:
         """
         if node.name is None:
             raise ProtocolError(f"{node.ext_id} is not named yet")
-        if strip_identity(dst) == strip_identity(node.name):
+        target = strip_identity(dst)
+        if target == strip_identity(node.name):
             return None
         for nb in sorted(node.neighbor_table):
-            if strip_identity(nb) == strip_identity(dst):
+            if strip_identity(nb) == target:
                 return nb
         if level is None:
             level = self._working_level(node)
@@ -760,9 +782,13 @@ class SimNetwork:
         else:
             self._send_routed(node.ext_id, msg)
 
-    @singledispatchmethod
     def _on(self, body: Body, node: NodeState, src: str) -> None:
-        raise ProtocolError(f"no handler for {type(body).__name__}")
+        """Run the handler of ``body`` at ``node``, the one node it writes."""
+        handler = _HANDLERS.get(type(body))
+        if handler is None:
+            raise ProtocolError(f"no handler for {type(body).__name__}")
+        self._dirty.add(node.ext_id)
+        handler(self, body, node, src)
 
     def _after_table_change(self, node: NodeState) -> None:
         self._recheck_pair_edge(node)
@@ -795,22 +821,24 @@ class SimNetwork:
         missing = [a for a in attach if a not in self.nodes]
         if missing:
             raise ScriptError(f"attach targets do not exist: {missing}")
+        n_before = self.n
         node = NodeState(ext_id, None, attach_links=set(attach))
         node.joining = Joining(relay_ext=min(attach))
         self.nodes[ext_id] = node
         for a in node.attach_links:
             self.nodes[a].attach_links.add(ext_id)
+        self._dirty.update(node.attach_links, [ext_id])
         self._direct(node, node.joining.relay_ext, AddNotify(ext_id, self.n))
         self.run_to_quiescence()
         for node in self.nodes.values():
             node.announce_inflight = False
-        self._common_checks()
+        self._common_checks(n_before)
 
-    @_on.register
+    @_handles
     def _on_add_notify(self, body: AddNotify, node: NodeState, src: str) -> None:
         self._route(node, AddRelay(body.new_ext, self.n, node.name), VertexName(0))
 
-    @_on.register
+    @_handles
     def _on_add_relay(self, body: AddRelay, node: NodeState, src: str) -> None:
         if not node.is_coordinator:
             raise ProtocolError("ADD_NOTIFY reached a non-coordinator")
@@ -819,11 +847,11 @@ class SimNetwork:
         self._sync_replicas(node)
         self._route(node, NReply(node.known_n, body.new_ext), body.via)
 
-    @_on.register
+    @_handles
     def _on_n_reply(self, body: NReply, node: NodeState, src: str) -> None:
         self._direct(node, body.new_ext, NRelay(body.n))
 
-    @_on.register
+    @_handles
     def _on_n_relay(self, body: NRelay, node: NodeState, src: str) -> None:
         """The new node learns n, hence its name and the vertex that splits."""
         log = changelog_at(self.d, body.n, self.seed)
@@ -834,12 +862,12 @@ class SimNetwork:
         split_req = SplitReq(node.ext_id, log.new_vertex, log.split_vertex)
         self._direct(node, node.joining.relay_ext, split_req)
 
-    @_on.register
+    @_handles
     def _on_split_req(self, body: SplitReq, node: NodeState, src: str) -> None:
         relay = SplitRelay(body.new_ext, body.new_name, body.target, node.name)
         self._route(node, relay, body.target)
 
-    @_on.register
+    @_handles
     def _on_split_relay(self, body: SplitRelay, node: NodeState, src: str) -> None:
         """The splitting vertex renames to its 0 copy and rewires its edges.
 
@@ -868,14 +896,14 @@ class SimNetwork:
             self._direct(node, new_ext, Bind(x0, node.ext_id))
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_neighbor_entry(
         self, body: NeighborEntry, node: NodeState, src: str
     ) -> None:
         relay = NeighborRelay(body.name, body.ext, body.new_ext)
         self._direct(node, body.new_ext, relay)
 
-    @_on.register
+    @_handles
     def _on_neighbor_relay(
         self, body: NeighborRelay, node: NodeState, src: str
     ) -> None:
@@ -883,7 +911,7 @@ class SimNetwork:
             node.joining.entries += 1
             self._maybe_finish_wiring(node)
 
-    @_on.register
+    @_handles
     def _on_partner_announce(
         self, body: PartnerAnnounce, node: NodeState, src: str
     ) -> None:
@@ -892,28 +920,28 @@ class SimNetwork:
             self._direct(node, body.ext, PartnerReply(node.name, node.ext_id))
             self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_partner_reply(self, body: PartnerReply, node: NodeState, src: str) -> None:
         if node.is_partner_of(body.name):
             node.partner_ext = body.ext
             node.announce_inflight = False
             self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_wire(self, body: Wire, node: NodeState, src: str) -> None:
         # takeover wiring: bind the sender under its future identity
         self._bind(node, body.name, body.ext)
         self._direct(node, body.ext, Ack(node.name, node.ext_id))
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_ack(self, body: Ack, node: NodeState, src: str) -> None:
         node.neighbor_table[body.name] = body.ext
         if node.takeover is not None:
             node.takeover.acks += 1
             self._maybe_finish_takeover(node)
 
-    @_on.register
+    @_handles
     def _on_bind(self, body: Bind, node: NodeState, src: str) -> None:
         if body.old is not None:
             node.neighbor_table.pop(body.old, None)
@@ -921,7 +949,7 @@ class SimNetwork:
         self._after_table_change(node)
         self._maybe_finish_wiring(node)
 
-    @_on.register
+    @_handles
     def _on_bind_link(self, body: BindLink, node: NodeState, src: str) -> None:
         node.neighbor_table.pop(body.old, None)
         self._bind(node, body.name, body.ext)
@@ -929,18 +957,18 @@ class SimNetwork:
         self._after_table_change(node)
         self._maybe_finish_wiring(node)
 
-    @_on.register
+    @_handles
     def _on_drop_link(self, body: DropLink, node: NodeState, src: str) -> None:
         node.neighbor_table.pop(body.old, None)
         self._link(node, body.new_name, body.new_ext)
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_drop_attach(self, body: DropAttach, node: NodeState, src: str) -> None:
         node.attach_links.discard(body.ext)
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_pair_drop(self, body: PairDrop, node: NodeState, src: str) -> None:
         if node.name is not None and node.name.depth:
             pn = partner(node.name)
@@ -1015,6 +1043,7 @@ class SimNetwork:
             raise ScriptError(f"ext id {ext_id!r} does not exist")
         if self.n == self.d // 2 + 1:
             raise ScriptError("cannot shrink below the base clique size d/2 + 1")
+        n_before = self.n
         dead = self.nodes.pop(ext_id)
         dead_name = dead.name
         neighbors = [
@@ -1022,6 +1051,7 @@ class SimNetwork:
             for ext in sorted(set(dead.neighbor_table.values()))
             if ext in self.nodes
         ]
+        self._dirty.update(nb.ext_id for nb in neighbors)
         for nb in neighbors:
             for name, ext in list(nb.neighbor_table.items()):
                 if ext == ext_id:
@@ -1055,7 +1085,7 @@ class SimNetwork:
         for node in self.nodes.values():
             node.pair_hold = None
             node.announce_inflight = False
-        self._common_checks()
+        self._common_checks(n_before)
 
     def _elect_for_deletion(
         self, neighbors: list[NodeState], dead_name: VertexName
@@ -1113,7 +1143,7 @@ class SimNetwork:
         if coord_died:
             self._route(sender, StateXfer(n), target, dead, n)
 
-    @_on.register
+    @_handles
     def _on_del_notify(self, body: DelNotify, node: NodeState, src: str) -> None:
         if not node.is_coordinator:
             raise ProtocolError("DEL_NOTIFY reached a non-coordinator")
@@ -1123,7 +1153,7 @@ class SimNetwork:
         self._sync_replicas(node)
         self._send_takeover(node, body.deleted, n_pre, coord_died=False)
 
-    @_on.register
+    @_handles
     def _on_takeover(self, body: Takeover, node: NodeState, src: str) -> None:
         n_pre = body.n
         dead_name = body.deleted
@@ -1202,7 +1232,7 @@ class SimNetwork:
                 self._route(node, PartnerAnnounce(node.name, node.ext_id), pn)
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_state_xfer(self, body: StateXfer, node: NodeState, src: str) -> None:
         node.known_n = body.n - 1
         self.n = node.known_n
@@ -1255,7 +1285,7 @@ class SimNetwork:
             self._route(node, request, relays[0], frozenset([x1]), n_pre)
         self._partner_rename_and_reclaim(node, [])
 
-    @_on.register
+    @_handles
     def _on_reconnect_via(self, body: ReconnectVia, node: NodeState, src: str) -> None:
         ext = node.neighbor_table.get(body.half)
         if ext is None:
@@ -1265,17 +1295,17 @@ class SimNetwork:
             )
         self._direct(node, ext, Reconnect(body.half, body.name, body.ext))
 
-    @_on.register
+    @_handles
     def _on_reconnect(self, body: Reconnect, node: NodeState, src: str) -> None:
         self._link(node, body.name, body.ext)
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_drop_name(self, body: DropName, node: NodeState, src: str) -> None:
         node.neighbor_table.pop(body.name, None)
         self._after_table_change(node)
 
-    @_on.register
+    @_handles
     def _on_unsplit(self, body: Unsplit, node: NodeState, src: str) -> None:
         if node.handover is None:
             node.handover = Handover(chunks_left=body.total)
@@ -1316,7 +1346,7 @@ class SimNetwork:
             if ext in self.nodes and ext != coord.ext_id:
                 self._direct(coord, ext, ReplicaSync(coord.known_n))
 
-    @_on.register
+    @_handles
     def _on_replica_sync(self, body: ReplicaSync, node: NodeState, src: str) -> None:
         # a sync can be in flight while the edge to the coordinator goes
         # away; only current neighbors hold replicas
@@ -1339,13 +1369,23 @@ class SimNetwork:
         names = [x.name for x in self.nodes.values()]
         return WeightedMultigraph(self.d, names, weights)
 
-    def _common_checks(self) -> None:
-        """Check every node against G_n in one walk.
+    def _common_checks(self, since_n: int | None = None) -> None:
+        """Check the node tables against G_n.
 
-        Names are distinct vertices of G_n, tables hold exactly their name's
-        G_n neighbours, each bound to the node of that name.  G_n is connected
-        and symmetric, so every vertex (the all-zeros coordinator's included)
-        is then a node's name, and every entry has its mirror.
+        Global checks: the names are distinct and are exactly the vertices
+        of G_n, the coordinator's count is n, and exactly its neighbours hold
+        a current replica.  Per node: no attach link or role is left open,
+        and the table holds exactly the name's G_n neighbours, each bound to
+        the node of that name (so every entry has its mirror).
+
+        With no argument every node is checked: the full walk.  ``since_n``
+        is the vertex count at the last check that passed.  Given it, only
+        the nodes written since that check and the nodes at the ends of the
+        growth-log changes between G_since_n and G_n are checked, and each
+        of their entries must also have its mirror.  Every other node kept
+        its table and its G_n row.  Were one of its bindings stale, the node
+        now holding that name was written, so it is checked and the mirror
+        of the stale entry fails: both checks pass or fail together.
         """
         ref = graph_at(self.d, self.n, self.seed)
         diverged = f"simulated topology diverged from the reference at n = {self.n}"
@@ -1354,34 +1394,63 @@ class SimNetwork:
             name = format_name(node.name)
             return ProtocolError(f"{at}: {node.ext_id} ({name}) {what}")
 
-        by_name: dict[VertexName, NodeState] = {}
-        holders = {}
-        for node in self.nodes.values():
-            if node.name is None:
-                raise ProtocolError(f"at n = {self.n}: {node.ext_id} has no name")
-            if by_name.setdefault(node.name, node) is not node:
-                raise fault(node, f"shares its name with {by_name[node.name].ext_id}")
+        nodes = self.nodes
+        by_name = {node.name: node for node in nodes.values()}
+        if None in by_name or len(by_name) != len(nodes):
+            seen: dict[VertexName, NodeState] = {}
+            for node in nodes.values():
+                if node.name is None:
+                    raise ProtocolError(f"at n = {self.n}: {node.ext_id} has no name")
+                if seen.setdefault(node.name, node) is not node:
+                    raise fault(node, f"shares its name with {seen[node.name].ext_id}")
+        if by_name.keys() != ref.vertices:
+            for node in nodes.values():
+                if node.name not in ref.vertices:
+                    raise fault(node, "has a name not in G_n", diverged)
+            missing = min(ref.vertices - by_name.keys())
+            raise ProtocolError(f"{diverged}: no node is named {format_name(missing)}")
+
+        by_identity = _by_identity(self.d, self.seed, self.n)
+        if since_n is None:
+            checked = nodes.values()
+        else:
+            lo, hi = sorted((since_n, self.n))
+            ends = {
+                by_name[by_identity[x]].ext_id
+                for m in range(lo + 1, hi + 1)
+                for edge, _, _ in changelog_at(self.d, m, self.seed).changes
+                for x in edge
+                if x in by_identity
+            }
+            checked = [nodes[ext] for ext in sorted(ends | self._dirty) if ext in nodes]
+        mirrors = since_n is not None
+        for node in checked:
             if node.attach_links:
                 raise fault(node, "still holds attach links")
             if node.takeover is not None or node.handover is not None:
                 raise fault(node, "is still mid-takeover")
             table = node.neighbor_table
-            row = ref.neighbors(node.name) if node.name in ref.vertices else None
-            if row is None or table.keys() != row.keys():
+            if table.keys() != ref.neighbors(node.name).keys():
                 raise fault(node, "has a neighbourhood not in G_n", diverged)
             for name, ext in table.items():
-                if ext not in self.nodes or self.nodes[ext].name != name:
+                if ext not in nodes or nodes[ext].name != name:
                     raise fault(node, f"binds {format_name(name)} to {ext}", diverged)
-            if node.is_coordinator:
-                coord = node
-            if node.replica_n is not None:
-                holders[node.ext_id] = node.replica_n
+                if mirrors and nodes[ext].neighbor_table.get(node.name) != node.ext_id:
+                    raise fault(node, f"is not bound back by {ext}", diverged)
+
+        coord = by_name[by_identity[VertexName(0)]]
         if coord.known_n != self.n:
             raise fault(coord, f"has coordinator count {coord.known_n}")
         # exactly the coordinator's neighbors hold a replica, and it is current
+        holders = {
+            node.ext_id: node.replica_n
+            for node in nodes.values()
+            if node.replica_n is not None
+        }
         expected = dict.fromkeys(coord.neighbor_table.values(), self.n)
         if holders != expected:
             raise ProtocolError(f"replicas {holders} differ from {expected}")
+        self._dirty.clear()
 
 
 def run_script(
@@ -1395,7 +1464,9 @@ def run_script(
     After every event the simulated topology must equal the unweighted
     reference, degrees stay within [d/2, d], and both the weighted and the
     unweighted change between consecutive references, as the growth log of
-    the step records them, stay within 5d/2.
+    the step records them, stay within 5d/2.  Each event checks the nodes it
+    wrote and those whose G_n row it changed; the full walk over every node
+    runs once more after the last event.
     A failing event re-raises its error, same type, prefixed with the event
     index, op, ext id, the vertex count before the event and the round.
     """
@@ -1437,6 +1508,7 @@ def run_script(
             path = os.path.join(snapshot_dir, f"event{idx:04d}.graph")
             with open(path, "w", encoding="utf-8", newline="\n") as fp:
                 fp.write(graph_to_text(net.topology()))
+    net._common_checks()
     final_text = graph_to_text(net.topology())
     digest_src = json.dumps(per_event, sort_keys=True) + final_text
     digest = hashlib.sha256(digest_src.encode()).hexdigest()

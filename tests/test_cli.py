@@ -328,6 +328,9 @@ INPUT_ERRORS = {
     "verify-max-n-below-larger-base": lambda tmp: [
         "verify", "--d", "6", "--d", "12", "--max-n", "5"],
     "verify-odd-degree": lambda tmp: ["verify", "--d", "6", "--d", "7"],
+    "verify-input-with-degree-and-max-n": lambda tmp: [
+        "verify", "--input", g9_graph(tmp), "--lift-seed", "1", "--d", "7",
+        "--max-n", "1"],
 }
 INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
 # cases whose error line must name the bad value
@@ -343,6 +346,7 @@ INPUT_ERROR_TEXT = {
     "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
     "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
     "verify-weight-plus-sign": "line 2: weight must be in",
+    "verify-input-with-degree-and-max-n": "--d and --max-n do not apply to --input",
     "analyze-input-not-utf8": "codec can't decode",
     "simulate-script-not-utf8": "codec can't decode",
     "verify-input-not-utf8": "codec can't decode",

@@ -268,6 +268,21 @@ def test_verified_lift_over_budget_carries_code_and_lambda(monkeypatch):
     assert info.value.best_lambda == spectral_report(two_lift(base, 5)).lambda_
 
 
+@pytest.mark.parametrize("d", [6, 8, 10, 12])
+def test_budget_lies_below_the_lift_degree(d):
+    r = d // 2
+    ramanujan = 2 * math.sqrt(r - 1)
+    assert ramanujan < default_lambda_budget(d) < r
+
+
+def test_all_parallel_lift_is_rejected_at_d6(monkeypatch):
+    """Code 0 lifts the base to two disjoint copies of it, with lambda = r."""
+    monkeypatch.setattr(lifts, "find_good_signing", lambda base, budget, seed: 0)
+    with pytest.raises(SigningSearchError, match="lambda 3.000000 exceeds") as info:
+        next_bl_expander(initial_graph(6), seed=1)
+    assert info.value.best == 0
+
+
 def test_weight_checks_name_the_smallest_bad_edge():
     g = bl_expander(6, 1, 1)
     bad = [tuple(map(parse_name, e)) for e in (("0:1", "1:1"), ("0:0", "1:0"))]

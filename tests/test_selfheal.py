@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from expanderseq import selfheal
 from expanderseq.grower import changelog_at, graph_at
 from expanderseq.multigraph import (
     WeightedMultigraph,
@@ -12,9 +14,13 @@ from expanderseq.multigraph import (
     graph_to_text,
     graphs_equal,
 )
-from expanderseq.names import VertexName, format_name, strip_identity
+from expanderseq.names import VertexName, format_name, locus, strip_identity
 from expanderseq.selfheal import (
+    Ack,
+    Bind,
+    Body,
     DeleteEvent,
+    EdgeMake,
     Handover,
     InsertEvent,
     NodeState,
@@ -102,6 +108,28 @@ def adversary_script(d, seed, moves):
             net.delete(victim)
         events.append(ev)
     return events
+
+
+@pytest.fixture
+def full_walk_agrees(monkeypatch):
+    """After every event, run the full walk too: it must agree with the check
+    of the nodes the event wrote, both passing or both failing."""
+    check = SimNetwork._common_checks
+
+    def both(self, since_n=None):
+        if since_n is None:
+            return check(self)
+        failures = []
+        for args in ((since_n,), ()):
+            try:
+                check(self, *args)
+            except ProtocolError as exc:
+                failures.append(exc)
+        assert len(failures) in (0, 2), failures
+        if failures:
+            raise failures[0]
+
+    monkeypatch.setattr(SimNetwork, "_common_checks", both)
 
 
 def targeted_moves(n_events, rng_seed):
@@ -480,10 +508,16 @@ def run_with_log2n(d, moves):
         yield e, math.ceil(math.log2(max(2, n)))
 
 
+# the fixtures only patch the harness, so no state carries between examples
+AGREEING_WALKS = settings(
+    max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
 @pytest.mark.parametrize("d", [6, 8, 10, 12])
-@settings(max_examples=120)
+@AGREEING_WALKS
 @given(moves=ADVERSARY_MOVES)
-def test_generated_adversary_matches_reference(d, moves):
+def test_generated_adversary_matches_reference(d, moves, full_walk_agrees):
     # run_script raises unless every event ends on the reference topology
     for e, log2n in run_with_log2n(d, moves):
         assert e["messages"] <= 40 * log2n, e
@@ -497,10 +531,10 @@ def test_generated_adversary_matches_reference(d, moves):
     )),
     8, 10, 12,
 ])
-@settings(max_examples=120)
+@AGREEING_WALKS
 @given(moves=ADVERSARY_MOVES)
 @example(moves=[(0, 0), (0, 0), (0, 0), (0, 65535)])
-def test_generated_adversary_round_budget(d, moves):
+def test_generated_adversary_round_budget(d, moves, full_walk_agrees):
     for e, log2n in run_with_log2n(d, moves):
         assert e["rounds"] <= 6 * log2n, e
 
@@ -528,3 +562,165 @@ def test_unsplit_handover_spans_two_chunks(monkeypatch):
     assert rep.digest == (
         "5bb87e67f2558edc9f13bc9aaadfaa858f7c00155f7f8429396d4873d00ede58"
     )
+
+
+def first_call_at(n, handler, mutate):
+    """``handler`` that also runs ``mutate(node, body)`` once, the first time
+    it handles a body while the vertex count is ``n``."""
+    fired = []
+
+    def mutated(net, body, node, src):
+        handler(net, body, node, src)
+        if net.n == n and not fired:
+            fired.append(node.ext_id)
+            mutate(node, body)
+
+    return mutated
+
+
+def rebind_to_other_neighbour(node, body):
+    node.neighbor_table[body.name] = min(
+        ext for name, ext in node.neighbor_table.items() if name != body.name
+    )
+
+
+def drop_entry(node, body):
+    del node.neighbor_table[body.name]
+
+
+@pytest.mark.parametrize("body_type, op, n", [
+    (Bind, "insert", 12), (Ack, "delete", 15)
+])
+@pytest.mark.parametrize("mutate", [rebind_to_other_neighbour, drop_entry])
+def test_mutated_handler_fails_its_own_event(
+    monkeypatch, full_walk_agrees, body_type, op, n, mutate
+):
+    """A table fault is caught by the check of the event that makes it: the
+    insert that reaches n = 12 binds, the deletion down to n = 15 acks."""
+    events = [InsertEvent(f"i{k}", ("g0",)) for k in range(12)]
+    events += [DeleteEvent("g1"), InsertEvent("j", ("g0",))]
+    faulty = next(
+        e["index"]
+        for e in run_script(6, 1, events).events
+        if (e["op"], e["n_after"]) == (op, n)
+    )
+    handler = selfheal._HANDLERS[body_type]
+    monkeypatch.setitem(
+        selfheal._HANDLERS, body_type, first_call_at(n, handler, mutate)
+    )
+    with pytest.raises(ProtocolError, match="diverged") as info:
+        run_script(6, 1, events)
+    assert str(info.value).startswith(f"event {faulty} ("), info.value
+
+
+def test_scoped_check_sees_stale_bindings_of_unwritten_nodes():
+    """Two non-adjacent nodes trade names and tables: each passes its own
+    table check, but their unwritten neighbours now bind the wrong ext."""
+    net = grow_net(6, 1, 9)
+    net._common_checks()
+    b, c = next(
+        (b, c)
+        for b in net.nodes.values()
+        for c in net.nodes.values()
+        if b.name < c.name and c.name not in b.neighbor_table
+        and not b.is_coordinator and not c.is_coordinator
+    )
+    b.name, c.name = c.name, b.name
+    b.neighbor_table, c.neighbor_table = c.neighbor_table, b.neighbor_table
+    b.replica_n, c.replica_n = c.replica_n, b.replica_n
+    net._dirty.update([b.ext_id, c.ext_id])
+    with pytest.raises(ProtocolError, match="is not bound back by"):
+        net._common_checks(net.n)
+    with pytest.raises(ProtocolError, match="diverged"):
+        net._common_checks()
+
+
+def test_every_body_type_has_exactly_one_handler():
+    def descendants(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from descendants(sub)
+
+    # EdgeMake only groups the edge-making bodies and is never sent
+    concrete = {
+        cls for cls in descendants(Body) if cls.__module__ == selfheal.__name__
+    } - {EdgeMake}
+    handled = sorted(
+        method.__annotations__["body"]
+        for name, method in vars(SimNetwork).items()
+        if name.startswith("_on_")
+    )
+    assert handled == sorted(cls.__name__ for cls in concrete)
+    assert set(selfheal._HANDLERS) == concrete
+
+
+def test_body_without_handler_is_a_protocol_error():
+    @dataclass(frozen=True)
+    class Stray(Body):
+        rank = selfheal.ADD_NOTIFY
+        bits = 8
+
+    net = SimNetwork(6, 1)
+    net._direct(net.nodes["g0"], "g1", Stray())
+    with pytest.raises(ProtocolError, match="^no handler for Stray$"):
+        net.run_to_quiescence()
+
+
+def true_dist_oracle(d, seed, n, dst, exclude):
+    """``_true_dist`` with its exclusion tested per visited vertex."""
+    g = graph_at(d, n, seed)
+    (src,) = [v for v in g.vertices if strip_identity(v) == strip_identity(dst)]
+    dead = {strip_identity(x) for x in exclude}
+    return bfs_distances(g.neighbors, src, lambda w: strip_identity(w) in dead)
+
+
+def ref_dist_oracle(d, i, seed, target, exclude):
+    """``_ref_dist`` with its exclusion tested per visited vertex."""
+    adj = selfheal._ref_adj(d, i, seed)
+    return bfs_distances(
+        adj.__getitem__, target, lambda w: any(w in locus(x, i) for x in exclude)
+    )
+
+
+@pytest.mark.parametrize("d", [6, 8])
+@settings(max_examples=20)
+@given(moves=ADVERSARY_MOVES)
+@example(moves=targeted_moves(40, 0))
+def test_route_distances_match_identity_oracle(d, moves):
+    true_dist, ref_dist = selfheal._true_dist, selfheal._ref_dist
+
+    def checked_true(*args):
+        dist = true_dist(*args)
+        assert dist == true_dist_oracle(*args)
+        return dist
+
+    def checked_ref(*args):
+        dist = ref_dist(*args)
+        assert dist == ref_dist_oracle(*args)
+        return dist
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selfheal, "_true_dist", checked_true)
+        mp.setattr(selfheal, "_ref_dist", checked_ref)
+        run_script(d, 1, adversary_script(d, 1, moves))
+
+
+def test_exclusions_match_by_identity_under_any_name():
+    """Routes exclude a dead vertex by its current name; the maps also
+    exclude it under an older or a later name of the same vertex."""
+    d, seed, n, level = 6, 1, 11, 1
+    g = graph_at(d, n, seed)
+    dst = min(g.vertices)
+    for v in sorted(g.vertices - {dst}):
+        for alias in (v, strip_identity(v), v.child(0)):
+            exclude = frozenset([alias])
+            assert selfheal._true_dist(d, seed, n, dst, exclude) == true_dist_oracle(
+                d, seed, n, dst, exclude
+            )
+    ref = selfheal._ref_adj(d, level, seed)
+    target = min(ref)
+    for v in sorted(set(ref) - {target}):
+        for alias in (v, v.parent(), v.child(1)):
+            exclude = frozenset([alias])
+            dist = selfheal._ref_dist(d, level, seed, target, exclude)
+            assert dist == ref_dist_oracle(d, level, seed, target, exclude)
