@@ -8,8 +8,12 @@ caller's edge terms into integer columns.  ``edge_expansion_exact`` and
 ``future_cut_floor`` read one column (all edges, or target edges at their
 preimages) through ``_min_ratio``, the exact minimum of weight / |side|;
 ``future_cut_suite`` reads six, the partner-free current cut and the future
-cut, each by number of split endpoints (uu, su, ss).  Exhaustive checks up
-to n = 16 run in milliseconds and n = 24 stays feasible.
+cut, each by number of split endpoints (uu, su, ss).  The kernel passes
+over the terms once, for its first chunk, and builds every later chunk from
+that one in O(width * chunk) integer work.  On one core of a 2-vCPU x86
+host, ``edge_expansion_exact`` takes about 0.06 s at n = 22 and 0.19 s at
+n = 24, and ``future_cut_suite`` 0.08 s and 0.22 s.  ``mixing_suite``
+checks all its pairs as one numpy batch.
 
 Two cut weights coexist on growth states: the expansion measurements count
 every edge, while the block machinery relating a cut to its image in the next
@@ -26,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +43,8 @@ from .names import VertexName, format_name, locus, partner
 MAX_EXACT_N = 26
 FLOAT_SLACK = 1e-9
 CHEEGER_SLACK = 1e-6
-# a chunk's bit rows and cut columns stay small enough for a core's L2 cache
+# cuts per chunk, a power of two; a chunk's bit rows and cut columns stay
+# small enough for a core's L2 cache
 _CHUNK = 1 << 14
 
 
@@ -106,15 +111,45 @@ def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
     ``mask >> 1``.  ``sizes`` are popcounts and ``cuts`` is ``(width,
     len(masks))``: term ``(i, j, w, col)`` adds ``w`` to column ``col`` of
     every cut separating vertices i and j.
+
+    Only the first chunk sums the terms one by one.  A column's cut of mask
+    x is the Laplacian form x^T L x, and inside a chunk x = b + h, where the
+    low vertices 0..c of b vary and the high vertices of h are fixed.  So a
+    later chunk is the first chunk's b^T L b, plus the offset h^T L h (the w
+    of every low-high term whose high end is set and of every high-high term
+    that h separates), plus the subset sums of the coefficients 2 (L h)_i
+    (-2w per low-high term at its low end), built by doubling in c slice
+    adds.  The first chunk costs O(|terms| * chunk) and each later one
+    O(width * chunk), all in int64.  ``_CHUNK`` must be a power of two.
     """
     total = 1 << (n - 1)
-    for start in range(0, total, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64) << 1
-        cuts = np.zeros((width, len(masks)), dtype=np.int64)
-        bits = (masks >> np.arange(n)[:, None]) & 1
-        for i, j, w, col in terms:
-            cuts[col] += w * (bits[i] ^ bits[j])
-        yield masks, np.bitwise_count(masks).astype(np.int64), cuts
+    size = min(_CHUNK, total)
+    c = size.bit_length() - 1
+    masks = np.arange(size, dtype=np.int64) << 1
+    first = np.zeros((width, size), dtype=np.int64)
+    bits = (masks >> np.arange(n)[:, None]) & 1
+    for i, j, w, col in terms:
+        first[col] += w * (bits[i] ^ bits[j])
+    yield masks, np.bitwise_count(masks).astype(np.int64), first
+    if size == total:
+        return
+    lap = np.zeros((width, n, n), dtype=np.int64)
+    for i, j, w, col in terms:
+        lap[col, i, i] += w
+        lap[col, j, j] += w
+        lap[col, i, j] -= w
+        lap[col, j, i] -= w
+    for start in range(size, total, size):
+        high = ((start << 1) >> np.arange(n)) & 1
+        lh = lap @ high
+        coef = 2 * lh[:, 1:c + 1, None]  # bit t of a chunk index is vertex t + 1
+        sums = np.empty((width, size), dtype=np.int64)
+        sums[:, 0] = lh @ high
+        for t in range(c):
+            sums[:, 1 << t:2 << t] = sums[:, :1 << t] + coef[:, t]
+        sums += first
+        chunk = masks + (start << 1)
+        yield chunk, np.bitwise_count(chunk).astype(np.int64), sums
 
 
 def _min_ratio(
@@ -243,6 +278,36 @@ def mixing_check(
     return abs(w - expected) <= lam * math.sqrt(len(ss) * len(tt)) + FLOAT_SLACK
 
 
+def _check_mixing_rows(g: WeightedMultigraph, rows: np.ndarray, lam: float) -> int:
+    """Check ``mixing_check`` on every row of trits as one batch; returns pairs.
+
+    Column k of a row is the k-th vertex in sorted order: 1 puts it in S, 2 in
+    T.  Rows with S or T empty are skipped; the others count as pairs and are
+    checked with the float operations of ``mixing_check``.  Raises
+    LemmaViolation on the first failing row.
+    """
+    d = _regular_degree(g)
+    index = _index(g)
+    in_s, in_t = rows == 1, rows == 2
+    size_s, size_t = in_s.sum(axis=1), in_t.sum(axis=1)
+    pairs = np.nonzero((size_s > 0) & (size_t > 0))[0]
+    in_s, in_t = in_s[pairs], in_t[pairs]
+    size_s, size_t = size_s[pairs], size_t[pairs]
+    w = np.zeros(len(pairs), dtype=np.int64)
+    for u, v, wt in g.edges():
+        iu, iv = index[u], index[v]
+        w += wt * ((in_s[:, iu] & in_t[:, iv]) | (in_t[:, iu] & in_s[:, iv]))
+    expected = d * size_s * size_t / g.n
+    bad = np.abs(w - expected) > lam * np.sqrt(size_s * size_t) + FLOAT_SLACK
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise LemmaViolation(
+            f"mixing violated: |{w[k]} - {expected[k]:.6f}| > "
+            f"{lam:.6f}*sqrt({size_s[k]}*{size_t[k]})"
+        )
+    return len(pairs)
+
+
 def mixing_suite(
     g: WeightedMultigraph,
     exhaustive_limit: int = 12,
@@ -258,37 +323,23 @@ def mixing_suite(
     already has it.
     """
     n = g.n
-    d = _regular_degree(g)
     lam = (spectrum or spectral_report(g)).lambda_
-    index = _index(g)
-    weights = [(index[u], index[v], w) for u, v, w in g.edges()]
-
-    def check(trits: Sequence[int]) -> bool:
-        size_s = sum(1 for t in trits if t == 1)
-        size_t = sum(1 for t in trits if t == 2)
-        if not size_s or not size_t:
-            return False
-        w = sum(
-            wt
-            for iu, iv, wt in weights
-            if (trits[iu], trits[iv]) in ((1, 2), (2, 1))
-        )
-        expected = d * size_s * size_t / n
-        if abs(w - expected) > lam * math.sqrt(size_s * size_t) + FLOAT_SLACK:
-            raise LemmaViolation(
-                f"mixing violated: |{w} - {expected:.6f}| > "
-                f"{lam:.6f}*sqrt({size_s}*{size_t})"
-            )
-        return True
-
     if n <= exhaustive_limit:
-        # reversed, position k is the k-th base-3 digit of an increasing code
-        return sum(check(t[::-1]) for t in product(range(3), repeat=n))
-    rng = random.Random(seed)
-    checked = 0
-    while checked < n_samples:
-        checked += check([rng.randrange(3) for _ in range(n)])
-    return checked
+        # row k holds the base-3 digits of k, least significant first
+        codes = np.arange(3**n, dtype=np.int64)
+        rows = np.empty((len(codes), n), dtype=np.int8)
+        for k in range(n):
+            rows[:, k] = codes // 3**k % 3
+    else:
+        rng = random.Random(seed)
+        rows = np.empty((max(n_samples, 0), n), dtype=np.int8)
+        k = 0
+        while k < len(rows):
+            trits = [rng.randrange(3) for _ in range(n)]
+            if 1 in trits and 2 in trits:
+                rows[k] = trits
+                k += 1
+    return _check_mixing_rows(g, rows, lam)
 
 
 @dataclass(frozen=True)
@@ -478,15 +529,19 @@ def rayleigh_lower_bound_check(
 
 
 def unbalanced_bound_check(
-    h_graph: WeightedMultigraph, x: Iterable[VertexName]
+    h_graph: WeightedMultigraph, x: Iterable[VertexName], lam: float | None = None
 ) -> bool:
-    """Cut floor for small sides of a doubled expander via the mixing bound."""
+    """Cut floor for small sides of a doubled expander via the mixing bound.
+
+    ``lam`` is the graph's spectral lambda when the caller already has it.
+    """
     xs = set(x)
     n = h_graph.n
     if not xs or len(xs) > n // 2:
         raise AnalysisError("X must be nonempty with |X| <= n/2")
     d = _regular_degree(h_graph)
-    lam = spectral_report(h_graph).lambda_
+    if lam is None:
+        lam = spectral_report(h_graph).lambda_
     cut = _weight_between(h_graph.edges(), xs, h_graph.vertices - xs)
     bound = len(xs) * (d * (n - len(xs)) / n - 4.0 * lam)
     return cut >= bound - FLOAT_SLACK
@@ -495,10 +550,11 @@ def unbalanced_bound_check(
 def unbalanced_suite(h_graph: WeightedMultigraph, max_size: int = 4) -> int:
     """Exhaustive unbalanced-cut floor over all small sides; returns count."""
     order = sorted(h_graph.vertices)
+    lam = spectral_report(h_graph).lambda_
     checked = 0
     for k in range(1, min(max_size, h_graph.n // 2) + 1):
         for combo in combinations(order, k):
-            if not unbalanced_bound_check(h_graph, combo):
+            if not unbalanced_bound_check(h_graph, combo, lam):
                 raise LemmaViolation(
                     f"unbalanced bound failed for "
                     f"{[format_name(v) for v in combo]}"

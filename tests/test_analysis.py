@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from expanderseq import analysis
@@ -24,6 +25,7 @@ from expanderseq.analysis import (
     unbalanced_suite,
 )
 from expanderseq.grower import bl_expander, graph_at, initial_graph, state_at
+from expanderseq.lifts import spectral_report
 from expanderseq.multigraph import WeightedMultigraph, edge_key
 from expanderseq.names import VertexName
 
@@ -276,15 +278,24 @@ def test_future_cut_suite_violation_messages(n, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("d", [6, 8])
-def test_cut_kernel_matches_scalar_oracle(d):
-    """Every cut's kernel columns against the scalar path, for every n <= 11."""
+@pytest.mark.parametrize(
+    "d, chunk",
+    [pytest.param(d, analysis._CHUNK, id=str(d)) for d in (6, 8)]
+    + [pytest.param(d, c, id=f"{d}-chunk{c}") for c in (8, 1) for d in (6, 8)],
+)
+def test_cut_kernel_matches_scalar_oracle(d, chunk, monkeypatch):
+    """Every cut's kernel columns against the scalar path, for every n <= 11.
+
+    The default chunk holds every cut; chunks of 8 and 1 cut reach the chunks
+    that are built from the first.
+    """
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
     for n in range(d // 2 + 1, 12):
         st = state_at(d, n, 1)
         order = sorted(st.current.vertices)
-        ((masks, _, cuts),) = analysis._cut_chunks(
-            n, analysis._future_terms(st), 6
-        )
+        chunks = list(analysis._cut_chunks(n, analysis._future_terms(st), 6))
+        masks = np.concatenate([m for m, _, _ in chunks])
+        cuts = np.concatenate([c for _, _, c in chunks], axis=1)
         floor = h = None
         sides, checked = [], 0
         for k in range(1, len(masks)):
@@ -330,3 +341,113 @@ def test_cut_kernel_chunk_seams(monkeypatch):
     whole = results()
     monkeypatch.setattr(analysis, "_CHUNK", 8)
     assert results() == whole
+
+
+def per_term_cut_chunks(n, terms, width, chunk):
+    """The cut kernel as one pass per term over every chunk's bit rows."""
+    total = 1 << (n - 1)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64) << 1
+        cuts = np.zeros((width, len(masks)), dtype=np.int64)
+        bits = (masks >> np.arange(n)[:, None]) & 1
+        for i, j, w, col in terms:
+            cuts[col] += w * (bits[i] ^ bits[j])
+        yield masks, np.bitwise_count(masks).astype(np.int64), cuts
+
+
+@pytest.mark.parametrize("n", [16, 18])
+@pytest.mark.parametrize("d", [6, 8])
+def test_cut_kernel_matches_per_term_kernel_across_chunks(d, n, monkeypatch):
+    """Chunks past the first, built from the first, equal a pass per term."""
+    monkeypatch.setattr(analysis, "_CHUNK", 1 << 10)
+    st = state_at(d, n, 1)
+    future = analysis._future_terms(st)
+    index = analysis._index(st.current)
+    # plain edge terms, every other one given with i > j
+    edges = [
+        (index[v], index[u], w, 0) if k % 2 else (index[u], index[v], w, 0)
+        for k, (u, v, w) in enumerate(st.current.sorted_edges())
+    ]
+    assert any(i > j for i, j, _, _ in future + edges)
+    for terms, width in ((future, 6), (edges, 1)):
+        got = list(analysis._cut_chunks(n, terms, width))
+        want = list(per_term_cut_chunks(n, terms, width, 1 << 10))
+        assert len(got) == len(want) == 1 << (n - 11)
+        for chunk, ref in zip(got, want):
+            for a, b in zip(chunk, ref):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+
+def test_mixing_suite_exhaustive_n12():
+    assert mixing_suite(graph_at(6, 12, 1)) == 3**12 - 2 * 2**12 + 1 == 523_250
+
+
+def scaled_spectrum(g, scale):
+    rep = spectral_report(g)
+    return replace(rep, eigenvalues=tuple(scale * e for e in rep.eigenvalues))
+
+
+@pytest.mark.parametrize(
+    "k, scale, message",
+    [
+        (1, 0.0, "mixing violated: |0 - 0.750000| > 0.000000*sqrt(1*1)"),
+        (1, 0.5, "mixing violated: |0 - 6.750000| > 2.236068*sqrt(3*3)"),
+        (2, 0.0, "mixing violated: |10 - 10.125000| > 0.000000*sqrt(9*3)"),
+        (2, 0.4, "mixing violated: |16 - 7.500000| > 1.788854*sqrt(4*5)"),
+    ],
+)
+def test_mixing_suite_first_violation_message(k, scale, message):
+    """n = 8 runs exhaustive, n = 16 sampled; the messages are pinned."""
+    g = bl_expander(6, k, 1)
+    with pytest.raises(LemmaViolation) as exc:
+        mixing_suite(g, spectrum=scaled_spectrum(g, scale))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.1])
+def test_mixing_batch_agrees_with_mixing_check(scale):
+    """Row by row, the batch check gives ``mixing_check``'s verdict, and the
+    whole batch fails with the message of its first failing row."""
+    g = graph_at(6, 16, 1)
+    order = sorted(g.vertices)
+    lam = scaled_spectrum(g, scale).lambda_
+    rng = random.Random(5)
+    rows = np.array([[rng.randrange(3) for _ in order] for _ in range(300)],
+                    dtype=np.int8)
+    verdicts, messages = [], []
+    for row in rows:
+        s = [v for v, t in zip(order, row) if t == 1]
+        t = [v for v, t in zip(order, row) if t == 2]
+        if not s or not t:
+            assert analysis._check_mixing_rows(g, row[None], lam) == 0
+            continue
+        try:
+            batch = analysis._check_mixing_rows(g, row[None], lam) == 1
+        except LemmaViolation as exc:
+            batch = False
+            messages.append(str(exc))
+        verdicts.append(batch)
+        assert batch == mixing_check(g, s, t, lam)
+    assert len(verdicts) > 250
+    if scale == 1.0:
+        assert all(verdicts)
+        assert analysis._check_mixing_rows(g, rows, lam) == len(verdicts)
+    else:  # at a tenth of lambda about half the pairs fail
+        assert 0 < sum(verdicts) < len(verdicts)
+        with pytest.raises(LemmaViolation) as exc:
+            analysis._check_mixing_rows(g, rows, lam)
+        assert str(exc.value) == messages[0]
+
+
+def test_unbalanced_suite_one_eigensolve(monkeypatch):
+    h = bl_expander(6, 1, 1)
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return spectral_report(g)
+
+    monkeypatch.setattr(analysis, "spectral_report", counting)
+    assert unbalanced_suite(h, max_size=4) == 8 + 28 + 56 + 70
+    assert len(calls) == 1
