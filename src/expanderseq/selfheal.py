@@ -17,11 +17,13 @@ Recovery flows:
   neighbor, learns the vertex count, deduces which vertex splits and becomes
   its 1-copy; the splitting vertex renames to its 0 copy and notifies its
   neighbors, which build their own edges to the new node directly.
-* deletion: the neighbor elected by the canonical shortest path reports to
-  the coordinator, which routes a takeover to the newest vertex; that vertex
-  first wires itself into the deleted slot, then undoes its own insertion
-  (its split partner renames back and reclaims the merged edges) and assumes
-  the deleted name, pulling the coordinator state if the coordinator died.
+* deletion: the ex-neighbor bound to the dead node's own next hop toward
+  the coordinator (the routers' hop rule, which each ex-neighbor can
+  evaluate alone) reports to the coordinator, which routes a takeover to
+  the newest vertex; that vertex first wires itself into the deleted slot,
+  then undoes its own insertion (its split partner renames back and
+  reclaims the merged edges) and assumes the deleted name, pulling the
+  coordinator state if the coordinator died.
   When the newest vertex itself was deleted, the takeover goes to its split
   partner, which performs the undo alone.
 
@@ -460,6 +462,8 @@ def parse_script(text: str) -> list[AdversaryEvent]:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScriptError(f"script is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScriptError("script nests arrays or objects too deeply") from exc
     if not isinstance(raw, list):
         raise ScriptError("script must be a JSON array")
     events: list[AdversaryEvent] = []
@@ -728,6 +732,16 @@ class SimNetwork:
                 return nb
         if level is None:
             level = self._working_level(node)
+        return self._ref_hop(node, dst, exclude, level)
+
+    def _ref_hop(
+        self,
+        node: NodeState,
+        dst: VertexName,
+        exclude: frozenset[VertexName],
+        level: int,
+    ) -> VertexName:
+        """The neighbor carrying the canonical hop toward ``dst`` at ``level``."""
         dist = _ref_dist(self.d, level, self.seed, min(locus(dst, level)), exclude)
         adjacency = _ref_adj(self.d, level, self.seed)
         best = _hop(adjacency.__getitem__, dist, locus(node.name, level))
@@ -774,13 +788,19 @@ class SimNetwork:
             for dst, src, msg in sorted(deliveries, key=order):
                 self.messages += 1
                 self.bits += msg.body.bits
-                self._handle(self.nodes[dst], msg, src)
+                if msg.dst is None:
+                    self._on(msg.body, self.nodes[dst], src)
+                else:
+                    self._send_routed(dst, msg)
 
-    def _handle(self, node: NodeState, msg: Message, src_ext: str) -> None:
-        if msg.dst is None:
-            self._on(msg.body, node, src_ext)
-        else:
-            self._send_routed(node.ext_id, msg)
+    def _settle(self, n_before: int) -> None:
+        """End an event: run it to quiescence, clear the per-event flags of
+        the nodes it wrote (no other node can have set one), and check it."""
+        self.run_to_quiescence()
+        for ext in self._dirty & self.nodes.keys():
+            self.nodes[ext].pair_hold = None
+            self.nodes[ext].announce_inflight = False
+        self._common_checks(n_before)
 
     def _on(self, body: Body, node: NodeState, src: str) -> None:
         """Run the handler of ``body`` at ``node``, the one node it writes."""
@@ -829,10 +849,7 @@ class SimNetwork:
             self.nodes[a].attach_links.add(ext_id)
         self._dirty.update(node.attach_links, [ext_id])
         self._direct(node, node.joining.relay_ext, AddNotify(ext_id, self.n))
-        self.run_to_quiescence()
-        for node in self.nodes.values():
-            node.announce_inflight = False
-        self._common_checks(n_before)
+        self._settle(n_before)
 
     @_handles
     def _on_add_notify(self, body: AddNotify, node: NodeState, src: str) -> None:
@@ -1044,31 +1061,24 @@ class SimNetwork:
         if self.n == self.d // 2 + 1:
             raise ScriptError("cannot shrink below the base clique size d/2 + 1")
         n_before = self.n
+        # the last check passed: each neighbour binds the dead node back once
+        # under its name, holds no attach link, and holds the current replica
+        # if the dead node was the coordinator
         dead = self.nodes.pop(ext_id)
         dead_name = dead.name
-        neighbors = [
-            self.nodes[ext]
-            for ext in sorted(set(dead.neighbor_table.values()))
-            if ext in self.nodes
-        ]
+        neighbors = [self.nodes[ext] for ext in sorted(dead.neighbor_table.values())]
         self._dirty.update(nb.ext_id for nb in neighbors)
         for nb in neighbors:
-            for name, ext in list(nb.neighbor_table.items()):
-                if ext == ext_id:
-                    del nb.neighbor_table[name]
-            nb.attach_links.discard(ext_id)
+            del nb.neighbor_table[dead_name]
             if nb.is_partner_of(dead_name):
                 nb.pair_hold = dead_name
                 nb.partner_ext = None
         if dead.is_coordinator:
-            holders = [nb for nb in neighbors if nb.replica_n is not None]
-            if len(holders) != len(neighbors):
-                raise ProtocolError("a coordinator neighbor lost its replica")
-            n = holders[0].replica_n
-            elected = self._elect_for_coordinator_deletion(neighbors, dead_name, n)
+            n = neighbors[0].replica_n
+            elected = self._elect_for_coordinator_deletion(dead, n)
             self._send_takeover(elected, dead_name, n, coord_died=True)
         else:
-            elected = self._elect_for_deletion(neighbors, dead_name)
+            elected = self._elect_for_deletion(dead)
             self._route(
                 elected, DelNotify(dead_name), VertexName(0), frozenset([dead_name])
             )
@@ -1081,54 +1091,24 @@ class SimNetwork:
             if ext in self.nodes:
                 self._after_table_change(self.nodes[ext])
         self._deferred_drops.clear()
-        self.run_to_quiescence()
-        for node in self.nodes.values():
-            node.pair_hold = None
-            node.announce_inflight = False
-        self._common_checks(n_before)
+        self._settle(n_before)
 
-    def _elect_for_deletion(
-        self, neighbors: list[NodeState], dead_name: VertexName
-    ) -> NodeState:
-        """The unique ex-neighbor on the canonical shortest path to the coordinator.
+    def _elect_for_deletion(self, dead: NodeState) -> NodeState:
+        """The ex-neighbor bound to the dead node's own next hop to the coordinator.
 
-        Every ex-neighbor evaluates the same rule in the reference graph of
-        the deleted node's own level, so the election is consistent without
-        any knowledge of the vertex count.
+        The hop is the routers' rule in the reference graph of the dead
+        node's own level, so every ex-neighbor can evaluate it alone,
+        without any knowledge of the vertex count.
         """
-        level = dead_name.depth
-        target = VertexName(0, (0,) * level)
-        dist = _ref_dist(self.d, level, self.seed, target, frozenset())
-        hop = _hop(_ref_adj(self.d, level, self.seed).__getitem__, dist, {dead_name})
-        if hop is None:
-            raise ProtocolError("deleted vertex has no hop toward the coordinator")
-        matches = [
-            nb
-            for nb in neighbors
-            if nb.name is not None
-            and hop in locus(nb.name, level)
-            and not any(nb.name.bits[level:])
-        ]
-        if len(matches) != 1:
-            raise ProtocolError(
-                f"deletion election matched {len(matches)} neighbors for "
-                f"{format_name(hop)}"
-            )
-        return matches[0]
+        hop = self._ref_hop(dead, VertexName(0), frozenset(), dead.name.depth)
+        return self.nodes[dead.neighbor_table[hop]]
 
-    def _elect_for_coordinator_deletion(
-        self, neighbors: list[NodeState], dead_name: VertexName, n: int
-    ) -> NodeState:
-        """Replica holders agree on the neighbor toward the newest vertex."""
-        x_name = changelog_at(self.d, n, self.seed).new_vertex
-        dist = _true_dist(self.d, self.seed, n, x_name, frozenset())
-        hop = _hop(graph_at(self.d, n, self.seed).neighbors, dist, {dead_name})
-        if hop is None:
-            raise ProtocolError("no hop from the dead coordinator to the newest vertex")
-        matches = [nb for nb in neighbors if nb.name == hop]
-        if len(matches) != 1:
-            raise ProtocolError("temporary-coordinator election failed")
-        return matches[0]
+    def _elect_for_coordinator_deletion(self, dead: NodeState, n: int) -> NodeState:
+        """The replica holder bound to the dead coordinator's exact next hop
+        toward the newest vertex, which every holder can evaluate alone."""
+        newest = changelog_at(self.d, n, self.seed).new_vertex
+        hop = self._exact_next_hop(dead, newest, n, frozenset())
+        return self.nodes[dead.neighbor_table[hop]]
 
     def _send_takeover(
         self, sender: NodeState, dead_name: VertexName, n: int, coord_died: bool
@@ -1462,11 +1442,11 @@ def run_script(
     """Execute an adversary script, one event to quiescence at a time.
 
     After every event the simulated topology must equal the unweighted
-    reference, degrees stay within [d/2, d], and both the weighted and the
-    unweighted change between consecutive references, as the growth log of
-    the step records them, stay within 5d/2.  Each event checks the nodes it
-    wrote and those whose G_n row it changed; the full walk over every node
-    runs once more after the last event.
+    reference: each event checks the nodes it wrote and those whose G_n row
+    it changed, and the full walk over every node runs once more after the
+    last event.  Each event records the unweighted change between the
+    consecutive references, as the growth log of the step records it; it
+    is within 5d/2 because ``split_next`` holds the weighted cost there.
     A failing event re-raises its error, same type, prefixed with the event
     index, op, ext id, the vertex count before the event and the round.
     """
@@ -1481,17 +1461,12 @@ def run_script(
                 net.insert(ev.ext_id, ev.attach)
             else:
                 net.delete(ev.ext_id)
-            log = changelog_at(d, max(n_before, net.n), seed)
-            if max(log.cost, log.topology_changes) > 5 * d // 2:
-                raise ProtocolError(
-                    f"topology change exceeds 5d/2 (weighted {log.cost}, "
-                    f"unweighted {log.topology_changes})"
-                )
         except (ScriptError, ProtocolError) as exc:
             raise type(exc)(
                 f"event {idx} ({op} {ev.ext_id!r}, n = {n_before}, "
                 f"round {net.rounds}): {exc}"
             ) from exc
+        log = changelog_at(d, max(n_before, net.n), seed)
         per_event.append(
             {
                 "index": idx,

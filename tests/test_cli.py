@@ -262,6 +262,12 @@ def null_id_script(tmp):
     return str(path)
 
 
+def nested_script(tmp):
+    path = tmp / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
 def heavy_triangle(tmp, weight):
     """K3 with every weight ``weight``, beyond what int64 cut sums can hold."""
     path = tmp / f"k3-{weight}.graph"
@@ -307,6 +313,8 @@ INPUT_ERRORS = {
     "grow-seed-env-not-integer": lambda tmp: ["grow", "--d", "6", "--n", "5"],
     "simulate-id-not-string": lambda tmp: [
         "simulate", "--d", "6", "--script", null_id_script(tmp)],
+    "simulate-script-nested-too-deep": lambda tmp: [
+        "simulate", "--d", "6", "--script", nested_script(tmp)],
     "simulate-missing-script": lambda tmp: [
         "simulate", "--d", "6", "--script", str(tmp / "none.json")],
     "simulate-script-not-utf8": lambda tmp: [
@@ -343,6 +351,7 @@ INPUT_ERROR_TEXT = {
     "analyze-name-arabic-digit": "line 2: malformed vertex name",
     "analyze-weight-underscore": "line 2: weight must be in",
     "simulate-id-not-string": "event 0: insert needs a string 'id'",
+    "simulate-script-nested-too-deep": "script nests arrays or objects too deeply",
     "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
     "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
     "verify-weight-plus-sign": "line 2: weight must be in",

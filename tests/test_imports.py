@@ -1,6 +1,6 @@
 """Every module-level import of the package is used by its module, every
-private module-level name is used somewhere in the package, and in the CLI
-only ``main`` reports errors.
+private module-level name is used somewhere in the package, in the CLI
+only ``main`` reports errors, and every name the benchmark binds exists.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for unused-import and unused-helper rules.  An import whose line carries
@@ -9,11 +9,16 @@ package's exports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "expanderseq"
+from expanderseq import analysis, cli, grower, lifts, multigraph, selfheal
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "expanderseq"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -140,3 +145,28 @@ def test_error_report_check_sees_attributes_and_names():
 
 def test_only_cli_main_writes_to_stderr_or_exits_2():
     assert error_reports_outside_main((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_perfbench_binds_existing_names():
+    """The tracer wraps, and the child process hooks, names of the package:
+    a rename fails here, naming the attribute, and not only in a traced
+    benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    es = SimpleNamespace(
+        analysis=analysis, cli=cli, grower=grower, lifts=lifts,
+        multigraph=multigraph, selfheal=selfheal,
+    )
+    tracer = tracing.Tracer("names")
+    try:
+        tracing.install(tracer, es)
+    finally:
+        tracer.uninstall()
+    hooks = [
+        (cli, "_run_suite"), (grower, "_STATE_CACHE"), (grower, "clear_caches"),
+        (selfheal.SimNetwork, "insert"), (selfheal.SimNetwork, "delete"),
+    ]
+    assert [f"{o.__name__}.{a}" for o, a in hooks if not hasattr(o, a)] == []

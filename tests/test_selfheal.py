@@ -539,6 +539,63 @@ def test_generated_adversary_round_budget(d, moves, full_walk_agrees):
         assert e["rounds"] <= 6 * log2n, e
 
 
+def old_elect_for_deletion(net, dead):
+    """The hand-written rule the routers replaced: the unique ex-neighbour
+    covering the dead node's hop to the coordinator with a zero tail."""
+    level = dead.name.depth
+    target = VertexName(0, (0,) * level)
+    dist = selfheal._ref_dist(net.d, level, net.seed, target, frozenset())
+    adj = selfheal._ref_adj(net.d, level, net.seed)
+    hop = selfheal._hop(adj.__getitem__, dist, {dead.name})
+    (elected,) = [
+        net.nodes[ext]
+        for name, ext in dead.neighbor_table.items()
+        if hop in locus(name, level) and not any(name.bits[level:])
+    ]
+    return elected
+
+
+def old_elect_for_coordinator_deletion(net, dead, n):
+    """The replica holder named by the dead coordinator's exact hop."""
+    newest = changelog_at(net.d, n, net.seed).new_vertex
+    dist = selfheal._true_dist(net.d, net.seed, n, newest, frozenset())
+    hop = selfheal._hop(graph_at(net.d, n, net.seed).neighbors, dist, {dead.name})
+    (elected,) = [
+        net.nodes[ext] for name, ext in dead.neighbor_table.items() if name == hop
+    ]
+    return elected
+
+
+@pytest.mark.parametrize("d", [6, 8])
+@settings(max_examples=40)
+@given(moves=ADVERSARY_MOVES)
+@example(moves=[(0, 0), (0, 0), (1, 0)])  # the third move deletes the coordinator
+def test_elections_match_the_old_local_rules(d, moves):
+    """Both elections pick, at every deletion, the node the old rules picked."""
+    elect = SimNetwork._elect_for_deletion
+    elect_coord = SimNetwork._elect_for_coordinator_deletion
+    elected = []
+
+    def checked(net, dead):
+        node = elect(net, dead)
+        assert node.ext_id == old_elect_for_deletion(net, dead).ext_id
+        elected.append(node)
+        return node
+
+    def checked_coord(net, dead, n):
+        node = elect_coord(net, dead, n)
+        assert node.ext_id == old_elect_for_coordinator_deletion(net, dead, n).ext_id
+        elected.append(node)
+        return node
+
+    events = adversary_script(d, 1, moves)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimNetwork, "_elect_for_deletion", checked)
+        mp.setattr(SimNetwork, "_elect_for_coordinator_deletion", checked_coord)
+        run_script(d, 1, events)
+    assert len(elected) == sum(isinstance(e, DeleteEvent) for e in events)
+
+
 def test_unsplit_handover_spans_two_chunks(monkeypatch):
     """At d = 20 the bit cap packs fewer halves than a split can lose."""
     unsplits = []
