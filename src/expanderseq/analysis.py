@@ -331,15 +331,31 @@ def mixing_suite(
         for k in range(n):
             rows[:, k] = codes // 3**k % 3
     else:
-        rng = random.Random(seed)
-        rows = np.empty((max(n_samples, 0), n), dtype=np.int8)
-        k = 0
-        while k < len(rows):
-            trits = [rng.randrange(3) for _ in range(n)]
-            if 1 in trits and 2 in trits:
-                rows[k] = trits
-                k += 1
+        rows = _sampled_rows(random.Random(seed), n, max(n_samples, 0))
     return _check_mixing_rows(g, rows, lam)
+
+
+def _sampled_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of n ``rng.randrange(3)`` trits that hold both
+    a 1 and a 2, drawn in bulk.
+
+    ``randrange(3)`` is the top two bits of the next 32-bit Mersenne Twister
+    word, redrawn while they read 3, and ``getrandbits(32 * w)`` is the next w
+    words, least significant first; so the stream of words below 3 << 30, cut
+    into rows of n, is the loop's stream of trits.  ``rng`` draws ahead.
+    """
+    rows = np.empty((0, n), dtype=np.int8)
+    carry = np.empty(0, dtype=np.int8)
+    while len(rows) < count:
+        words = 2 * n * (count - len(rows))  # 4/3 words per trit, most rows kept
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        trits = (np.frombuffer(raw, "<u4") >> 30).astype(np.int8)
+        stream = np.concatenate([carry, trits[trits < 3]])
+        cut = len(stream) - len(stream) % n
+        block, carry = stream[:cut].reshape(-1, n), stream[cut:]
+        both = (block == 1).any(axis=1) & (block == 2).any(axis=1)
+        rows = np.concatenate([rows, block[both]])
+    return rows[:count]
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,14 @@ a vertex subset have conjugate signed matrices), the random search its seeded
 draws.
 
 The loop prunes in two passes.  First, batched Lanczos runs a few steps on
-every candidate's sparse signed matrix; by Cauchy interlacing its largest
-|Ritz value| is at most the spectral radius, hence at most the lift's
-lambda, and so is the base's lambda.  Then candidates get a dense solve of
-their signed matrix in ascending order of that lower bound, until a bound
-exceeds the best lambda so far by more than ``PRUNE_SLACK``, far above the
-bound's rounding.  Every skipped candidate has a larger float lambda than
-the winner, and every solved one the same float lambda as a solve of all
-of them would give, so the prune cannot move the choice.
+every candidate's sparse signed matrix; by Paige's containment its largest
+|Ritz value|, less a slack delta, is at most the spectral radius, hence at
+most the lift's lambda, and so is the base's lambda.  Then candidates get a
+dense solve of their signed matrix in ascending order of that lower bound,
+until a bound exceeds the best lambda so far by more than ``PRUNE_SLACK``.
+Every skipped candidate has a larger float lambda than the winner, and every
+solved one the same float lambda as a solve of all of them would give, so
+the prune cannot move the choice.
 
 Ties are decided on floating-point lambda, so the choice is the smallest code
 among the bit-exact minimizers, not among all signings within rounding of the
@@ -52,11 +52,11 @@ EXHAUSTIVE_EDGE_LIMIT = 20
 DEFAULT_SEARCH_BUDGET = 512
 EIG_TOL = 1e-9
 # a candidate whose lower bound exceeds the incumbent's lambda by more than
-# this is skipped; Lanczos rounding moves a bound by about k * eps * ||A||
+# this is skipped: far above the solvers' rounding, about n * eps * ||A||
 PRUNE_SLACK = 1e-6
-# Lanczos basis of one chunk of candidates; a chunk has at least 16, so
-# call overhead stays small on large bases (the basis is 2.9 MB at n = 512)
-KRYLOV_CHUNK_BYTES = 1 << 19
+# Lanczos working set (signs, their gather, three vectors, the tridiagonal)
+# of a chunk of at least 16 candidates; 51 KB per candidate at n = 512, d = 6
+KRYLOV_CHUNK_BYTES = 1 << 20
 
 
 class SpectralError(RuntimeError):
@@ -191,6 +191,19 @@ def _code_bits(codes: Sequence[int], m: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1)[:, -m:]
 
 
+def _paige_slack(n: int, k: int, r: int) -> float:
+    """How far a Ritz value of k computed Lanczos steps can leave the spectrum.
+
+    Paige (Linear Algebra Appl. 34, 1980) bounds it, for n x n A with m
+    nonzeros per row, by k^(5/2) sqrt(2) max(6 e0, 2 e1 + 7 e0) ||A||, with
+    e0 = 2 (n + 4) eps, e1 = 2 (7 + m || |A| || / ||A||) eps.  A signed matrix
+    of an r-regular base has m = r and || |A_s| || = r >= ||A_s||: worst at r.
+    """
+    eps = float(np.finfo(np.float64).eps)  # twice the unit roundoff: errs high
+    eps0, eps1 = 2 * (n + 4) * eps, 2 * (7 + r) * eps
+    return k**2.5 * math.sqrt(2) * max(6 * eps0, 2 * eps1 + 7 * eps0) * r
+
+
 def _lanczos_bounds(
     nbr: np.ndarray, slot_edge: np.ndarray, bits: np.ndarray, steps: int
 ) -> np.ndarray:
@@ -199,45 +212,39 @@ def _lanczos_bounds(
     ``nbr[i, s]`` is the s-th neighbour of vertex i and ``slot_edge[i, s]``
     the index of that edge, so row c of ``bits`` puts ``1 - 2 * bits[c, e]``
     at ``(i, nbr[i, s])`` for ``e = slot_edge[i, s]``.  Each row runs
-    ``min(steps, n)`` Lanczos steps with full reorthogonalisation from one
-    fixed start vector, batched over chunks of rows; its bound is the
-    largest |Ritz value|, which Cauchy interlacing keeps inside the spectrum.
-    A Krylov space that turns invariant early goes on with zero vectors, so
-    its tridiagonal only gains zero Ritz values.
+    ``min(steps, n)`` steps of the three-term recurrence Paige analysed, with
+    no basis kept, from one fixed start vector, batched over chunks of rows;
+    its bound is the largest |Ritz value| less ``_paige_slack``.  A Krylov
+    space that turns invariant early goes on with zero vectors, so its
+    tridiagonal only gains zero Ritz values.
     """
-    n = nbr.shape[0]
+    n, r = nbr.shape
     steps = min(steps, n)
     start = np.sin(np.arange(1.0, n + 1))
     start /= np.linalg.norm(start)
-    chunk = max(16, KRYLOV_CHUNK_BYTES // (8 * steps * n))
+    slack = _paige_slack(n, steps, r)
+    chunk = max(16, KRYLOV_CHUNK_BYTES // (8 * ((2 * r + 3) * n + steps * steps)))
     bounds = np.empty(len(bits))
     for lo in range(0, len(bits), chunk):
         signs = 1.0 - 2.0 * bits[lo : lo + chunk][:, slot_edge.T]  # (B, r, n)
         b = len(signs)
-        basis = np.zeros((b, steps, n))
-        basis[:, 0] = start
         tri = np.zeros((b, steps, steps))
+        q_prev, q = np.zeros((b, n)), np.tile(start, (b, 1))
         beta = np.zeros(b)
         for j in range(steps):
-            q = basis[:, j]
             w = np.einsum("brn,brn->bn", signs, q[:, nbr.T])
-            alpha = np.einsum("bn,bn->b", w, q)
-            tri[:, j, j] = alpha
+            w -= beta[:, None] * q_prev
+            tri[:, j, j] = alpha = np.einsum("bn,bn->b", w, q)
             if j + 1 == steps:
                 break
             w -= alpha[:, None] * q
-            if j:
-                w -= beta[:, None] * basis[:, j - 1]
-            done = basis[:, : j + 1]
-            overlap = np.matmul(done, w[:, :, None]).transpose(0, 2, 1)
-            w -= np.matmul(overlap, done)[:, 0]
             beta = np.sqrt(np.einsum("bn,bn->b", w, w))
             live = beta > 1e-10
             beta[~live] = 0.0
             tri[:, j + 1, j] = tri[:, j, j + 1] = beta
             scale = np.divide(1.0, beta, out=np.zeros(b), where=live)
-            basis[:, j + 1] = w * scale[:, None]
-        bounds[lo : lo + b] = np.abs(_eigvalsh(tri)).max(axis=1)
+            q_prev, q = q, w * scale[:, None]
+        bounds[lo : lo + b] = np.abs(_eigvalsh(tri)).max(axis=1) - slack
     return bounds
 
 

@@ -170,6 +170,22 @@ def test_mixing_suite_sampled():
     assert checked == 500
 
 
+@pytest.mark.parametrize("n", [3, 13, 22, 40])
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_sampled_rows_match_randrange_loop(n, seed):
+    """The bulk draw gives the rows of a ``randrange(3)`` loop; at n = 3 few
+    rows hold both a 1 and a 2, so the draw refills and carries trits over."""
+    rng = random.Random(seed)
+    want = []
+    while len(want) < 2000:
+        trits = [rng.randrange(3) for _ in range(n)]
+        if 1 in trits and 2 in trits:
+            want.append(trits)
+    got = analysis._sampled_rows(random.Random(seed), n, 2000)
+    assert got.dtype == np.int8
+    assert got.tolist() == want
+
+
 def test_half_lemma_single_cuts():
     st = state_at(6, 6, 1)
     order = sorted(st.current.vertices)

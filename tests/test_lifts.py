@@ -330,10 +330,11 @@ def dense_best_signing(base, edges, base_eigs, candidates):
 
 # Every random-path base up to 128 vertices for d in {6, 8, 10, 12} and lift
 # seeds 1-3, plus the exhaustive K6 of d = 10 (code 348, with 236 within
-# 1e-9).  Among them are the two known near-ties: (6, seed 2, cycle 2) picks
-# 10692226 and (12, seed 2, cycle 0) picks 809963 over smaller codes within
-# 1e-9 of their lambda.
-ORACLE_CASES = [(10, 1, 0)] + [
+# 1e-9) and the 256-vertex base of d = 6, lift seed 1, the largest search
+# that growing to n = 512 runs.  Among them are the two known near-ties:
+# (6, seed 2, cycle 2) picks 10692226 and (12, seed 2, cycle 0) picks 809963
+# over smaller codes within 1e-9 of their lambda.
+ORACLE_CASES = [(10, 1, 0), (6, 1, 6)] + [
     (d, seed, i)
     for d in (6, 8, 10, 12)
     for seed in (1, 2, 3)
@@ -383,16 +384,17 @@ def neighbour_table(base, edges):
 
 def bound_bases():
     a, b = VertexName(0), VertexName(1)
-    g_star = bl_expander(6, 2, 1)
+    g_star, g128 = bl_expander(6, 2, 1), bl_expander(6, 5, 1)
     return {
         "edge": WeightedMultigraph(6, [a, b], {edge_key(a, b): 1}),
         "K4": simple_clique(4),
         "K5": simple_clique(5),
         "n16": g_star.replace(weights=dict.fromkeys(g_star.weights, 1)),
+        "n128": g128.replace(weights=dict.fromkeys(g128.weights, 1)),
     }
 
 
-@pytest.mark.parametrize("name", ["edge", "K4", "K5", "n16"])
+@pytest.mark.parametrize("name", ["edge", "K4", "K5", "n16", "n128"])
 @pytest.mark.parametrize("steps", [3, 8, 30])
 def test_lanczos_bound_is_below_spectral_radius(name, steps):
     base = bound_bases()[name]
@@ -400,7 +402,8 @@ def test_lanczos_bound_is_below_spectral_radius(name, steps):
     index = {v: i for i, v in enumerate(sorted(base.vertices))}
     nbr, slot_edge = neighbour_table(base, edges)
     rng = random.Random(5)
-    codes = [0] + [rng.getrandbits(len(edges)) for _ in range(40)]  # 0: A_s = A
+    draws = 64 if name == "n128" else 40
+    codes = [0] + [rng.getrandbits(len(edges)) for _ in range(draws)]  # 0: A_s = A
     bits = lifts._code_bits(codes, len(edges))
     bounds = lifts._lanczos_bounds(nbr, slot_edge, bits, steps)
     for code, row, bound in zip(codes, bits, bounds):
@@ -411,6 +414,14 @@ def test_lanczos_bound_is_below_spectral_radius(name, steps):
         assert bound <= rho + 1e-12, (name, code)
         if steps >= base.n:  # the Krylov space is the whole space
             assert bound >= rho - 1e-9, (name, code)
+
+
+def test_paige_slack_is_small_and_grows_with_n_and_k():
+    slack = lifts._paige_slack
+    assert 0 < slack(16, 16, 3) < 1e-9  # so k >= n bounds stay within 1e-9
+    assert slack(16, 16, 3) < slack(17, 16, 3) < slack(256, 16, 3)
+    assert slack(256, 16, 3) < slack(256, 17, 3) < slack(256, 32, 3)
+    assert slack(256, 32, 3) < slack(256, 32, 6)
 
 
 def sorted_frontier_masks(base, edges):
