@@ -3,17 +3,15 @@
 Combinatorial quantities (cut weights, expansion ratios, the future-cut block
 identities) are computed in exact integer or rational arithmetic; only
 eigenvalues are floating point.  Every exhaustive cut check runs on one
-chunked kernel, ``_cut_chunks``: for each of the 2^(n-1) cuts it sums the
-caller's edge terms into integer columns.  ``edge_expansion_exact`` and
-``future_cut_floor`` read one column (all edges, or target edges at their
-preimages) through ``_min_ratio``, the exact minimum of weight / |side|;
-``future_cut_suite`` reads six, the partner-free current cut and the future
-cut, each by number of split endpoints (uu, su, ss).  The kernel passes
-over the terms once, for its first chunk, and builds every later chunk from
-that one in O(width * chunk) integer work.  On one core of a 2-vCPU x86
-host, ``edge_expansion_exact`` takes about 0.06 s at n = 22 and 0.19 s at
-n = 24, and ``future_cut_suite`` 0.08 s and 0.22 s.  ``mixing_suite``
-checks all its pairs as one numpy batch.
+chunked kernel, ``_cut_chunks``, which builds the int64 cut columns of the
+caller's edge terms for all 2^(n-1) cuts by one Laplacian recurrence.
+``edge_expansion_exact`` and ``future_cut_floor`` read one column (all
+edges, or target edges at their preimages) through ``_min_ratio``, an
+integer-key minimum; ``future_cut_suite`` reads six, the partner-free
+current cut and the future cut, each by number of split endpoints (uu, su,
+ss).  On one core of a 2-vCPU x86 host, ``edge_expansion_exact`` takes
+about 0.02 s at n = 22 and 0.07 s at n = 24, and ``future_cut_suite`` 0.06 s
+and 0.21 s.  ``mixing_suite`` checks all its pairs as one numpy batch.
 
 Two cut weights coexist on growth states: the expansion measurements count
 every edge, while the block machinery relating a cut to its image in the next
@@ -43,8 +41,7 @@ from .names import VertexName, format_name, locus, partner
 MAX_EXACT_N = 26
 FLOAT_SLACK = 1e-9
 CHEEGER_SLACK = 1e-6
-# cuts per chunk, a power of two; a chunk's bit rows and cut columns stay
-# small enough for a core's L2 cache
+# cuts per chunk: a power of two whose cut columns fit a core's L2 cache
 _CHUNK = 1 << 14
 
 
@@ -112,73 +109,75 @@ def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
     len(masks))``: term ``(i, j, w, col)`` adds ``w`` to column ``col`` of
     every cut separating vertices i and j.
 
-    Only the first chunk sums the terms one by one.  A column's cut of mask
-    x is the Laplacian form x^T L x, and inside a chunk x = b + h, where the
-    low vertices 0..c of b vary and the high vertices of h are fixed.  So a
-    later chunk is the first chunk's b^T L b, plus the offset h^T L h (the w
-    of every low-high term whose high end is set and of every high-high term
-    that h separates), plus the subset sums of the coefficients 2 (L h)_i
-    (-2w per low-high term at its low end), built by doubling in c slice
-    adds.  The first chunk costs O(|terms| * chunk) and each later one
-    O(width * chunk), all in int64.  ``_CHUNK`` must be a power of two.
+    A column's cut of x = b + h is the Laplacian form b^T L b + h^T L h +
+    2 b^T L h, so one step adds to the cuts of every low mask b the offset
+    h^T L h and the subset sums of 2 (L h)_i, built by doubling.  The first
+    chunk grows from the empty mask by one step per low vertex, and each
+    later chunk is one step on it: O(width * chunk) int64 work a chunk.
+    Partial sums are differences of cuts and coefficients reach 2W, for
+    total term weight W, so the guard keeps them, and ``_min_ratio``'s keys
+    up to W * L, inside int64.  ``_CHUNK`` must be a power of two.
     """
-    total = 1 << (n - 1)
-    size = min(_CHUNK, total)
-    c = size.bit_length() - 1
-    masks = np.arange(size, dtype=np.int64) << 1
-    first = np.zeros((width, size), dtype=np.int64)
-    bits = (masks >> np.arange(n)[:, None]) & 1
-    for i, j, w, col in terms:
-        first[col] += w * (bits[i] ^ bits[j])
-    yield masks, np.bitwise_count(masks).astype(np.int64), first
-    if size == total:
-        return
+    weight = sum(w for _, _, w, _ in terms)
+    if weight * max(2, math.lcm(*range(1, n // 2 + 1))) >= 1 << 63:
+        raise AnalysisError(
+            f"total edge weight {weight} at n = {n} would overflow int64 cuts"
+        )
+    eye = np.eye(n, dtype=np.int64)
     lap = np.zeros((width, n, n), dtype=np.int64)
     for i, j, w, col in terms:
-        lap[col, i, i] += w
-        lap[col, j, j] += w
-        lap[col, i, j] -= w
-        lap[col, j, i] -= w
-    for start in range(size, total, size):
-        high = ((start << 1) >> np.arange(n)) & 1
-        lh = lap @ high
-        coef = 2 * lh[:, 1:c + 1, None]  # bit t of a chunk index is vertex t + 1
-        sums = np.empty((width, size), dtype=np.int64)
-        sums[:, 0] = lh @ high
-        for t in range(c):
-            sums[:, 1 << t:2 << t] = sums[:, :1 << t] + coef[:, t]
-        sums += first
-        chunk = masks + (start << 1)
-        yield chunk, np.bitwise_count(chunk).astype(np.int64), sums
+        lap[col] += w * np.outer(eye[i] - eye[j], eye[i] - eye[j])
+
+    def step(low: np.ndarray, high: int) -> np.ndarray:
+        x = (high >> np.arange(n)) & 1
+        lh = lap @ x
+        coef = 2 * lh[:, :, None]
+        out = np.empty_like(low)
+        out[:, 0] = lh @ x
+        for t in range(low.shape[1].bit_length() - 1):  # bit t is vertex t + 1
+            np.add(out[:, :1 << t], coef[:, t + 1], out=out[:, 1 << t:2 << t])
+        out += low
+        return out
+
+    total = 1 << (n - 1)
+    size = min(_CHUNK, total)
+    first = np.zeros((width, size), dtype=np.int64)
+    for t in range(size.bit_length() - 1):
+        first[:, 1 << t:2 << t] = step(first[:, :1 << t], 2 << t)
+    masks = np.arange(size, dtype=np.int64) << 1
+    for high in range(0, 2 * total, 2 * size):
+        chunk = masks + high
+        cuts = step(first, high) if high else first
+        yield chunk, np.bitwise_count(chunk).astype(np.int64), cuts
 
 
 def _min_ratio(
     n: int, terms: Sequence[tuple[int, int, int, int]]
-) -> tuple[Fraction, list[tuple[int, bool]], int]:
+) -> tuple[Fraction, list[tuple[int, bool]]]:
     """Exact minimum of cut weight / |side| over sides of 1 to n/2 vertices.
 
-    Floats only preselect the candidates within FLOAT_SLACK of the smaller of
-    the chunk's minimum and the best so far; ``Fraction`` decides.  Returns
-    the minimum, every minimizing ``(mask, side is the mask)`` and the number
-    of sides checked.
+    A mask's best side is its smaller, of min(s, n - s) vertices, so with
+    L = lcm(1..n/2) the ratio is the integer key cut * (L / min(s, n - s))
+    over L; the empty mask has no side.  ``_cut_chunks`` refuses a total
+    term weight W with W * L >= 2^63, so keys stay in int64.  Returns the
+    minimum and every minimizing ``(mask, side is the mask)``.
     """
-    best: Fraction | None = None
-    bound = math.inf  # float(best)
+    lcm = math.lcm(*range(1, n // 2 + 1))
+    scale = np.array([0] + [lcm // min(s, n - s) for s in range(1, n)])
+    best = np.iinfo(np.int64).max
     minimizers: list[tuple[int, bool]] = []
-    checked = 0
     for masks, sizes, cuts in _cut_chunks(n, terms, 1):
-        for direct, side in ((True, sizes), (False, n - sizes)):
-            idx = np.nonzero((side >= 1) & (side <= n // 2))[0]
-            checked += len(idx)
-            ratio = cuts[0, idx] / side[idx]
-            for i in idx[ratio <= ratio.min(initial=bound) + FLOAT_SLACK]:
-                f = Fraction(int(cuts[0, i]), int(side[i]))
-                if best is None or f < best:
-                    best, bound, minimizers = f, float(f), []
-                if f == best:
-                    minimizers.append((int(masks[i]), direct))
-    assert best is not None
-    return best, minimizers, checked
+        keys = cuts[0] * scale[sizes]
+        keys[sizes == 0] = np.iinfo(np.int64).max
+        low = keys.min()
+        if low < best:
+            best, minimizers = low, []
+        if low == best:
+            for i in np.flatnonzero(keys == best):
+                for direct, side in ((True, sizes[i]), (False, n - sizes[i])):
+                    if 2 * side <= n:
+                        minimizers.append((int(masks[i]), direct))
+    return Fraction(int(best), lcm), minimizers
 
 
 def require_exact_size(n: int) -> None:
@@ -207,11 +206,12 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     order = sorted(g.vertices)
     index = {v: i for i, v in enumerate(order)}
     terms = [(index[u], index[v], w, 0) for u, v, w in g.edges()]
-    h, minimizers, checked = _min_ratio(n, terms)
+    h, minimizers = _min_ratio(n, terms)
     argmin = min(
         tuple(i for i in range(n) if ((mask >> i) & 1) == direct)
         for mask, direct in minimizers
     )
+    checked = sum(math.comb(n, s) for s in range(1, n // 2 + 1))
     return ExpansionReport(
         h=h, argmin_set=tuple(order[i] for i in argmin), n_subsets_checked=checked
     )
@@ -438,10 +438,9 @@ def half_lemma_check(state: GrowthState, a: Iterable[VertexName]) -> bool:
             )
     wg_total = sum(dec.wg_blocks.values())
     wh_total = sum(dec.wh_blocks.values())
-    aset = set(a)
-    fa = _future_set(state, aset)
-    fb = _future_set(state, set(state.current.vertices) - aset)
-    wh_direct = _weight_between(state.target.edges(), fa, fb)
+    wh_direct = _weight_between(
+        state.target.edges(), set(dec.future_side), set(dec.future_other)
+    )
     if wh_direct != wh_total:
         raise LemmaViolation(
             f"future cut blocks do not add up: {wh_total} != {wh_direct}"

@@ -26,8 +26,10 @@ import numpy as np
 from .names import VertexName, format_name, parse_name, strip_identity
 
 Edge = tuple[VertexName, VertexName]
-# the largest weight a graph file may carry, so that the int64 cut and
-# adjacency kernels cannot overflow on any sum of a file's weights
+# the largest weight a graph file may carry: a file of n <= 26 vertices
+# (analysis.MAX_EXACT_N) then weighs W <= MAX_FILE_WEIGHT * C(26, 2), and
+# W * lcm(1..13) < 2^63 keeps the int64 cut kernel and the ratio keys of its
+# minimum in range (analysis._cut_chunks refuses any larger W)
 MAX_FILE_WEIGHT = 2**31 - 1
 
 

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from expanderseq import analysis
 from expanderseq.analysis import (
@@ -26,38 +28,93 @@ from expanderseq.analysis import (
 )
 from expanderseq.grower import bl_expander, graph_at, initial_graph, state_at
 from expanderseq.lifts import spectral_report
-from expanderseq.multigraph import WeightedMultigraph, edge_key
+from expanderseq.multigraph import MAX_FILE_WEIGHT, WeightedMultigraph, edge_key
 from expanderseq.names import VertexName
 
 
-def brute_force_h(g):
-    """Independent oracle: plain subset enumeration with Fractions."""
+def brute_force_expansion(g):
+    """Independent oracle: plain subset enumeration with Fractions.
+
+    Returns h, the lexicographically smallest minimizing index tuple and the
+    number of sides checked.
+    """
     order = sorted(g.vertices)
     n = len(order)
-    best = None
+    best, argmins, checked = None, [], 0
     for size in range(1, n // 2 + 1):
-        for combo in combinations(order, size):
-            members = set(combo)
+        for combo in combinations(range(n), size):
+            members = {order[i] for i in combo}
             cut = sum(
                 w for u, v, w in g.edges() if (u in members) != (v in members)
             )
             f = Fraction(cut, size)
+            checked += 1
             if best is None or f < best:
-                best = f
-    return best
+                best, argmins = f, []
+            if f == best:
+                argmins.append(combo)
+    return best, min(argmins), checked
+
+
+def numbered_graph(n, weights):
+    """The graph on VertexName(0..n-1) with ``{(i, j): w}`` as its edges."""
+    names = [VertexName(i) for i in range(n)]
+    return WeightedMultigraph(
+        6, names, {edge_key(names[i], names[j]): w for (i, j), w in weights.items()}
+    )
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Graphs on 2 to 10 vertices, often disconnected, with file weights;
+    small weights make ties between sides common."""
+    n = draw(st.integers(2, 10))
+    weight = st.one_of(st.integers(1, 3), st.integers(1, MAX_FILE_WEIGHT))
+    pairs = st.sampled_from(list(combinations(range(n), 2)))
+    return numbered_graph(n, draw(st.dictionaries(pairs, weight)))
+
+
+@given(weighted_graphs())
+@example(numbered_graph(4, {(0, 1): 1, (0, 2): 1, (0, 3): 1}))  # star K1,3
+@example(numbered_graph(6, {(0, 1): 5, (1, 2): 5, (3, 4): 5, (4, 5): 5}))
+def test_edge_expansion_matches_brute_force(g):
+    """h, the argmin and the side count against plain enumeration; in the
+    star every leaf and every pair reach ratio 1, a tie across side sizes."""
+    h, argmin, checked = brute_force_expansion(g)
+    rep = edge_expansion_exact(g)
+    order = sorted(g.vertices)
+    assert rep.h == h
+    assert rep.argmin_set == tuple(order[i] for i in argmin)
+    assert rep.n_subsets_checked == checked
+
+
+@pytest.mark.parametrize("n, w", [(4, 2**61), (12, 2**58)])
+def test_cut_kernel_refuses_int64_overflow(n, w):
+    """A 4-cycle of weight 2^61 overflowed the kernel (h read -2^62); a
+    12-cycle of weight 2^58 fits the kernel but its keys, up to W * 60, not."""
+    g = numbered_graph(n, {(i, (i + 1) % n): w for i in range(n)})
+    with pytest.raises(AnalysisError, match=f"weight {n * w} at n = {n} "):
+        edge_expansion_exact(g)
+
+
+def test_file_weights_stay_inside_the_int64_guard():
+    """Any graph file the CLI accepts keeps W * max(2, L) below 2^63."""
+    n = analysis.MAX_EXACT_N
+    lcm = math.lcm(*range(1, n // 2 + 1))
+    assert MAX_FILE_WEIGHT * math.comb(n, 2) * max(2, lcm) < 2**63
 
 
 def test_edge_expansion_doubled_k4():
     rep = edge_expansion_exact(initial_graph(6))
     assert rep.h == 4
-    assert rep.h == brute_force_h(initial_graph(6))
+    assert rep.h == brute_force_expansion(initial_graph(6))[0]
     assert len(rep.argmin_set) <= 2
 
 
 def test_edge_expansion_doubled_k6():
     rep = edge_expansion_exact(initial_graph(10))
     assert rep.h == 6
-    assert rep.h == brute_force_h(initial_graph(10))
+    assert rep.h == brute_force_expansion(initial_graph(10))[0]
 
 
 def test_edge_expansion_single_edge():
@@ -69,7 +126,7 @@ def test_edge_expansion_single_edge():
 def test_edge_expansion_matches_oracle_on_sequence():
     for n in range(4, 9):
         g = graph_at(6, n, 1)
-        assert edge_expansion_exact(g).h == brute_force_h(g)
+        assert edge_expansion_exact(g).h == brute_force_expansion(g)[0]
 
 
 def test_edge_expansion_rejects_large_n():
