@@ -55,7 +55,6 @@ from .analysis import (
     mixing_check,
     mixing_suite,
     rayleigh_lower_bound_check,
-    unbalanced_bound_check,
 )
 from .selfheal import (
     AdversaryEvent,

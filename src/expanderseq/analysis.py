@@ -2,16 +2,17 @@
 
 Combinatorial quantities (cut weights, expansion ratios, the future-cut block
 identities) are computed in exact integer or rational arithmetic; only
-eigenvalues are floating point.  Every exhaustive cut check runs on one
-chunked kernel, ``_cut_chunks``, which builds the int64 cut columns of the
-caller's edge terms for all 2^(n-1) cuts by one Laplacian recurrence.
-``edge_expansion_exact`` and ``future_cut_floor`` read one column (all
-edges, or target edges at their preimages) through ``_min_ratio``, an
-integer-key minimum; ``future_cut_suite`` reads six, the partner-free
-current cut and the future cut, each by number of split endpoints (uu, su,
-ss).  On one core of a 2-vCPU x86 host, ``edge_expansion_exact`` takes
-about 0.02 s at n = 22 and 0.07 s at n = 24, and ``future_cut_suite`` 0.06 s
-and 0.21 s.  ``mixing_suite`` checks all its pairs as one numpy batch.
+eigenvalues are floating point.  Cut weights are Laplacian forms x^T L x of
+the side's indicator, with L from one int64 builder, ``_laplacian``.
+``edge_expansion_exact`` and ``future_cut_floor`` enumerate all 2^(n-1) cuts
+of one term set (all edges, or target edges at their preimages) through the
+chunked kernel ``_cut_chunks``, one Laplacian recurrence, and ``_min_ratio``,
+an integer-key minimum.  ``future_cut_suite`` enumerates nothing: each block
+identity is linear in the cut, so it holds on every cut iff two integer
+Laplacians are equal.  On one core of a 2-vCPU x86 host,
+``edge_expansion_exact`` takes about 0.02 s at n = 22 and 0.07 s at n = 24,
+and ``future_cut_suite`` about 1 ms.  ``mixing_suite`` checks all its pairs as
+one numpy batch.
 
 Two cut weights coexist on growth states: the expansion measurements count
 every edge, while the block machinery relating a cut to its image in the next
@@ -28,7 +29,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,49 +101,58 @@ def expansion_of_set(g: WeightedMultigraph, s: Iterable[VertexName]) -> Fraction
     return Fraction(cut, len(members))
 
 
-def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
-    """Yield ``(masks, sizes, cuts)`` for ``_CHUNK`` cuts at a time.
+def _laplacian(n: int, terms: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """The (n, n) int64 Laplacian of ``(i, j, w)`` terms, x^T L x the cut of x.
 
-    A cut is a mask over the vertex order with bit 0 clear, numbered
-    ``mask >> 1``.  ``sizes`` are popcounts and ``cuts`` is ``(width,
-    len(masks))``: term ``(i, j, w, col)`` adds ``w`` to column ``col`` of
-    every cut separating vertices i and j.
-
-    A column's cut of x = b + h is the Laplacian form b^T L b + h^T L h +
-    2 b^T L h, so one step adds to the cuts of every low mask b the offset
-    h^T L h and the subset sums of 2 (L h)_i, built by doubling.  The first
-    chunk grows from the empty mask by one step per low vertex, and each
-    later chunk is one step on it: O(width * chunk) int64 work a chunk.
-    Partial sums are differences of cuts and coefficients reach 2W, for
-    total term weight W, so the guard keeps them, and ``_min_ratio``'s keys
-    up to W * L, inside int64.  ``_CHUNK`` must be a power of two.
+    Refuses a total term weight W with W * max(2, lcm(1..n/2)) >= 2^63: that
+    keeps every entry, the kernel's cut sums and doubled coefficients, and
+    ``_min_ratio``'s keys up to W * lcm(1..n/2) inside int64.
     """
-    weight = sum(w for _, _, w, _ in terms)
+    weight = sum(w for _, _, w in terms)
     if weight * max(2, math.lcm(*range(1, n // 2 + 1))) >= 1 << 63:
         raise AnalysisError(
             f"total edge weight {weight} at n = {n} would overflow int64 cuts"
         )
-    eye = np.eye(n, dtype=np.int64)
-    lap = np.zeros((width, n, n), dtype=np.int64)
-    for i, j, w, col in terms:
-        lap[col] += w * np.outer(eye[i] - eye[j], eye[i] - eye[j])
+    lap = np.zeros((n, n), dtype=np.int64)
+    for i, j, w in terms:
+        lap[[i, j], [i, j]] += w
+        lap[[i, j], [j, i]] -= w
+    return lap
+
+
+def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int]]):
+    """Yield ``(masks, sizes, cuts)`` for ``_CHUNK`` cuts at a time.
+
+    A cut is a mask over the vertex order with bit 0 clear, numbered
+    ``mask >> 1``.  ``sizes`` are popcounts and ``cuts[k]`` is the weight of
+    the terms ``(i, j, w)`` whose vertices i and j ``masks[k]`` separates.
+
+    The cut of x = b + h is the Laplacian form b^T L b + h^T L h +
+    2 b^T L h, so one step adds to the cuts of every low mask b the offset
+    h^T L h and the subset sums of 2 (L h)_i, built by doubling.  The first
+    chunk grows from the empty mask by one step per low vertex, and each
+    later chunk is one step on it: O(chunk) int64 work a chunk.  Partial
+    sums are differences of cuts and coefficients reach 2W, for total term
+    weight W, inside ``_laplacian``'s guard.  ``_CHUNK`` must be a power of
+    two.
+    """
+    lap = _laplacian(n, terms)
 
     def step(low: np.ndarray, high: int) -> np.ndarray:
         x = (high >> np.arange(n)) & 1
         lh = lap @ x
-        coef = 2 * lh[:, :, None]
         out = np.empty_like(low)
-        out[:, 0] = lh @ x
-        for t in range(low.shape[1].bit_length() - 1):  # bit t is vertex t + 1
-            np.add(out[:, :1 << t], coef[:, t + 1], out=out[:, 1 << t:2 << t])
+        out[0] = lh @ x
+        for t in range(len(low).bit_length() - 1):  # bit t is vertex t + 1
+            np.add(out[:1 << t], 2 * lh[t + 1], out=out[1 << t:2 << t])
         out += low
         return out
 
     total = 1 << (n - 1)
     size = min(_CHUNK, total)
-    first = np.zeros((width, size), dtype=np.int64)
+    first = np.zeros(size, dtype=np.int64)
     for t in range(size.bit_length() - 1):
-        first[:, 1 << t:2 << t] = step(first[:, :1 << t], 2 << t)
+        first[1 << t:2 << t] = step(first[:1 << t], 2 << t)
     masks = np.arange(size, dtype=np.int64) << 1
     for high in range(0, 2 * total, 2 * size):
         chunk = masks + high
@@ -152,13 +161,13 @@ def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int, int]], width: int):
 
 
 def _min_ratio(
-    n: int, terms: Sequence[tuple[int, int, int, int]]
+    n: int, terms: Sequence[tuple[int, int, int]]
 ) -> tuple[Fraction, list[tuple[int, bool]]]:
     """Exact minimum of cut weight / |side| over sides of 1 to n/2 vertices.
 
     A mask's best side is its smaller, of min(s, n - s) vertices, so with
     L = lcm(1..n/2) the ratio is the integer key cut * (L / min(s, n - s))
-    over L; the empty mask has no side.  ``_cut_chunks`` refuses a total
+    over L; the empty mask has no side.  ``_laplacian`` refuses a total
     term weight W with W * L >= 2^63, so keys stay in int64.  Returns the
     minimum and every minimizing ``(mask, side is the mask)``.
     """
@@ -166,8 +175,8 @@ def _min_ratio(
     scale = np.array([0] + [lcm // min(s, n - s) for s in range(1, n)])
     best = np.iinfo(np.int64).max
     minimizers: list[tuple[int, bool]] = []
-    for masks, sizes, cuts in _cut_chunks(n, terms, 1):
-        keys = cuts[0] * scale[sizes]
+    for masks, sizes, cuts in _cut_chunks(n, terms):
+        keys = cuts * scale[sizes]
         keys[sizes == 0] = np.iinfo(np.int64).max
         low = keys.min()
         if low < best:
@@ -205,7 +214,7 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     require_exact_size(n)
     order = sorted(g.vertices)
     index = {v: i for i, v in enumerate(order)}
-    terms = [(index[u], index[v], w, 0) for u, v, w in g.edges()]
+    terms = [(index[u], index[v], w) for u, v, w in g.edges()]
     h, minimizers = _min_ratio(n, terms)
     argmin = min(
         tuple(i for i in range(n) if ((mask >> i) & 1) == direct)
@@ -288,15 +297,13 @@ def _check_mixing_rows(g: WeightedMultigraph, rows: np.ndarray, lam: float) -> i
     """
     d = _regular_degree(g)
     index = _index(g)
-    in_s, in_t = rows == 1, rows == 2
-    size_s, size_t = in_s.sum(axis=1), in_t.sum(axis=1)
+    size_s, size_t = (rows == 1).sum(axis=1), (rows == 2).sum(axis=1)
     pairs = np.nonzero((size_s > 0) & (size_t > 0))[0]
-    in_s, in_t = in_s[pairs], in_t[pairs]
-    size_s, size_t = size_s[pairs], size_t[pairs]
+    rows, size_s, size_t = rows[pairs], size_s[pairs], size_t[pairs]
     w = np.zeros(len(pairs), dtype=np.int64)
     for u, v, wt in g.edges():
-        iu, iv = index[u], index[v]
-        w += wt * ((in_s[:, iu] & in_t[:, iv]) | (in_t[:, iu] & in_s[:, iv]))
+        # trits multiply to 2 just when one end is in S and the other in T
+        w += wt * (rows[:, index[u]] * rows[:, index[v]] == 2)
     expected = d * size_s * size_t / g.n
     bad = np.abs(w - expected) > lam * np.sqrt(size_s * size_t) + FLOAT_SLACK
     if bad.any():
@@ -453,7 +460,7 @@ def half_lemma_check(state: GrowthState, a: Iterable[VertexName]) -> bool:
 
 
 def _future_terms(state: GrowthState) -> list[tuple[int, int, int, int]]:
-    """Kernel terms of a growth state's cut blocks, a block per column.
+    """``(i, j, w, col)`` cut terms of a growth state's blocks, one per column.
 
     Column k is the partner-free cut of the current graph over edges with k
     split endpoints (uu, su, ss); column 3 + k the future cut over target
@@ -474,26 +481,36 @@ def _future_terms(state: GrowthState) -> list[tuple[int, int, int, int]]:
 
 
 def future_cut_suite(state: GrowthState) -> int:
-    """Check block identities and the half bound over every cut; returns count.
+    """Decide the block identities on every cut; returns the cut count.
 
-    All arithmetic is integer; raises LemmaViolation naming the first failed
-    check, in the order below, at the first cut index where it fails.
+    With x a cut side's indicator, a block's identity w_H = c w_G (c = 1 for
+    ss, 2 for uu and su) reads f(x) = x^T M x = 0 for M = L_H - c L_G, the
+    block's Laplacians from ``_future_terms``.  Cuts leave vertex 0 out, and
+    for i, j >= 1 f({i}) = M_ii and f({i, j}) - f({i}) - f({j}) = 2 M_ij, so
+    the identity holds on every cut iff M is zero off row and column 0, and
+    then zero row sums make M zero.  Else let j be the first index >= 1 with
+    some M_ij != 0, 1 <= i <= j: every cut inside {1..j-1} passes and
+    f(S + {j}) = M_jj + 2 sum_{i in S} M_ij, so the first failing cut is {j}
+    if M_jj != 0, else {i1, j} for the first such i1.  LemmaViolation names
+    the first failing identity, in the order ss, uu, su, at that cut's index
+    ``mask >> 1``.
+
+    The half bound 2 w_G >= w_H needs no check: once the identities hold,
+    2 w_G - w_H = w_G^ss >= 0 on every cut, for weights are positive.
+    ``half_lemma_check`` checks it cut by cut.
     """
     n = state.current.n
     require_exact_size(n)
-    checks = ["split-split block identity", "uu block identity",
-              "su block identity", "half bound"]
-    first_bad: list[int | None] = [None] * len(checks)
-    for masks, _, cuts in _cut_chunks(n, _future_terms(state), 6):
-        wg, wh = cuts[:3], cuts[3:]
-        failed = (wh[2] != wg[2], wh[0] != 2 * wg[0], wh[1] != 2 * wg[1],
-                  2 * wg.sum(axis=0) < wh.sum(axis=0))
-        for k, bad in enumerate(failed):
-            if first_bad[k] is None and bad.any():
-                first_bad[k] = int(masks[np.argmax(bad)]) >> 1
-    for name, bad in zip(checks, first_bad):
-        if bad is not None:
-            raise LemmaViolation(f"{name} failed at mask {bad}")
+    terms = _future_terms(state)
+    laps = [_laplacian(n, [t[:3] for t in terms if t[3] == k]) for k in range(6)]
+    for name, col, c in (("split-split block identity", 2, 1),
+                         ("uu block identity", 0, 2), ("su block identity", 1, 2)):
+        m = laps[3 + col] - c * laps[col]
+        bad = np.flatnonzero(np.triu(m[1:, 1:]).any(axis=0))
+        if len(bad):
+            j = int(bad[0]) + 1
+            i = j if m[j, j] else int(np.flatnonzero(m[1:j, j])[0]) + 1
+            raise LemmaViolation(f"{name} failed at mask {(1 << i | 1 << j) >> 1}")
     return (1 << (n - 1)) - 1
 
 
@@ -505,7 +522,7 @@ def future_cut_floor(state: GrowthState) -> Fraction:
     cut weights.
     """
     require_exact_size(state.current.n)
-    terms = [(i, j, w, 0) for i, j, w, col in _future_terms(state) if col >= 3]
+    terms = [(i, j, w) for i, j, w, col in _future_terms(state) if col >= 3]
     return _min_ratio(state.current.n, terms)[0] / 2
 
 
@@ -542,37 +559,3 @@ def rayleigh_lower_bound_check(
     ok = rep.lambda2 >= d / 2 - epsilon
     return RayleighResult(ok=ok, n=n, lambda2=rep.lambda2, quotient=quotient)
 
-
-def unbalanced_bound_check(
-    h_graph: WeightedMultigraph, x: Iterable[VertexName], lam: float | None = None
-) -> bool:
-    """Cut floor for small sides of a doubled expander via the mixing bound.
-
-    ``lam`` is the graph's spectral lambda when the caller already has it.
-    """
-    xs = set(x)
-    n = h_graph.n
-    if not xs or len(xs) > n // 2:
-        raise AnalysisError("X must be nonempty with |X| <= n/2")
-    d = _regular_degree(h_graph)
-    if lam is None:
-        lam = spectral_report(h_graph).lambda_
-    cut = _weight_between(h_graph.edges(), xs, h_graph.vertices - xs)
-    bound = len(xs) * (d * (n - len(xs)) / n - 4.0 * lam)
-    return cut >= bound - FLOAT_SLACK
-
-
-def unbalanced_suite(h_graph: WeightedMultigraph, max_size: int = 4) -> int:
-    """Exhaustive unbalanced-cut floor over all small sides; returns count."""
-    order = sorted(h_graph.vertices)
-    lam = spectral_report(h_graph).lambda_
-    checked = 0
-    for k in range(1, min(max_size, h_graph.n // 2) + 1):
-        for combo in combinations(order, k):
-            if not unbalanced_bound_check(h_graph, combo, lam):
-                raise LemmaViolation(
-                    f"unbalanced bound failed for "
-                    f"{[format_name(v) for v in combo]}"
-                )
-            checked += 1
-    return checked

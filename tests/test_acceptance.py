@@ -80,7 +80,8 @@ def test_criterion_3_future_cut_suite():
     elapsed = time.monotonic() - t0
     assert total == sum(2 ** (n - 1) - 1 for n in range(4, 17))
     assert elapsed < 60.0
-    _report("criterion 3 (future-cut suite, all cuts, n in [4,16])", elapsed,
+    _report("criterion 3 (future-cut identities on all cuts as Laplacian "
+            "equalities, n in [4,16])", elapsed,
             f"cuts={total}")
 
 

@@ -23,8 +23,6 @@ from expanderseq.analysis import (
     mixing_check,
     mixing_suite,
     rayleigh_lower_bound_check,
-    unbalanced_bound_check,
-    unbalanced_suite,
 )
 from expanderseq.grower import bl_expander, graph_at, initial_graph, state_at
 from expanderseq.lifts import spectral_report
@@ -297,23 +295,6 @@ def test_rayleigh_rejects_oversized():
         rayleigh_lower_bound_check(6, 10, epsilon=0.5, seed=1)
 
 
-def test_unbalanced_bound_singletons_and_half():
-    h = bl_expander(6, 1, 1)
-    order = sorted(h.vertices)
-    assert unbalanced_bound_check(h, [order[0]])
-    assert unbalanced_bound_check(h, order[:4])
-
-
-def test_unbalanced_suite_exhaustive_small():
-    assert unbalanced_suite(bl_expander(6, 1, 1), max_size=4) > 0
-
-
-def test_unbalanced_rejects_large_side():
-    h = bl_expander(6, 1, 1)
-    with pytest.raises(AnalysisError):
-        unbalanced_bound_check(h, sorted(h.vertices)[:5])
-
-
 def test_rayleigh_threshold_recorded():
     # empirical: the d/2 - 0.5 spectral floor first holds at the second
     # doubling (n = 9) for d = 6, seed 1; the base-clique split sits below
@@ -366,9 +347,12 @@ def test_cut_kernel_matches_scalar_oracle(d, chunk, monkeypatch):
     for n in range(d // 2 + 1, 12):
         st = state_at(d, n, 1)
         order = sorted(st.current.vertices)
-        chunks = list(analysis._cut_chunks(n, analysis._future_terms(st), 6))
-        masks = np.concatenate([m for m, _, _ in chunks])
-        cuts = np.concatenate([c for _, _, c in chunks], axis=1)
+        columns = [
+            list(analysis._cut_chunks(n, terms))
+            for terms in term_columns(analysis._future_terms(st))
+        ]
+        masks = np.concatenate([m for m, _, _ in columns[0]])
+        cuts = np.array([np.concatenate([c for _, _, c in col]) for col in columns])
         floor = h = None
         sides, checked = [], 0
         for k in range(1, len(masks)):
@@ -416,15 +400,20 @@ def test_cut_kernel_chunk_seams(monkeypatch):
     assert results() == whole
 
 
-def per_term_cut_chunks(n, terms, width, chunk):
+def term_columns(terms):
+    """``_future_terms``' ``(i, j, w, col)`` terms as six ``(i, j, w)`` lists."""
+    return [[(i, j, w) for i, j, w, col in terms if col == k] for k in range(6)]
+
+
+def per_term_cut_chunks(n, terms, chunk):
     """The cut kernel as one pass per term over every chunk's bit rows."""
     total = 1 << (n - 1)
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64) << 1
-        cuts = np.zeros((width, len(masks)), dtype=np.int64)
+        cuts = np.zeros(len(masks), dtype=np.int64)
         bits = (masks >> np.arange(n)[:, None]) & 1
-        for i, j, w, col in terms:
-            cuts[col] += w * (bits[i] ^ bits[j])
+        for i, j, w in terms:
+            cuts += w * (bits[i] ^ bits[j])
         yield masks, np.bitwise_count(masks).astype(np.int64), cuts
 
 
@@ -438,18 +427,95 @@ def test_cut_kernel_matches_per_term_kernel_across_chunks(d, n, monkeypatch):
     index = analysis._index(st.current)
     # plain edge terms, every other one given with i > j
     edges = [
-        (index[v], index[u], w, 0) if k % 2 else (index[u], index[v], w, 0)
+        (index[v], index[u], w) if k % 2 else (index[u], index[v], w)
         for k, (u, v, w) in enumerate(st.current.sorted_edges())
     ]
-    assert any(i > j for i, j, _, _ in future + edges)
-    for terms, width in ((future, 6), (edges, 1)):
-        got = list(analysis._cut_chunks(n, terms, width))
-        want = list(per_term_cut_chunks(n, terms, width, 1 << 10))
+    assert any(i > j for i, j, *_ in future + edges)
+    for terms in term_columns(future) + [edges]:
+        got = list(analysis._cut_chunks(n, terms))
+        want = list(per_term_cut_chunks(n, terms, 1 << 10))
         assert len(got) == len(want) == 1 << (n - 11)
         for chunk, ref in zip(got, want):
             for a, b in zip(chunk, ref):
                 assert a.dtype == b.dtype == np.int64
                 assert np.array_equal(a, b)
+
+
+def enumerated_suite(n, terms):
+    """The future-cut suite's message by walking every cut, a column at a
+    time: the first failing check in the order ss, uu, su, half bound, at
+    its first failing mask; None when every cut passes."""
+    wg, wh = np.split(np.array([
+        np.concatenate([c for _, _, c in per_term_cut_chunks(n, col, 1 << 12)])
+        for col in term_columns(terms)
+    ]), 2)
+    checks = (
+        ("split-split block identity", wh[2] != wg[2]),
+        ("uu block identity", wh[0] != 2 * wg[0]),
+        ("su block identity", wh[1] != 2 * wg[1]),
+        ("half bound", 2 * wg.sum(axis=0) < wh.sum(axis=0)),
+    )
+    for name, bad in checks:
+        if bad.any():
+            return f"{name} failed at mask {np.argmax(bad)}"
+    return None
+
+
+def suite_message(st):
+    try:
+        assert future_cut_suite(st) == (1 << (st.current.n - 1)) - 1
+    except LemmaViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_future_cut_suite_matches_enumeration_on_reference_states():
+    for d in (6, 8):
+        for n in range(d // 2 + 1, 17):
+            st = state_at(d, n, 1)
+            assert suite_message(st) is None
+            assert enumerated_suite(n, analysis._future_terms(st)) is None
+
+
+def corrupted_terms(terms, n, rng):
+    """``terms`` with one term's weight moved by one (kept >= 0), one
+    endpoint moved, its column moved, or the term dropped."""
+    terms = list(terms)
+    k = rng.randrange(len(terms))
+    i, j, w, col = terms[k]
+    kind = rng.randrange(4)
+    if kind == 0:
+        terms[k] = (i, j, w + (1 if w == 0 else rng.choice((-1, 1))), col)
+    elif kind == 1:
+        moved = rng.choice([v for v in range(n) if v not in (i, j)])
+        terms[k] = (i, moved, w, col) if rng.randrange(2) else (moved, j, w, col)
+    elif kind == 2:
+        terms[k] = (i, j, w, rng.choice([c for c in range(6) if c != col]))
+    else:
+        del terms[k]
+    return terms
+
+
+def test_future_cut_suite_matches_enumeration_on_corrupted_terms(monkeypatch):
+    """1000 seeded cases of one to three corruptions at n <= 13: the suite
+    gives the enumeration's verdict and message, and some cases fail first
+    on a two-vertex cut {i1, j}, the closed form's second branch."""
+    rng = random.Random(21)
+    future_terms = analysis._future_terms
+    pairs = 0
+    for _ in range(1000):
+        d = rng.choice((6, 8))
+        n = rng.randrange(d // 2 + 1, 14)
+        st = state_at(d, n, 1)
+        terms = future_terms(st)
+        for _ in range(rng.randint(1, 3)):
+            terms = corrupted_terms(terms, n, rng)
+        monkeypatch.setattr(analysis, "_future_terms", lambda _, t=terms: t)
+        message = suite_message(st)
+        assert message == enumerated_suite(n, terms)
+        if message is not None and int(message.split()[-1]).bit_count() == 2:
+            pairs += 1
+    assert pairs > 0
 
 
 def test_mixing_suite_exhaustive_n12():
@@ -512,15 +578,3 @@ def test_mixing_batch_agrees_with_mixing_check(scale):
             analysis._check_mixing_rows(g, rows, lam)
         assert str(exc.value) == messages[0]
 
-
-def test_unbalanced_suite_one_eigensolve(monkeypatch):
-    h = bl_expander(6, 1, 1)
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return spectral_report(g)
-
-    monkeypatch.setattr(analysis, "spectral_report", counting)
-    assert unbalanced_suite(h, max_size=4) == 8 + 28 + 56 + 70
-    assert len(calls) == 1
