@@ -43,6 +43,17 @@ FLOAT_SLACK = 1e-9
 CHEEGER_SLACK = 1e-6
 # cuts per chunk: a power of two whose cut columns fit a core's L2 cache
 _CHUNK = 1 << 14
+# mixing_suite checks every disjoint (S, T) pair up to this n, and above it
+# this many seeded sample pairs
+MIXING_EXHAUSTIVE_LIMIT = 12
+MIXING_SAMPLES = 10_000
+MIXING_SEED = 0
+# 32-bit words per draw of the mixing sampler: the draw's int, its bytes and
+# its uint32 array each hold one draw at once, so this bounds the sampler's
+# peak memory whatever the sample count
+_DRAW_WORDS = 1 << 14
+# the slack below d/2 that rayleigh_lower_bound_check allows lambda2
+RAYLEIGH_EPSILON = 0.5
 
 
 class AnalysisError(ValueError):
@@ -315,30 +326,25 @@ def _check_mixing_rows(g: WeightedMultigraph, rows: np.ndarray, lam: float) -> i
     return len(pairs)
 
 
-def mixing_suite(
-    g: WeightedMultigraph,
-    exhaustive_limit: int = 12,
-    n_samples: int = 10_000,
-    seed: int = 0,
-    spectrum: SpectralReport | None = None,
-) -> int:
+def mixing_suite(g: WeightedMultigraph, spectrum: SpectralReport | None = None) -> int:
     """Check the mixing inequality over disjoint pairs; returns pairs checked.
 
-    Exhaustive over all disjoint nonempty (S, T) when n <= exhaustive_limit,
-    otherwise over deterministic seeded samples.  Raises LemmaViolation on the
-    first failing pair.  ``spectrum`` is the graph's spectrum when the caller
+    Exhaustive over all disjoint nonempty (S, T) when n <=
+    ``MIXING_EXHAUSTIVE_LIMIT``, otherwise over ``MIXING_SAMPLES`` pairs drawn
+    from ``random.Random(MIXING_SEED)``.  Raises LemmaViolation on the first
+    failing pair.  ``spectrum`` is the graph's spectrum when the caller
     already has it.
     """
     n = g.n
     lam = (spectrum or spectral_report(g)).lambda_
-    if n <= exhaustive_limit:
+    if n <= MIXING_EXHAUSTIVE_LIMIT:
         # row k holds the base-3 digits of k, least significant first
         codes = np.arange(3**n, dtype=np.int64)
         rows = np.empty((len(codes), n), dtype=np.int8)
         for k in range(n):
             rows[:, k] = codes // 3**k % 3
     else:
-        rows = _sampled_rows(random.Random(seed), n, max(n_samples, 0))
+        rows = _sampled_rows(random.Random(MIXING_SEED), n, MIXING_SAMPLES)
     return _check_mixing_rows(g, rows, lam)
 
 
@@ -351,18 +357,20 @@ def _sampled_rows(rng: random.Random, n: int, count: int) -> np.ndarray:
     words, least significant first; so the stream of words below 3 << 30, cut
     into rows of n, is the loop's stream of trits.  ``rng`` draws ahead.
     """
-    rows = np.empty((0, n), dtype=np.int8)
+    kept = [np.empty((0, n), dtype=np.int8)]
     carry = np.empty(0, dtype=np.int8)
-    while len(rows) < count:
-        words = 2 * n * (count - len(rows))  # 4/3 words per trit, most rows kept
+    have = 0
+    while have < count:
+        # 4/3 words per trit and most rows kept, at most _DRAW_WORDS at once
+        words = min(2 * n * (count - have), _DRAW_WORDS)
         raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         trits = (np.frombuffer(raw, "<u4") >> 30).astype(np.int8)
         stream = np.concatenate([carry, trits[trits < 3]])
         cut = len(stream) - len(stream) % n
         block, carry = stream[:cut].reshape(-1, n), stream[cut:]
-        both = (block == 1).any(axis=1) & (block == 2).any(axis=1)
-        rows = np.concatenate([rows, block[both]])
-    return rows[:count]
+        kept.append(block[(block == 1).any(axis=1) & (block == 2).any(axis=1)])
+        have += len(kept[-1])
+    return np.concatenate(kept)[:count]
 
 
 @dataclass(frozen=True)
@@ -526,15 +534,13 @@ def future_cut_floor(state: GrowthState) -> Fraction:
     return _min_ratio(state.current.n, terms)[0] / 2
 
 
-def rayleigh_lower_bound_check(
-    d: int, i: int, epsilon: float, seed: int = 0
-) -> RayleighResult:
+def rayleigh_lower_bound_check(d: int, i: int, seed: int = 0) -> RayleighResult:
     """Spectral floor of the one-split graph after the i-th doubling.
 
     Builds the graph obtained by a single split of the i-th doubled expander,
-    checks lambda2 >= d/2 - epsilon, and independently checks lambda2 against
-    the Rayleigh quotient of the explicit test vector that loads the fresh
-    split pair.
+    checks lambda2 >= d/2 - RAYLEIGH_EPSILON, and independently checks
+    lambda2 against the Rayleigh quotient of the explicit test vector that
+    loads the fresh split pair.
     """
     if i < 0:
         raise AnalysisError(f"rayleigh index must be >= 0, got {i}")
@@ -556,6 +562,6 @@ def rayleigh_lower_bound_check(
             f"variational principle violated: lambda2 {rep.lambda2:.9f} < "
             f"Rayleigh quotient {quotient:.9f}"
         )
-    ok = rep.lambda2 >= d / 2 - epsilon
+    ok = rep.lambda2 >= d / 2 - RAYLEIGH_EPSILON
     return RayleighResult(ok=ok, n=n, lambda2=rep.lambda2, quotient=quotient)
 

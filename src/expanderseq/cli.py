@@ -169,7 +169,7 @@ def _run_suite(
         return {"ok": True, "pairs_checked": checked}
     if name == "rayleigh":
         i = args.rayleigh_index
-        res = analysis.rayleigh_lower_bound_check(d, i, 0.5, seed)
+        res = analysis.rayleigh_lower_bound_check(d, i, seed)
         return {
             "ok": res.ok,
             "n": res.n,

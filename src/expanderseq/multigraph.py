@@ -92,9 +92,10 @@ class WeightedMultigraph:
 
     def neighbors(self, v: VertexName) -> Mapping[VertexName, int]:
         """The row of ``v`` itself, which other graphs may share: read only."""
-        if v not in self._adj:
-            raise KeyError(f"vertex {format_name(v)} not in graph")
-        return self._adj[v]
+        try:
+            return self._adj[v]
+        except KeyError:
+            raise KeyError(f"vertex {format_name(v)} not in graph") from None
 
     def edges(self) -> Iterator[tuple[VertexName, VertexName, int]]:
         """Each edge once as ``(u, v, w)`` with ``u < v``, in no fixed order."""

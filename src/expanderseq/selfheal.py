@@ -27,6 +27,15 @@ Recovery flows:
   When the newest vertex itself was deleted, the takeover goes to its split
   partner, which performs the undo alone.
 
+A message travels hop by hop: each carrier forwards it toward the vertex
+one step nearer, by BFS distance, to the image of ``dst`` than its own
+image, smallest name first.  A message that carries the vertex count
+(``n_hint``) routes in the exact G_n, where a name's image is the vertex
+with its persistent identity: knowing n pins the whole topology, including
+the shrinking edges between split partners that the references lack.  Any
+other message routes in the doubled reference graph of the level its first
+forwarder pins, where a name's image is its locus; one table holds both.
+
 Every message carries one body: the body's type selects its handler, and
 its fields determine the bits it is charged, with ``name(v)`` = 9 + depth
 of v and ``int(k)`` = bit length of k + 1.  An ``old`` name is implied by
@@ -90,7 +99,7 @@ import json
 import math
 import os
 from collections import deque
-from collections.abc import Callable, Iterable, Set
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -487,50 +496,6 @@ def parse_script(text: str) -> list[AdversaryEvent]:
     return events
 
 
-def _hop(
-    neighbors: Callable[[VertexName], Iterable[VertexName]],
-    dist: dict[VertexName, int],
-    locus: Set[VertexName],
-) -> VertexName | None:
-    """The canonical next hop out of ``locus`` toward the target of ``dist``.
-
-    The smallest-named neighbour of the locus one step nearer than the
-    locus's nearest vertex; when every locus vertex is excluded from
-    ``dist``, the nearest reachable neighbour instead.
-    """
-    here = min((dist[v] for v in locus if v in dist), default=None)
-    steps = [
-        w
-        for v in locus
-        for w in neighbors(v)
-        if w in dist and w not in locus and (here is None or dist[w] == here - 1)
-    ]
-    return min(steps, key=lambda w: (dist[w], w), default=None)
-
-
-# The routing tables below are deterministic functions of their arguments,
-# memoized across networks.
-
-
-@cache
-def _ref_adj(d: int, i: int, seed: int) -> dict[VertexName, list[VertexName]]:
-    """Sorted adjacency lists of the i-th doubled reference graph."""
-    g = bl_expander(d, i, seed)
-    return {v: sorted(g.neighbors(v)) for v in g.vertices}
-
-
-@cache
-def _ref_dist(
-    d: int, i: int, seed: int, target: VertexName, exclude: frozenset[VertexName]
-) -> dict[VertexName, int]:
-    """BFS distance to ``target`` in the i-th reference graph.
-
-    ``exclude`` removes the vertices that a dead name stands for at level i.
-    """
-    dead = set().union(*(locus(x, i) for x in exclude))
-    return bfs_distances(_ref_adj(d, i, seed).__getitem__, target, dead.__contains__)
-
-
 @cache
 def _by_identity(d: int, seed: int, n: int) -> dict[VertexName, VertexName]:
     """The exact n-vertex graph's vertices, keyed by persistent identity."""
@@ -538,27 +503,42 @@ def _by_identity(d: int, seed: int, n: int) -> dict[VertexName, VertexName]:
 
 
 @cache
-def _true_dist(
-    d: int, seed: int, n: int, dst: VertexName, exclude: frozenset[VertexName]
-) -> dict[VertexName, int]:
-    """BFS distances to ``dst``'s identity in the exact n-vertex graph.
+def _reference(d: int, level: int, seed: int) -> WeightedMultigraph:
+    """The ``level``-th doubled reference graph, which every hop there reads."""
+    return bl_expander(d, level, seed)
 
-    Available to any holder of the authoritative vertex count: knowing n
-    pins the whole deterministic topology, including the shrinking edges
-    between split partners that the doubled references do not contain.
-    ``exclude`` removes the vertices whose identity is a dead name's.
-    """
-    by_identity = _by_identity(d, seed, n)
-    dead = {by_identity[x] for x in map(strip_identity, exclude) if x in by_identity}
-    return bfs_distances(
-        graph_at(d, n, seed).neighbors,
-        by_identity[strip_identity(dst)],
-        dead.__contains__,
-    )
+
+def _route_graph(
+    d: int, seed: int, n: int | None, level: int | None
+) -> tuple[Callable[..., Iterable[VertexName]], Callable[..., Iterable[VertexName]]]:
+    """The rows of G_n, or of the ``level``-th reference graph when ``n`` is
+    None, and the image there of a name: its identity's vertex, or its locus."""
+    if n is None:
+        return _reference(d, level, seed).neighbors, lambda v: locus(v, level)
+    ids = _by_identity(d, seed, n)
+
+    def image(v: VertexName) -> tuple[VertexName, ...]:
+        x = strip_identity(v)
+        return (ids[x],) if x in ids else ()
+
+    return graph_at(d, n, seed).neighbors, image
+
+
+@cache
+def _route_dist(
+    d: int, seed: int, n: int | None, level: int | None,
+    dst: VertexName, exclude: frozenset[VertexName],
+) -> dict[VertexName, int]:
+    """BFS distances to the smallest vertex of ``dst``'s image in the route's
+    graph, with the images of the ``exclude``d names removed.  Memoized
+    across networks by integers and names, so it keeps no graph alive."""
+    neighbors, image = _route_graph(d, seed, n, level)
+    dead = set().union(*map(image, exclude))
+    return bfs_distances(neighbors, min(image(dst)), dead.__contains__)
 
 
 def clear_route_cache() -> None:
-    for table in (_ref_adj, _ref_dist, _by_identity, _true_dist):
+    for table in (_by_identity, _reference, _route_dist):
         table.cache_clear()
 
 
@@ -684,21 +664,10 @@ class SimNetwork:
     # -- routing ----------------------------------------------------------
 
     def _exact_next_hop(
-        self,
-        node: NodeState,
-        dst: VertexName,
-        n: int,
-        exclude: frozenset[VertexName],
+        self, node: NodeState, dst: VertexName, n: int, exclude: frozenset[VertexName]
     ) -> VertexName:
         """Next hop on the true shortest path in the exact n-vertex graph."""
-        dist = _true_dist(self.d, self.seed, n, dst, exclude)
-        pos = _by_identity(self.d, self.seed, n)[strip_identity(node.name)]
-        w = _hop(graph_at(self.d, n, self.seed).neighbors, dist, {pos})
-        if w is None:
-            raise ProtocolError(
-                f"no exact hop from {format_name(node.name)} to {format_name(dst)}"
-            )
-        return self._match_binding(node, w, w.depth)
+        return self._hop(node, dst, exclude, n, None)
 
     def _working_level(self, node: NodeState) -> int:
         """Reference level per the local rule: one up if a neighbor is deeper."""
@@ -735,22 +704,35 @@ class SimNetwork:
         return self._ref_hop(node, dst, exclude, level)
 
     def _ref_hop(
-        self,
-        node: NodeState,
-        dst: VertexName,
-        exclude: frozenset[VertexName],
+        self, node: NodeState, dst: VertexName, exclude: frozenset[VertexName],
         level: int,
     ) -> VertexName:
-        """The neighbor carrying the canonical hop toward ``dst`` at ``level``."""
-        dist = _ref_dist(self.d, level, self.seed, min(locus(dst, level)), exclude)
-        adjacency = _ref_adj(self.d, level, self.seed)
-        best = _hop(adjacency.__getitem__, dist, locus(node.name, level))
-        if best is None:
-            raise ProtocolError(
-                f"no hop from {format_name(node.name)} to {format_name(dst)} "
-                f"at level {level}"
-            )
-        return self._match_binding(node, best, level)
+        """The hop toward ``dst`` at ``level``, aimed at its locus's smallest vertex."""
+        return self._hop(node, min(locus(dst, level)), exclude, None, level)
+
+    def _hop(
+        self, node: NodeState, dst: VertexName, exclude: frozenset[VertexName],
+        n: int | None, level: int | None,
+    ) -> VertexName:
+        """The neighbor carrying the hop toward ``dst`` in the graph of
+        ``_route_graph``: to the smallest-named vertex one step nearer than the
+        node's image, or, when that image is all excluded, the nearest one."""
+        neighbors, image = _route_graph(self.d, self.seed, n, level)
+        dist = _route_dist(self.d, self.seed, n, level, dst, exclude)
+        here = image(node.name)
+        near = min((dist[v] for v in here if v in dist), default=None)
+        steps = [
+            w
+            for v in here
+            for w in neighbors(v)
+            if w in dist and w not in here and (near is None or dist[w] == near - 1)
+        ]
+        if not steps:
+            where = f"G_{n}" if level is None else f"level {level}"
+            path = f"{format_name(node.name)} to {format_name(dst)} in {where}"
+            raise ProtocolError(f"no hop from {path}")
+        best = min(steps, key=lambda w: (dist[w], w))
+        return self._match_binding(node, best, best.depth)
 
     @staticmethod
     def _match_binding(

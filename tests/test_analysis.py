@@ -221,8 +221,8 @@ def test_mixing_suite_bl_expander_exhaustive():
 
 
 def test_mixing_suite_sampled():
-    checked = mixing_suite(bl_expander(6, 2, 1), exhaustive_limit=12, n_samples=500)
-    assert checked == 500
+    checked = mixing_suite(bl_expander(6, 2, 1))
+    assert checked == 10_000
 
 
 @pytest.mark.parametrize("n", [3, 13, 22, 40])
@@ -282,7 +282,7 @@ def test_future_cut_floor_bounds_h():
 
 
 def test_rayleigh_small_instance():
-    res = rayleigh_lower_bound_check(6, 3, epsilon=0.5, seed=1)
+    res = rayleigh_lower_bound_check(6, 3, seed=1)
     assert res.n == 33
     assert res.quotient <= res.lambda2 + 1e-9
     # the explicit vector is orthogonal to the all-ones direction by design
@@ -292,14 +292,14 @@ def test_rayleigh_small_instance():
 
 def test_rayleigh_rejects_oversized():
     with pytest.raises(AnalysisError):
-        rayleigh_lower_bound_check(6, 10, epsilon=0.5, seed=1)
+        rayleigh_lower_bound_check(6, 10, seed=1)
 
 
 def test_rayleigh_threshold_recorded():
     # empirical: the d/2 - 0.5 spectral floor first holds at the second
     # doubling (n = 9) for d = 6, seed 1; the base-clique split sits below
-    assert not rayleigh_lower_bound_check(6, 0, epsilon=0.5, seed=1).ok
-    assert rayleigh_lower_bound_check(6, 1, epsilon=0.5, seed=1).ok
+    assert not rayleigh_lower_bound_check(6, 0, seed=1).ok
+    assert rayleigh_lower_bound_check(6, 1, seed=1).ok
 
 
 def corrupted_target(state):

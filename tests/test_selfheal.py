@@ -1,13 +1,14 @@
 import math
 import random
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from expanderseq import selfheal
-from expanderseq.grower import changelog_at, graph_at
+from expanderseq.grower import bl_expander, changelog_at, graph_at
 from expanderseq.multigraph import (
     WeightedMultigraph,
     bfs_distances,
@@ -539,14 +540,28 @@ def test_generated_adversary_round_budget(d, moves, full_walk_agrees):
         assert e["rounds"] <= 6 * log2n, e
 
 
+def hop_rule(neighbors, dist, here):
+    """The routers' hop out of ``here``: the smallest-named neighbour one
+    step nearer than ``here``'s nearest vertex; when ``dist`` excludes every
+    vertex of ``here``, the nearest reachable neighbour instead."""
+    near = min((dist[v] for v in here if v in dist), default=None)
+    steps = [
+        w
+        for v in here
+        for w in neighbors(v)
+        if w in dist and w not in here and (near is None or dist[w] == near - 1)
+    ]
+    return min(steps, key=lambda w: (dist[w], w), default=None)
+
+
 def old_elect_for_deletion(net, dead):
     """The hand-written rule the routers replaced: the unique ex-neighbour
     covering the dead node's hop to the coordinator with a zero tail."""
     level = dead.name.depth
     target = VertexName(0, (0,) * level)
-    dist = selfheal._ref_dist(net.d, level, net.seed, target, frozenset())
-    adj = selfheal._ref_adj(net.d, level, net.seed)
-    hop = selfheal._hop(adj.__getitem__, dist, {dead.name})
+    dist = ref_dist_oracle(net.d, level, net.seed, target, frozenset())
+    ref = bl_expander(net.d, level, net.seed)
+    hop = hop_rule(ref.neighbors, dist, {dead.name})
     (elected,) = [
         net.nodes[ext]
         for name, ext in dead.neighbor_table.items()
@@ -558,8 +573,8 @@ def old_elect_for_deletion(net, dead):
 def old_elect_for_coordinator_deletion(net, dead, n):
     """The replica holder named by the dead coordinator's exact hop."""
     newest = changelog_at(net.d, n, net.seed).new_vertex
-    dist = selfheal._true_dist(net.d, net.seed, n, newest, frozenset())
-    hop = selfheal._hop(graph_at(net.d, n, net.seed).neighbors, dist, {dead.name})
+    dist = true_dist_oracle(net.d, net.seed, n, newest, frozenset())
+    hop = hop_rule(graph_at(net.d, n, net.seed).neighbors, dist, {dead.name})
     (elected,) = [
         net.nodes[ext] for name, ext in dead.neighbor_table.items() if name == hop
     ]
@@ -711,6 +726,36 @@ def test_every_body_type_has_exactly_one_handler():
     assert set(selfheal._HANDLERS) == concrete
 
 
+def body_table():
+    """The rows of the module docstring's body table, as (body, fields, bits)."""
+    lines = selfheal.__doc__.splitlines()
+    top, head, bottom = [i for i, x in enumerate(lines) if x.startswith("===")]
+    starts = [m.start() for m in re.finditer("=+", lines[top])]
+    return [
+        tuple(line[a:b].strip() for a, b in zip(starts, starts[1:] + [None]))
+        for line in lines[head + 1:bottom]
+    ]
+
+
+def test_body_table_matches_the_body_types():
+    """Every concrete body has one row, in rank order, naming its fields; a
+    row written "as X" has X's fields, plus any it names after "plus"."""
+    listed = {}
+    for name, cell, _bits in body_table():
+        cls = getattr(selfheal, name, None)
+        assert isinstance(cls, type) and issubclass(cls, Body), name
+        cell, _, extra = cell.partition(", plus ")
+        if cell.startswith("as "):
+            want = listed[getattr(selfheal, cell[3:])] + extra.split()
+        else:
+            want = [] if cell == "(none)" else cell.split(", ")
+        listed[cls] = [f.removesuffix(" (optional)") for f in want]
+        assert listed[cls] == [f.name for f in fields(cls)], name
+    assert list(listed) == sorted(listed, key=lambda cls: cls.rank)
+    assert len(listed) == len(body_table())
+    assert set(listed) == set(selfheal._HANDLERS)
+
+
 def test_body_without_handler_is_a_protocol_error():
     @dataclass(frozen=True)
     class Stray(Body):
@@ -723,8 +768,21 @@ def test_body_without_handler_is_a_protocol_error():
         net.run_to_quiescence()
 
 
+def test_clear_route_cache_empties_every_table():
+    """Found by ``cache_clear``, so a table added later is checked too."""
+    tables = [
+        table
+        for table in vars(selfheal).values()
+        if hasattr(table, "cache_clear") and table.__module__ == selfheal.__name__
+    ]
+    run_script(6, 1, [InsertEvent("x0", ("g0",)), DeleteEvent("g1")])
+    assert tables and all(table.cache_info().currsize for table in tables)
+    selfheal.clear_route_cache()
+    assert [table.cache_info().currsize for table in tables] == [0] * len(tables)
+
+
 def true_dist_oracle(d, seed, n, dst, exclude):
-    """``_true_dist`` with its exclusion tested per visited vertex."""
+    """Exact-route distances with the exclusion tested per visited vertex."""
     g = graph_at(d, n, seed)
     (src,) = [v for v in g.vertices if strip_identity(v) == strip_identity(dst)]
     dead = {strip_identity(x) for x in exclude}
@@ -732,11 +790,19 @@ def true_dist_oracle(d, seed, n, dst, exclude):
 
 
 def ref_dist_oracle(d, i, seed, target, exclude):
-    """``_ref_dist`` with its exclusion tested per visited vertex."""
-    adj = selfheal._ref_adj(d, i, seed)
+    """Reference-route distances with the exclusion tested per visited vertex."""
     return bfs_distances(
-        adj.__getitem__, target, lambda w: any(w in locus(x, i) for x in exclude)
+        bl_expander(d, i, seed).neighbors,
+        target,
+        lambda w: any(w in locus(x, i) for x in exclude),
     )
+
+
+def route_dist_oracle(d, seed, n, level, dst, exclude):
+    """What ``selfheal._route_dist`` must return for the same arguments."""
+    if n is not None:
+        return true_dist_oracle(d, seed, n, dst, exclude)
+    return ref_dist_oracle(d, level, seed, min(locus(dst, level)), exclude)
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -744,40 +810,34 @@ def ref_dist_oracle(d, i, seed, target, exclude):
 @given(moves=ADVERSARY_MOVES)
 @example(moves=targeted_moves(40, 0))
 def test_route_distances_match_identity_oracle(d, moves):
-    true_dist, ref_dist = selfheal._true_dist, selfheal._ref_dist
+    route_dist = selfheal._route_dist
 
-    def checked_true(*args):
-        dist = true_dist(*args)
-        assert dist == true_dist_oracle(*args)
-        return dist
-
-    def checked_ref(*args):
-        dist = ref_dist(*args)
-        assert dist == ref_dist_oracle(*args)
+    def checked(*args):
+        dist = route_dist(*args)
+        assert dist == route_dist_oracle(*args)
         return dist
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(selfheal, "_true_dist", checked_true)
-        mp.setattr(selfheal, "_ref_dist", checked_ref)
+        mp.setattr(selfheal, "_route_dist", checked)
         run_script(d, 1, adversary_script(d, 1, moves))
 
 
 def test_exclusions_match_by_identity_under_any_name():
-    """Routes exclude a dead vertex by its current name; the maps also
-    exclude it under an older or a later name of the same vertex."""
+    """Routes exclude a dead vertex by its current name; the table also
+    excludes it under an older or a later name of the same vertex."""
     d, seed, n, level = 6, 1, 11, 1
     g = graph_at(d, n, seed)
     dst = min(g.vertices)
     for v in sorted(g.vertices - {dst}):
         for alias in (v, strip_identity(v), v.child(0)):
             exclude = frozenset([alias])
-            assert selfheal._true_dist(d, seed, n, dst, exclude) == true_dist_oracle(
-                d, seed, n, dst, exclude
+            assert selfheal._route_dist(d, seed, n, None, dst, exclude) == (
+                true_dist_oracle(d, seed, n, dst, exclude)
             )
-    ref = selfheal._ref_adj(d, level, seed)
-    target = min(ref)
-    for v in sorted(set(ref) - {target}):
+    ref = bl_expander(d, level, seed)
+    target = min(ref.vertices)
+    for v in sorted(ref.vertices - {target}):
         for alias in (v, v.parent(), v.child(1)):
             exclude = frozenset([alias])
-            dist = selfheal._ref_dist(d, level, seed, target, exclude)
+            dist = selfheal._route_dist(d, seed, None, level, target, exclude)
             assert dist == ref_dist_oracle(d, level, seed, target, exclude)
