@@ -210,7 +210,7 @@ def require_exact_size(n: int) -> None:
 
 
 def _index(g: WeightedMultigraph) -> dict[VertexName, int]:
-    return {v: i for i, v in enumerate(sorted(g.vertices))}
+    return {v: i for i, v in enumerate(g.vertices)}
 
 
 def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
@@ -223,8 +223,8 @@ def edge_expansion_exact(g: WeightedMultigraph) -> ExpansionReport:
     if n < 2:
         raise AnalysisError("graph needs at least 2 vertices")
     require_exact_size(n)
-    order = sorted(g.vertices)
-    index = {v: i for i, v in enumerate(order)}
+    order = list(g.vertices)
+    index = _index(g)
     terms = [(index[u], index[v], w) for u, v, w in g.edges()]
     h, minimizers = _min_ratio(n, terms)
     argmin = min(
@@ -389,7 +389,7 @@ class CutDecomposition:
 
 def _future_set(state: GrowthState, a: set[VertexName]) -> set[VertexName]:
     """The target vertices that the current vertices in ``a`` stand for."""
-    depth = min(state.target.vertices).depth
+    depth = next(iter(state.target.vertices)).depth
     return set().union(*(locus(v, depth) for v in a))
 
 

@@ -17,10 +17,16 @@ split produces carries that log, so one cache of states, keyed by
 
 A split derives G_n from G_{n-1} with ``WeightedMultigraph.with_rows``: only
 the two halves, the unsplit neighbours and both halves of each split
-neighbour get new rows, and every other row is shared with G_{n-1}.  So a
-split does O(d) Python work, the cached graphs of a cycle hold each
+neighbour get new rows, and every other row is shared with G_{n-1}.  The
+vertex to split is the first key of the graph's canonically ordered map, and
+the two halves outrank every name present, so they are appended in order.
+So a split does O(d) Python work, the cached graphs of a cycle hold each
 untouched row once, and a row's memoised file text serves every later graph
-that shares it.  No reader may mutate a row.
+that shares it: writing G_n after G_{n-1} formats only the split's new rows.
+What stays O(n) per step is the copy of the adjacency map and the join of
+the file text, both in C.  A cycle starts from its target lift, whose rows
+are fresh, so the graph of its first split is formatted whole, once per
+cycle.  No reader may mutate a row.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ class GrowthState:
 
     @cached_property
     def split(self) -> frozenset[VertexName]:
-        depth = min(self.target.vertices).depth
+        depth = next(iter(self.target.vertices)).depth
         return frozenset(v for v in self.current.vertices if v.depth == depth)
 
     @cached_property
@@ -147,14 +153,15 @@ def begin_cycle(g_star: WeightedMultigraph, seed: int = 0) -> GrowthState:
 def split_next(state: GrowthState) -> GrowthState:
     """Split the next unsplit vertex, returning the new state with its log.
 
-    Unsplit names are the shallower ones, so the canonically smallest vertex
-    is the next to split, and its split neighbours are the deeper names.
+    Unsplit names are the shallower ones, so the canonically smallest vertex,
+    the graph's first, is the next to split, and its split neighbours are
+    the deeper names.
     """
     g = state.current
     h = state.target
     if g.n == h.n:
         raise CycleComplete("every vertex of the cycle has split")
-    u = min(g.vertices)
+    u = next(iter(g.vertices))
     u0, u1 = u.child(0), u.child(1)
     nbrs = g.neighbors(u)
     unsplit_nbrs = tuple(sorted(v for v in nbrs if v.depth == u.depth))
@@ -303,7 +310,7 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
                 st = begin_cycle(finalize_cycle(st), seed)
             st = split_next(st)
         except ConstructionError as exc:
-            cycle = min(st.target.vertices).depth - 1
+            cycle = next(iter(st.target.vertices)).depth - 1
             raise type(exc)(f"d = {d}, n = {m}, cycle {cycle}: {exc}") from exc
         _STATE_CACHE[(d, m, seed)] = st
     return _STATE_CACHE[key]
@@ -383,7 +390,7 @@ def structure_violations(
                 f"weight {w}, expected {expected}"
             )
 
-    for v in sorted(g.vertices):
+    for v in g.vertices:
         deg = weighted_degree(g, v)
         if deg != g.d:
             yield (

@@ -171,7 +171,7 @@ def _switching_masks(base: WeightedMultigraph, edges: Sequence[Edge]) -> list[in
     m = len(edges)
     bit = {e: 1 << (m - 1 - j) for j, e in enumerate(edges)}
     root_path: dict[VertexName, int] = {}
-    for root in sorted(base.vertices):
+    for root in base.vertices:
         if root in root_path:
             continue
         dist = bfs_distances(base.neighbors, root)
@@ -268,7 +268,7 @@ def _best_signing(
     """
     matrix_codes, codes = zip(*candidates)
     n, m = base.n, len(edges)
-    index = {v: i for i, v in enumerate(sorted(base.vertices))}
+    index = {v: i for i, v in enumerate(base.vertices)}
     rows = np.array([index[u] for u, _ in edges])
     cols = np.array([index[v] for _, v in edges])
     bits = _code_bits(matrix_codes, m)

@@ -10,6 +10,14 @@ and the canonical weight map are all read from it.  Every graph carries its
 target degree ``d`` (even, >= 6); actual regularity is a property of grower
 output, not of the type.
 
+The map iterates its vertices in canonical order: the constructor sorts
+them once, and ``with_rows`` keeps each replaced row in place, drops deleted
+vertices and appends new ones.  Only a new vertex that is not greater than
+every vertex present makes ``with_rows`` re-sort the map, once; a growth
+split never does, since its two halves outrank every name present.  So
+``g.vertices`` is canonical, its first key is the smallest vertex, and no
+reader sorts the vertex set.
+
 A graph is immutable, and so is each of its rows: ``with_rows`` derives a
 graph that shares every row it does not replace, so the graphs of the growth
 sequence share their untouched rows.  A row must never be mutated, and a row
@@ -34,9 +42,18 @@ MAX_FILE_WEIGHT = 2**31 - 1
 
 
 class _Row(dict):
-    """One vertex's neighbour weights; ``text`` is its memoised file text."""
+    """One vertex's neighbour weights; ``text`` is its memoised file text,
+    ``None`` until ``graph_to_text`` first writes the row."""
 
     __slots__ = ("text",)
+
+
+def _new_row(weights: Mapping[VertexName, int]) -> _Row:
+    """A row holding a copy of ``weights``, with no text memoised yet (a
+    plain function: a Python ``__init__`` would double the cost of a row)."""
+    row = _Row(weights)
+    row.text = None
+    return row
 
 
 def edge_key(u: VertexName, v: VertexName) -> Edge:
@@ -60,7 +77,7 @@ class WeightedMultigraph:
         if d < 6 or d % 2 != 0:
             raise ValueError(f"degree target must be an even integer >= 6, got {d}")
         self.d = d
-        adj: dict[VertexName, _Row] = {v: _Row() for v in vertices}
+        adj: dict[VertexName, _Row] = {v: _new_row({}) for v in sorted(vertices)}
         for (u, v), w in weights.items():
             if not isinstance(w, int) or w < 1:
                 raise ValueError(f"edge weight must be a positive integer, got {w!r}")
@@ -105,7 +122,13 @@ class WeightedMultigraph:
                     yield u, v, w
 
     def sorted_edges(self) -> list[tuple[VertexName, VertexName, int]]:
-        return sorted(self.edges())
+        """Each edge once as ``(u, v, w)`` with ``u < v``, in canonical order."""
+        return [
+            (u, v, nbrs[v])
+            for u, nbrs in self._adj.items()
+            for v in sorted(nbrs)
+            if u < v
+        ]
 
     def replace(self, weights: Mapping[Edge, int]) -> "WeightedMultigraph":
         """The graph on the same vertices with ``weights`` as its edges."""
@@ -119,15 +142,22 @@ class WeightedMultigraph:
 
         Only the given rows are checked, in O(their size): the constructor's
         weight, self-loop and unknown-vertex rules, and symmetry with the
-        rows they name or used to name.
+        rows they name or used to name.  New vertices are appended in the
+        order given; the map is re-sorted only if that breaks canonical order.
         """
         old = self._adj
         adj = old.copy()
+        last = next(reversed(old), None)
+        ordered = True
         for v, row in rows.items():
-            if row is not None:
-                adj[v] = _Row(row)
-            elif adj.pop(v, None) is None:
-                raise ValueError(f"vertex {format_name(v)} not in graph")
+            if row is None:
+                if adj.pop(v, None) is None:
+                    raise ValueError(f"vertex {format_name(v)} not in graph")
+                continue
+            if v not in adj:
+                ordered = ordered and (last is None or last < v)
+                last = v
+            adj[v] = _new_row(row)
         for v in rows:
             row = adj.get(v, {})
             for x in old.get(v, ()):
@@ -143,6 +173,8 @@ class WeightedMultigraph:
                     raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
                 if adj[x].get(v) != w:
                     raise _asymmetry(adj, v, x)
+        if not ordered:
+            adj = {v: adj[v] for v in sorted(adj)}
         g = WeightedMultigraph.__new__(WeightedMultigraph)
         g.d, g._adj = self.d, adj
         return g
@@ -170,7 +202,7 @@ def weighted_degree(g: WeightedMultigraph, v: VertexName) -> int:
 
 def adjacency_matrix(g: WeightedMultigraph) -> np.ndarray:
     """Symmetric adjacency matrix of edge weights, in canonical vertex order."""
-    index = {v: i for i, v in enumerate(sorted(g.vertices))}
+    index = {v: i for i, v in enumerate(g.vertices)}
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, w in g.edges():
         i, j = index[u], index[v]
@@ -239,44 +271,34 @@ def graphs_equal(g1: WeightedMultigraph, g2: WeightedMultigraph) -> bool:
     return g1._adj == g2._adj
 
 
-class _Labels(dict):
-    """``format_name`` of each vertex looked up, formatted once."""
-
-    __slots__ = ()
-
-    def __missing__(self, v: VertexName) -> str:
-        text = self[v] = format_name(v)
-        return text
-
-
 def graph_to_text(g: WeightedMultigraph) -> str:
     """The interchange format: ``d n`` then ``NAME1 NAME2 W`` lines.
 
     Edges are sorted canonically and lines end with LF: row by row in
-    canonical vertex order, each row's edges to greater names in canonical
-    order.  A row's text is memoised on the row.  Isolated vertices cannot be
-    represented and are rejected.
+    canonical vertex order (the map's own), each row's edges to greater
+    names in canonical order.  Only rows with no memoised text are
+    formatted.  Isolated vertices cannot be represented and are rejected.
     """
-    label = _Labels()
     parts = [f"{g.d} {g.n}\n"]
-    for u in sorted(g._adj):
-        row = g._adj[u]
-        text = getattr(row, "text", None)
-        if text is None:
-            text = row.text = _row_text(u, row, label)
-        parts.append(text)
+    parts += [
+        _row_text(u, row) if row.text is None else row.text
+        for u, row in g._adj.items()
+    ]
     return "".join(parts)
 
 
-def _row_text(u: VertexName, row: Mapping[VertexName, int], label: _Labels) -> str:
-    """The file lines of ``u``'s edges to greater names, in canonical order."""
+def _row_text(u: VertexName, row: _Row) -> str:
+    """The file lines of ``u``'s edges to greater names, in canonical order,
+    memoised on the row."""
     if not row:
         raise ValueError(
             f"vertex {format_name(u)} has no edges; the file format "
             "cannot represent isolated vertices"
         )
-    lu = label[u]
-    return "".join([f"{lu} {label[v]} {row[v]}\n" for v in sorted(row) if v > u])
+    lu = format_name(u)
+    lines = [f"{lu} {format_name(v)} {row[v]}\n" for v in sorted(row) if v > u]
+    row.text = "".join(lines)
+    return row.text
 
 
 def _numeral(field: str) -> int | None:

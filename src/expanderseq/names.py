@@ -84,6 +84,7 @@ def is_all_zeros(name: VertexName) -> bool:
     return name.base == 0 and all(b == 0 for b in name.bits)
 
 
+@cache
 def format_name(name: VertexName) -> str:
     """Serialize as ``base:bitstring`` (empty bit string allowed)."""
     return f"{name.base}:{''.join(['01'[b] for b in name.bits])}"

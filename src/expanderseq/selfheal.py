@@ -568,7 +568,7 @@ class SimNetwork:
         self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
-        for v in sorted(base.vertices):
+        for v in base.vertices:
             ext = f"g{v.base}"
             ids[v] = ext
             self.nodes[ext] = NodeState(ext_id=ext, name=v)
@@ -627,7 +627,8 @@ class SimNetwork:
 
         The hop follows the canonical shortest path: in the exact graph when
         the message carries the vertex count, else in the reference level
-        its first forwarder chose.  A node with no such hop escapes.
+        its first forwarder chose.  A node with no such hop escapes, for
+        one of the two causes ``_escape_hop`` names.
         """
         node = self.nodes[src_ext]
         if strip_identity(node.name) == strip_identity(msg.dst):
@@ -645,13 +646,18 @@ class SimNetwork:
         self._send(src_ext, node.neighbor_table[hop], msg)
 
     def _escape_hop(self, node: NodeState, msg: Message) -> VertexName:
-        """Deterministic last resort when the reference level is stuck.
+        """Deterministic last resort when the routing rule gives no hop.
 
-        Removing a dead vertex's images can separate a node from its own
-        split sibling in every reference graph even though the physical
-        graph stays connected through partner edges.  Hand the message to
-        the smallest neighbor other than the last carrier; the hop budget
-        turns a genuine routing bug into a hard error instead of a livelock.
+        Two causes reach it.  Removing a dead vertex's images can separate a
+        node from its own split sibling in every reference graph even though
+        the physical graph stays connected through partner edges (``_hop``
+        finds no step).  And in ordinary operation the reference hop can be
+        a vertex that no physical neighbor stands for (``_match_binding``
+        fails): the node named 3:01 routing to its partner 3:00 at level 3,
+        whose hop is 0:010, has no neighbor carrying 0:010.  Hand the message
+        to the smallest neighbor other than the last carrier, so the route
+        can be longer than the graph distance; the hop budget turns a
+        genuine routing bug into a hard error instead of a livelock.
         """
         msg.hops += 1
         if msg.hops > 16 * (node.name.depth + 4):

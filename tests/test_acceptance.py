@@ -177,6 +177,25 @@ def test_criterion_8_self_healing():
     )
 
 
+def test_escape_hops_come_from_unmatched_reference_hops(monkeypatch):
+    """On the 400-event script at lift seed 1 every escape hop is a
+    ``PartnerAnnounce`` with no exclusions whose reference hop no physical
+    neighbour carries: ``_match_binding`` fails, not ``_hop``."""
+    real = selfheal.SimNetwork._escape_hop
+    escapes = []
+
+    def recorded(net, node, msg):
+        escapes.append((type(msg.body), msg.exclude, str(sys.exc_info()[1])))
+        return real(net, node, msg)
+
+    monkeypatch.setattr(selfheal.SimNetwork, "_escape_hop", recorded)
+    run_script(6, SEED, _acceptance_script(400))
+    assert len(escapes) == 26
+    for body, exclude, cause in escapes:
+        assert body is selfheal.PartnerAnnounce and not exclude
+        assert " has no physical neighbor matching " in cause
+
+
 def test_criterion_9_cli_determinism():
     t0 = time.monotonic()
     cmd = [sys.executable, "-m", "expanderseq.cli", "grow", "--d", "6",

@@ -321,6 +321,35 @@ def test_split_errors_name_the_split_vertex(drop, message):
         split_next(broken)
 
 
+@pytest.mark.parametrize("d", [6, 8])
+def test_writing_g_n_formats_only_the_rows_its_split_replaced(d, monkeypatch):
+    """Written right after G_{n-1}, G_n formats no row but those its split
+    replaced: the halves, the unsplit neighbours and both halves of each
+    split neighbour.  Checked at every n of cycle 2 but its first split,
+    which derives from the target lift's fresh rows."""
+    import expanderseq.multigraph as multigraph
+
+    real = multigraph._row_text
+    formatted = []
+
+    def counted(u, row):
+        formatted.append(u)
+        return real(u, row)
+
+    monkeypatch.setattr(multigraph, "_row_text", counted)
+    clear_caches()
+    base = d // 2 + 1
+    for n in range(4 * base + 2, 8 * base + 1):
+        graph_to_text(graph_at(d, n - 1, 1))
+        formatted.clear()
+        graph_to_text(graph_at(d, n, 1))
+        log = changelog_at(d, n, 1)
+        u = log.split_vertex
+        replaced = {u.child(0), u.child(1), *log.unsplit_neighbors}
+        replaced.update(half for pair in log.halves for half in pair)
+        assert len(formatted) <= len(replaced) and set(formatted) <= replaced
+
+
 def oracle_text(g):
     """The file text as the codec wrote it before rows were memoised."""
     body = "".join(

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -314,3 +316,92 @@ def test_with_rows_shares_the_rest_and_copies_what_it_is_given():
     assert all(h.neighbors(v) is g.neighbors(v) for v in g.vertices - {u, x})
     rows[u][x] += 1  # the graph holds copies, not the caller's dicts
     assert h.weight(u, x) == g.weight(u, x) + 1
+
+
+def sorting_writer(g):
+    """The reference for ``graph_to_text``: every vertex sorted and every
+    row formatted afresh."""
+    lines = [f"{g.d} {g.n}\n"]
+    for u in sorted(g.vertices):
+        row = g.neighbors(u)
+        lines += [f"{format_name(u)} {format_name(v)} {row[v]}\n"
+                  for v in sorted(row) if v > u]
+    return "".join(lines)
+
+
+def assert_canonical(g):
+    """The map iterates canonically, and every reader of that order agrees
+    with a reader that sorts."""
+    assert list(g.vertices) == sorted(g.vertices)
+    assert g.sorted_edges() == sorted(g.edges())
+    assert graphs_equal(g, WeightedMultigraph(g.d, g.vertices, g.weights))
+    if all(g.neighbors(v) for v in g.vertices):
+        assert graph_to_text(g) == graph_to_text(g) == sorting_writer(g)
+
+
+# every name of base < 6 and at most 3 bits, in canonical order
+ALL_NAMES = sorted(
+    VertexName(b, bits) for b in range(6) for k in range(4)
+    for bits in product((0, 1), repeat=k)
+)
+
+
+def _added(data, g, rows, free):
+    """Add one name drawn from ``free`` to ``rows``, joined to a few of the
+    graph's vertices (possibly none)."""
+    x = data.draw(st.sampled_from(free))
+    nbrs = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), unique=True,
+                              max_size=4))
+    rows[x] = {}
+    for y in nbrs:
+        w = data.draw(st.integers(1, 3))
+        rows[x][y] = w
+        rows.setdefault(y, dict(g.neighbors(y)))[x] = w
+
+
+@given(weighted_graphs(), st.data())
+def test_every_construction_keeps_canonical_order(case, data):
+    """The constructor, ``replace``, ``graph_from_text`` and chains of
+    ``with_rows`` that add, delete and reweight all leave the map canonical;
+    each chain starts by adding a name smaller than the last vertex."""
+    g, _ = case
+    assert_canonical(g)
+    assert_canonical(g.replace(dict(reversed(list(g.weights.items())))))
+    if all(g.neighbors(v) for v in g.vertices):
+        assert_canonical(graph_from_text(graph_to_text(g)))
+    below = [x for x in ALL_NAMES if x < max(g.vertices) and x not in g.vertices]
+    if below:
+        rows = {}
+        _added(data, g, rows, below)
+        g = g.with_rows(rows)
+        assert_canonical(g)
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows = {}
+        op = data.draw(st.sampled_from(["add", "add two", "delete", "reweight"]))
+        if op.startswith("add"):
+            for _ in range(2 if op == "add two" else 1):
+                free = [x for x in ALL_NAMES if x not in g.vertices and x not in rows]
+                _added(data, g, rows, free)
+        elif g.n < 2:
+            continue
+        elif op == "delete":
+            v = data.draw(st.sampled_from(sorted(g.vertices)))
+            rows[v] = None
+            for y in g.neighbors(v):
+                rows[y] = {x: w for x, w in g.neighbors(y).items() if x != v}
+        else:
+            u, v = data.draw(st.lists(st.sampled_from(sorted(g.vertices)),
+                                      min_size=2, max_size=2, unique=True))
+            w = data.draw(st.integers(0, 3))
+            for a, b in ((u, v), (v, u)):
+                rows[a] = {x: wx for x, wx in g.neighbors(a).items() if x != b}
+                if w:
+                    rows[a][b] = w
+        g = g.with_rows(rows)
+        assert_canonical(g)
+
+
+def test_sorted_edges_on_sequence_graphs():
+    for n in range(4, 131):
+        g = graph_at(6, n, 1)
+        assert g.sorted_edges() == sorted(g.edges())
