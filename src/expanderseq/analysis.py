@@ -544,6 +544,9 @@ def rayleigh_lower_bound_check(d: int, i: int, seed: int = 0) -> RayleighResult:
     """
     if i < 0:
         raise AnalysisError(f"rayleigh index must be >= 0, got {i}")
+    # n - 1 = (d/2 + 1) 2^i >= 2^(i + 2): refused before a name of i bits is built
+    if i >= 10:
+        raise AnalysisError(f"rayleigh index {i} exceeds the eigensolver reach")
     n = split_n(d, VertexName(0, (0,) * i))
     if n - 1 > 2048:
         raise AnalysisError(f"n - 1 = {n - 1} exceeds the eigensolver reach")

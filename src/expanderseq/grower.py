@@ -15,11 +15,13 @@ take the split rule from the log instead of re-deriving it.  The state a
 split produces carries that log, so one cache of states, keyed by
 (d, n, seed), holds every G_n, its target and the split that made it.
 
-A split derives G_n from G_{n-1} with ``WeightedMultigraph.with_rows``: only
-the two halves, the unsplit neighbours and both halves of each split
-neighbour get new rows, and every other row is shared with G_{n-1}.  The
-vertex to split is the first key of the graph's canonically ordered map, and
-the two halves outrank every name present, so they are appended in order.
+A split is a set of edge changes: ``split_next`` records each one once, as a
+G_n edge for ``WeightedMultigraph.with_edges`` and as a persistent-identity
+edge for the log.  The derivation drops u, appends its two halves, which
+outrank every name present (splits follow canonical order), and copies only
+the rows the changes touch: the halves, the unsplit neighbours and both
+halves of each split neighbour.  Every other row is shared with G_{n-1}, and
+the vertex to split is the first key of the graph's canonically ordered map.
 So a split does O(d) Python work, the cached graphs of a cycle hold each
 untouched row once, and a row's memoised file text serves every later graph
 that shares it: writing G_n after G_{n-1} formats only the split's new rows.
@@ -167,20 +169,12 @@ def split_next(state: GrowthState) -> GrowthState:
     unsplit_nbrs = tuple(sorted(v for v in nbrs if v.depth == u.depth))
     split_nbrs = sorted(v for v in nbrs if v.depth > u.depth)
 
-    # fresh rows for u's neighbourhood and the two halves; the rest are shared
-    rows: dict[VertexName, dict[VertexName, int] | None] = {u: None, u0: {}, u1: {}}
-    for v in nbrs:
-        rows[v] = row = dict(g.neighbors(v))
-        del row[u]
+    edges: dict[Edge, int] = {}
     changes: list[tuple[Edge, int, int]] = []
 
     def put(a: VertexName, b: VertexName, old: int, new: int) -> None:
         """Set the G_n weight of a-b and log it on the persistent-identity edge."""
-        if new:
-            rows[a][b] = rows[b][a] = new
-        else:
-            rows[a].pop(b, None)
-            rows[b].pop(a, None)
+        edges[a, b] = new
         changes.append((edge_key(strip_identity(a), strip_identity(b)), old, new))
 
     for v in unsplit_nbrs:
@@ -224,7 +218,7 @@ def split_next(state: GrowthState) -> GrowthState:
     if unsplit_nbrs:
         put(u0, u1, 0, len(unsplit_nbrs))
 
-    new_graph = g.with_rows(rows)
+    new_graph = g.with_edges(edges, drop=u, add=(u0, u1))
     log = ChangeLog(
         split_vertex=u,
         changes=tuple(changes),

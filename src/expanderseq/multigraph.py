@@ -11,18 +11,17 @@ target degree ``d`` (even, >= 6); actual regularity is a property of grower
 output, not of the type.
 
 The map iterates its vertices in canonical order: the constructor sorts
-them once, and ``with_rows`` keeps each replaced row in place, drops deleted
-vertices and appends new ones.  Only a new vertex that is not greater than
-every vertex present makes ``with_rows`` re-sort the map, once; a growth
-split never does, since its two halves outrank every name present.  So
-``g.vertices`` is canonical, its first key is the smallest vertex, and no
-reader sorts the vertex set.
+them once, and ``with_edges`` drops a vertex in place and appends new ones,
+each of which must be greater than every vertex present.  No path re-sorts
+the map.  So ``g.vertices`` is canonical, its first key is the smallest
+vertex, and no reader sorts the vertex set.
 
-A graph is immutable, and so is each of its rows: ``with_rows`` derives a
-graph that shares every row it does not replace, so the graphs of the growth
-sequence share their untouched rows.  A row must never be mutated, and a row
-belongs to one vertex, so ``graph_to_text`` memoises each row's text on the
-row and formats only the rows no earlier call has seen.
+A graph is immutable, and so is each of its rows: ``with_edges`` derives a
+graph from edge changes, copying only the rows they touch and writing both
+ends of each edge, so rows are symmetric by construction and the graphs of
+the growth sequence share their untouched rows.  A row must never be
+mutated, and a row belongs to one vertex, so ``graph_to_text`` memoises each
+row's text on the row and formats only the rows no earlier call has seen.
 """
 
 from __future__ import annotations
@@ -134,61 +133,56 @@ class WeightedMultigraph:
         """The graph on the same vertices with ``weights`` as its edges."""
         return WeightedMultigraph(self.d, self._adj, weights)
 
-    def with_rows(
-        self, rows: Mapping[VertexName, Mapping[VertexName, int] | None]
+    def with_edges(
+        self,
+        weights: Mapping[Edge, int],
+        drop: VertexName | None = None,
+        add: Iterable[VertexName] = (),
     ) -> "WeightedMultigraph":
-        """The graph with a copy of ``rows[v]`` as the row of each ``v``
-        (``None`` deletes ``v``), sharing every other row with this one.
+        """The graph without ``drop`` and its edges, with the vertices of
+        ``add`` appended, and with weight ``weights[a, b]`` on each given
+        edge (0 removes it), sharing every row it does not touch.
 
-        Only the given rows are checked, in O(their size): the constructor's
-        weight, self-loop and unknown-vertex rules, and symmetry with the
-        rows they name or used to name.  New vertices are appended in the
-        order given; the map is re-sorted only if that breaks canonical order.
+        Both ends of each edge are written, so the rows stay symmetric.  The
+        given edges are checked in O(their number) by the constructor's
+        rules and messages, except that a weight may be 0.  A new vertex
+        must be greater than every vertex present, so the map stays in
+        canonical order with no sort.
         """
         old = self._adj
         adj = old.copy()
-        last = next(reversed(old), None)
-        ordered = True
-        for v, row in rows.items():
-            if row is None:
-                if adj.pop(v, None) is None:
-                    raise ValueError(f"vertex {format_name(v)} not in graph")
-                continue
-            if v not in adj:
-                ordered = ordered and (last is None or last < v)
-                last = v
-            adj[v] = _new_row(row)
-        for v in rows:
-            row = adj.get(v, {})
-            for x in old.get(v, ()):
-                if x not in row and v in adj.get(x, ()):
-                    raise _asymmetry(adj, v, x)
-            for x, w in row.items():
-                if not isinstance(w, int) or w < 1:
-                    raise ValueError(
-                        f"edge weight must be a positive integer, got {w!r}"
-                    )
-                if x not in adj or x == v:
-                    k = edge_key(v, x)  # raises on a self-loop
-                    raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
-                if adj[x].get(v) != w:
-                    raise _asymmetry(adj, v, x)
-        if not ordered:
-            adj = {v: adj[v] for v in sorted(adj)}
+        if drop is not None:
+            if drop not in adj:
+                raise ValueError(f"vertex {format_name(drop)} not in graph")
+            for x in adj.pop(drop):
+                adj[x] = row = _new_row(adj[x])
+                del row[drop]
+        for v in add:
+            if adj and not next(reversed(adj)) < v:
+                raise ValueError(
+                    f"new vertex {format_name(v)} is not greater than every vertex"
+                )
+            adj[v] = _new_row({})
+        for (a, b), w in weights.items():
+            if not isinstance(w, int) or w < 0:
+                raise ValueError(f"edge weight must be a positive integer, got {w!r}")
+            ra, rb = adj.get(a), adj.get(b)
+            if ra is None or rb is None or a == b:
+                k = edge_key(a, b)  # raises on a self-loop
+                raise ValueError(f"edge {_fmt_edge(k)} uses an unknown vertex")
+            # a row still shared with this graph is copied before its first write
+            if ra is old.get(a):
+                adj[a] = ra = _new_row(ra)
+            if rb is old.get(b):
+                adj[b] = rb = _new_row(rb)
+            if w:
+                ra[b] = rb[a] = w
+            else:
+                ra.pop(b, None)
+                rb.pop(a, None)
         g = WeightedMultigraph.__new__(WeightedMultigraph)
         g.d, g._adj = self.d, adj
         return g
-
-
-def _asymmetry(adj: Mapping, v: VertexName, x: VertexName) -> ValueError:
-    """The error for rows of ``v`` and ``x`` that disagree on their edge."""
-    k = _fmt_edge(edge_key(v, x))
-    if v not in adj:
-        return ValueError(f"edge {k} uses an unknown vertex")
-    return ValueError(
-        f"edge {k} has weight {adj[v].get(x, 0)} at {format_name(v)} "
-        f"but {adj[x].get(v, 0)} at {format_name(x)}"
-    )
 
 
 def _fmt_edge(e: Edge) -> str:

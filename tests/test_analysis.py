@@ -295,6 +295,11 @@ def test_rayleigh_rejects_oversized():
         rayleigh_lower_bound_check(6, 10, seed=1)
 
 
+def test_rayleigh_refuses_a_huge_index_before_building_its_name():
+    with pytest.raises(AnalysisError, match="rayleigh index 10000000000000000000"):
+        rayleigh_lower_bound_check(6, 10**19, seed=1)
+
+
 def test_rayleigh_threshold_recorded():
     # empirical: the d/2 - 0.5 spectral floor first holds at the second
     # doubling (n = 9) for d = 6, seed 1; the base-clique split sits below

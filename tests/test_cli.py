@@ -303,6 +303,9 @@ INPUT_ERRORS = {
     "analyze-rayleigh-negative-index": lambda tmp: [
         "analyze", "--input", g9_graph(tmp), "--spectral", "--suite", "rayleigh",
         "--rayleigh-index", "-1"],
+    "analyze-rayleigh-index-10-19": lambda tmp: [
+        "analyze", "--input", g9_graph(tmp), "--spectral", "--suite", "rayleigh",
+        "--rayleigh-index", str(10**19)],
     "analyze-spectral-irregular": lambda tmp: [
         "analyze", "--input", irregular_graph(tmp), "--spectral"],
     "bench-negative-cycles": lambda tmp: [
@@ -347,6 +350,8 @@ INPUT_ERROR_TEXT = {
     "analyze-exact-weight-2-62": "line 2: weight must be in [1, 2147483647]",
     "analyze-weight-10-20": "line 2: weight must be in [1, 2147483647]",
     "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
+    "analyze-rayleigh-index-10-19": (
+        "rayleigh index 10000000000000000000 exceeds the eigensolver reach"),
     "analyze-name-plus-sign": "line 2: malformed vertex name '+1:'",
     "analyze-name-arabic-digit": "line 2: malformed vertex name",
     "analyze-weight-underscore": "line 2: weight must be in",

@@ -1,6 +1,7 @@
 """Every module-level import of the package is used by its module, every
 private module-level name is used somewhere in the package, in the CLI
-only ``main`` reports errors, and every name the benchmark binds exists.
+only ``main`` reports errors, only ``multigraph`` touches the adjacency rows,
+and every name the benchmark binds exists.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for unused-import and unused-helper rules.  An import whose line carries
@@ -145,6 +146,45 @@ def test_error_report_check_sees_attributes_and_names():
 
 def test_only_cli_main_writes_to_stderr_or_exits_2():
     assert error_reports_outside_main((PACKAGE / "cli.py").read_text()) == []
+
+
+ROW_INTERNALS = {"_adj", "_Row", "_new_row"}
+
+
+def row_internals(source: str) -> list[str]:
+    """Attributes, names and imports among ``ROW_INTERNALS`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ROW_INTERNALS:
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_row_internals_check_sees_attributes_names_and_imports():
+    source = (
+        "from .multigraph import _new_row\n"
+        "def f(g):\n"
+        "    return g._adj, multigraph._Row, _new_row({})\n"
+    )
+    assert row_internals(source) == [
+        "line 1: _new_row", "line 3: _Row", "line 3: _adj", "line 3: _new_row"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "multigraph.py")
+)
+def test_only_multigraph_touches_the_rows(module):
+    """Rows are built and read only by ``multigraph``, whose writers set
+    both ends of every edge, so rows are symmetric by construction."""
+    assert row_internals((PACKAGE / module).read_text()) == []
 
 
 def test_perfbench_binds_existing_names():

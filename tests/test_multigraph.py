@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -261,9 +261,9 @@ def test_write_rejects_isolated_vertex():
         graph_to_text(g)
 
 
-def derivation_error(g, rows):
+def derivation_error(g, weights, **changes):
     with pytest.raises(ValueError) as err:
-        g.with_rows(rows)
+        g.with_edges(weights, **changes)
     return str(err.value)
 
 
@@ -273,49 +273,60 @@ def constructor_error(g, weights):
     return str(err.value)
 
 
-def test_with_rows_rejects_what_the_constructor_rejects():
+def test_with_edges_rejects_what_the_constructor_rejects():
+    g = graph_at(6, 6, 1)
+    rows = {v: dict(g.neighbors(v)) for v in g.vertices}
+    u = min(g.vertices)
+    x = min(g.neighbors(u))
+    assert (format_name(u), format_name(x)) == ("2:", "3:")
+    for bad in (-1, 1.0, "1"):
+        assert derivation_error(g, {(u, x): bad}) == (
+            constructor_error(g, {**g.weights, edge_key(u, x): bad})
+        )
+    stranger = VertexName(9)
+    assert derivation_error(g, {(u, stranger): 1}) == (
+        constructor_error(g, {**g.weights, edge_key(u, stranger): 1})
+    ) == "edge {2:, 9:} uses an unknown vertex"
+    assert derivation_error(g, {(u, u): 1}) == (
+        constructor_error(g, {**g.weights, (u, u): 1})
+    ) == "self-loop 2: is not allowed"
+    # the dropped vertex is gone before the edges are set
+    assert derivation_error(g, {(x, u): 1}, drop=u) == (
+        "edge {2:, 3:} uses an unknown vertex"
+    )
+    assert derivation_error(g, {}, drop=stranger) == "vertex 9: not in graph"
+    # a new vertex comes after every vertex present, so no path re-sorts
+    assert derivation_error(g, {}, add=[stranger]) == (
+        "new vertex 9: is not greater than every vertex"
+    )
+    assert derivation_error(g, {}, add=[VertexName(0, (1, 1)), u.child(0)]) == (
+        "new vertex 2:0 is not greater than every vertex"
+    )
+    # a rejected derivation leaves the graph and its rows as they were
+    assert {v: dict(g.neighbors(v)) for v in g.vertices} == rows
+
+
+def test_with_edges_shares_the_rest_and_copies_what_it_touches():
     g = graph_at(6, 6, 1)
     u = min(g.vertices)
     x = min(g.neighbors(u))
     w = g.weight(u, x)
-    for bad in (0, -1, 1.0, "1"):
-        assert derivation_error(g, {u: {**g.neighbors(u), x: bad}}) == (
-            constructor_error(g, {**g.weights, edge_key(u, x): bad})
-        )
-    stranger = VertexName(9)
-    assert derivation_error(g, {u: {**g.neighbors(u), stranger: 1}}) == (
-        constructor_error(g, {**g.weights, edge_key(u, stranger): 1})
-    ) == "edge {2:, 9:} uses an unknown vertex"
-    assert derivation_error(g, {u: {**g.neighbors(u), u: 1}}) == (
-        constructor_error(g, {**g.weights, (u, u): 1})
-    ) == "self-loop 2: is not allowed"
-    # rows that disagree on an edge, by weight or by omission of either end
-    assert (format_name(u), format_name(x)) == ("2:", "3:")
-    assert derivation_error(g, {u: {**g.neighbors(u), x: w + 1}}) == (
-        f"edge {{2:, 3:}} has weight {w + 1} at 2: but {w} at 3:"
-    )
-    row = dict(g.neighbors(u))
-    del row[x]
-    assert derivation_error(g, {u: row}) == (
-        f"edge {{2:, 3:}} has weight 0 at 2: but {w} at 3:"
-    )
-    assert derivation_error(g, {u: None}) == "edge {2:, 3:} uses an unknown vertex"
-    assert derivation_error(g, {stranger: None}) == "vertex 9: not in graph"
-
-
-def test_with_rows_shares_the_rest_and_copies_what_it_is_given():
-    g = graph_at(6, 6, 1)
-    u = min(g.vertices)
-    x = min(g.neighbors(u))
-    rows = {v: dict(g.neighbors(v)) for v in (u, x)}
-    rows[u][x] += 1
-    rows[x][u] += 1
-    h = g.with_rows(rows)
-    bumped = {**g.weights, edge_key(u, x): g.weight(u, x) + 1}
+    h = g.with_edges({(x, u): w + 1})
+    bumped = {**g.weights, edge_key(u, x): w + 1}
     assert graphs_equal(h, WeightedMultigraph(6, g.vertices, bumped))
     assert all(h.neighbors(v) is g.neighbors(v) for v in g.vertices - {u, x})
-    rows[u][x] += 1  # the graph holds copies, not the caller's dicts
-    assert h.weight(u, x) == g.weight(u, x) + 1
+    assert g.weight(u, x) == g.weight(x, u) == w  # touched rows are copies
+    # weight 0 removes the edge at both ends
+    h = g.with_edges({(u, x): 0})
+    assert x not in h.neighbors(u) and u not in h.neighbors(x)
+    # a dropped vertex is gone from every former neighbour's row, and the
+    # rows of the rest are shared
+    h = g.with_edges({}, drop=u)
+    rest = {e: wt for e, wt in g.weights.items() if u not in e}
+    assert graphs_equal(h, WeightedMultigraph(6, g.vertices - {u}, rest))
+    assert all(h.neighbors(v) is g.neighbors(v)
+               for v in h.vertices - g.neighbors(u).keys())
+    assert u in g.vertices and all(u in g.neighbors(v) for v in g.neighbors(u))
 
 
 def sorting_writer(g):
@@ -346,58 +357,41 @@ ALL_NAMES = sorted(
 )
 
 
-def _added(data, g, rows, free):
-    """Add one name drawn from ``free`` to ``rows``, joined to a few of the
-    graph's vertices (possibly none)."""
-    x = data.draw(st.sampled_from(free))
-    nbrs = data.draw(st.lists(st.sampled_from(sorted(g.vertices)), unique=True,
-                              max_size=4))
-    rows[x] = {}
-    for y in nbrs:
-        w = data.draw(st.integers(1, 3))
-        rows[x][y] = w
-        rows.setdefault(y, dict(g.neighbors(y)))[x] = w
-
-
 @given(weighted_graphs(), st.data())
 def test_every_construction_keeps_canonical_order(case, data):
     """The constructor, ``replace``, ``graph_from_text`` and chains of
-    ``with_rows`` that add, delete and reweight all leave the map canonical;
-    each chain starts by adding a name smaller than the last vertex."""
-    g, _ = case
+    ``with_edges`` that drop a vertex, add names and set weights all leave
+    the map canonical and equal to the graph built from scratch."""
+    g, canon = case
     assert_canonical(g)
     assert_canonical(g.replace(dict(reversed(list(g.weights.items())))))
     if all(g.neighbors(v) for v in g.vertices):
         assert_canonical(graph_from_text(graph_to_text(g)))
-    below = [x for x in ALL_NAMES if x < max(g.vertices) and x not in g.vertices]
+    vertices = set(g.vertices)
+    below = [x for x in ALL_NAMES if x < max(vertices) and x not in vertices]
     if below:
-        rows = {}
-        _added(data, g, rows, below)
-        g = g.with_rows(rows)
-        assert_canonical(g)
+        with pytest.raises(ValueError, match="is not greater than"):
+            g.with_edges({}, add=[data.draw(st.sampled_from(below))])
     for _ in range(data.draw(st.integers(1, 5))):
-        rows = {}
-        op = data.draw(st.sampled_from(["add", "add two", "delete", "reweight"]))
-        if op.startswith("add"):
-            for _ in range(2 if op == "add two" else 1):
-                free = [x for x in ALL_NAMES if x not in g.vertices and x not in rows]
-                _added(data, g, rows, free)
-        elif g.n < 2:
-            continue
-        elif op == "delete":
-            v = data.draw(st.sampled_from(sorted(g.vertices)))
-            rows[v] = None
-            for y in g.neighbors(v):
-                rows[y] = {x: w for x, w in g.neighbors(y).items() if x != v}
-        else:
-            u, v = data.draw(st.lists(st.sampled_from(sorted(g.vertices)),
-                                      min_size=2, max_size=2, unique=True))
+        drop = data.draw(st.sampled_from([None, *sorted(vertices)]))
+        if drop is not None:
+            vertices.discard(drop)
+            canon = {e: w for e, w in canon.items() if drop not in e}
+        above = [x for x in ALL_NAMES if not vertices or x > max(vertices)]
+        add = sorted(data.draw(st.sets(st.sampled_from(above), max_size=2))
+                     if above else ())
+        vertices.update(add)
+        pairs = list(combinations(sorted(vertices), 2))
+        weights = {}
+        for a, b in data.draw(st.lists(st.sampled_from(pairs), unique=True,
+                                       max_size=6) if pairs else st.just([])):
             w = data.draw(st.integers(0, 3))
-            for a, b in ((u, v), (v, u)):
-                rows[a] = {x: wx for x, wx in g.neighbors(a).items() if x != b}
-                if w:
-                    rows[a][b] = w
-        g = g.with_rows(rows)
+            weights[(a, b) if data.draw(st.booleans()) else (b, a)] = w
+            canon.pop((a, b), None)
+            if w:
+                canon[a, b] = w
+        g = g.with_edges(weights, drop=drop, add=add)
+        assert set(g.vertices) == vertices and g.weights == canon
         assert_canonical(g)
 
 
