@@ -97,7 +97,14 @@ def cmd_bench_cost(args: argparse.Namespace) -> int:
     if args.cycles < 0:
         raise UsageError(f"--cycles must be >= 0, got {args.cycles}")
     base = args.d // 2 + 1
-    n_hi = base * (1 << args.cycles)
+    # the last graph's adjacency map is a dict, which holds at most
+    # sys.maxsize vertices; the bit-length test keeps the shift small
+    if (args.cycles >= sys.maxsize.bit_length()
+            or base << args.cycles > sys.maxsize):
+        raise UsageError(
+            f"--cycles {args.cycles} grows G_n past {sys.maxsize} vertices"
+        )
+    n_hi = base << args.cycles
     rows = ["n,cost,U_u,S_u"]
     worst = 0
     for n in range(base + 1, n_hi + 1):

@@ -40,7 +40,10 @@ Every message carries one body: the body's type selects its handler, and
 its fields determine the bits it is charged, with ``name(v)`` = 9 + depth
 of v and ``int(k)`` = bit length of k + 1.  An ``old`` name is implied by
 a rename and costs nothing, ``n`` in the ADD_NOTIFY bodies is the harness's
-vertex count, and a relay leg costs what the leg it relays costs.
+vertex count, and a relay leg costs what the leg it relays costs.  A body
+relayed unchanged (``NeighborEntry``, ``ReconnectVia``) keeps its type on
+both legs, and its handler tells them apart by whether this node is the
+body's end; a relay with a type of its own adds a field.
 
 ===============  =================================  ================================
 body             fields                             bits
@@ -52,7 +55,6 @@ NRelay           n                                  int(n) + 8
 SplitReq         new_ext, new_name, target          2 name(new_name) + 16
 SplitRelay       as SplitReq, plus via              as SplitReq
 NeighborEntry    name, ext, new_ext                 name(name) + 24
-NeighborRelay    as NeighborEntry                   as NeighborEntry
 PartnerAnnounce  name, ext                          name(name) + 16
 PartnerReply     name, ext                          name(name) + 16
 Wire             name, ext                          name(name) + 16
@@ -65,7 +67,6 @@ PairDrop         (none)                             8
 DelNotify        deleted                            name(deleted) + 8
 Takeover         deleted, n, coord_died             name(deleted) + int(n) + 16
 ReconnectVia     half, name, ext                    name(name) + name(half) + 16
-Reconnect        as ReconnectVia                    as ReconnectVia
 DropName         name                               name(name) + 8
 Unsplit          drop, halves, total                32 + (32 + drop depth) per half
 StateXfer        n                                  int(n) + 8
@@ -201,17 +202,14 @@ class SplitRelay(SplitReq):
 
 @dataclass(frozen=True)
 class NeighborEntry(Body):
-    """Splitting vertex -> attach neighbor (routed): one neighbor-table entry."""
+    """One neighbor-table entry of the splitting vertex: routed to the attach
+    neighbor, which pushes it unchanged over the attach link to the new node."""
 
     name: VertexName
     ext: str
     new_ext: str
     rank = NEIGHBOR_LIST
     bits = property(lambda b: _name_bits(b.name) + 24)
-
-
-class NeighborRelay(NeighborEntry):
-    """Attach neighbor -> new node: the entry, pushed over the attach link."""
 
 
 @dataclass(frozen=True)
@@ -310,17 +308,14 @@ class Takeover(Body):
 
 @dataclass(frozen=True)
 class ReconnectVia(Body):
-    """Renaming partner -> a relay next to ``half`` (routed): reconnect us."""
+    """Renaming partner -> a relay next to ``half`` (routed), which hands it
+    unchanged to ``half``: bind the renamed partner."""
 
     half: VertexName
     name: VertexName
     ext: str
     rank = UNDO_STEP
     bits = property(lambda b: _name_bits(b.name) + _name_bits(b.half) + 16)
-
-
-class Reconnect(ReconnectVia):
-    """Relay -> lost half: bind the renamed partner."""
 
 
 @dataclass(frozen=True)
@@ -383,12 +378,12 @@ class Message:
 
 @dataclass
 class Joining:
-    """A new node until it is wired: its relay and the entries it awaits."""
+    """A new node until it is wired: its relay, and the neighbors and
+    entries it awaits, which it learns with its name."""
 
     relay_ext: str
     expected_neighbors: frozenset[VertexName] = frozenset()
-    entries: int = 0
-    entries_expected: int | None = None
+    entries_left: int = 0
 
 
 @dataclass
@@ -563,8 +558,8 @@ class SimNetwork:
         self.n = d // 2 + 1
         self._queues: dict[tuple[str, str], deque[Message]] = {}
         self._seq = 0
-        self._defer_pair_drops = False
-        self._deferred_drops: set[str] = set()
+        # during a deletion's first phase, the 0 halves whose pair drop waits
+        self._deferred_drops: set[str] | None = None
         self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
@@ -863,7 +858,7 @@ class SimNetwork:
         node.name = log.new_vertex
         node.joining.expected_neighbors = frozenset(log.new_neighbors)
         # one entry per neighbor of the splitting vertex
-        node.joining.entries_expected = log.n_unsplit_neighbors + log.n_split_neighbors
+        node.joining.entries_left = log.n_unsplit_neighbors + log.n_split_neighbors
         split_req = SplitReq(node.ext_id, log.new_vertex, log.split_vertex)
         self._direct(node, node.joining.relay_ext, split_req)
 
@@ -905,15 +900,10 @@ class SimNetwork:
     def _on_neighbor_entry(
         self, body: NeighborEntry, node: NodeState, src: str
     ) -> None:
-        relay = NeighborRelay(body.name, body.ext, body.new_ext)
-        self._direct(node, body.new_ext, relay)
-
-    @_handles
-    def _on_neighbor_relay(
-        self, body: NeighborRelay, node: NodeState, src: str
-    ) -> None:
-        if node.joining is not None:
-            node.joining.entries += 1
+        if node.ext_id != body.new_ext:
+            self._direct(node, body.new_ext, body)
+        elif node.joining is not None:
+            node.joining.entries_left -= 1
             self._maybe_finish_wiring(node)
 
     @_handles
@@ -1004,7 +994,7 @@ class SimNetwork:
         present = pn in node.neighbor_table
         initiator = node.name < pn
         if present and count == 0 and initiator:
-            if self._defer_pair_drops:
+            if self._deferred_drops is not None:
                 self._deferred_drops.add(node.ext_id)
                 return
             # only the 0 half decides; the 1 half applies the paired message,
@@ -1028,9 +1018,7 @@ class SimNetwork:
     def _maybe_finish_wiring(self, node: NodeState) -> None:
         # a new node is named together with learning how many entries to expect
         joining = node.joining
-        if joining is None or node.name is None:
-            return
-        if joining.entries < joining.entries_expected:
+        if joining is None or node.name is None or joining.entries_left > 0:
             return
         if not joining.expected_neighbors.issubset(node.neighbor_table):
             return
@@ -1070,15 +1058,14 @@ class SimNetwork:
             self._route(
                 elected, DelNotify(dead_name), VertexName(0), frozenset([dead_name])
             )
-        self._defer_pair_drops = True
+        self._deferred_drops = deferred = set()
         for nb in neighbors:
             self._after_table_change(nb)
         self.run_to_quiescence()
-        self._defer_pair_drops = False
-        for ext in sorted(self._deferred_drops):
+        self._deferred_drops = None
+        for ext in sorted(deferred):
             if ext in self.nodes:
                 self._after_table_change(self.nodes[ext])
-        self._deferred_drops.clear()
         self._settle(n_before)
 
     def _elect_for_deletion(self, dead: NodeState) -> NodeState:
@@ -1255,18 +1242,17 @@ class SimNetwork:
 
     @_handles
     def _on_reconnect_via(self, body: ReconnectVia, node: NodeState, src: str) -> None:
+        if node.name == body.half:
+            self._link(node, body.name, body.ext)
+            self._after_table_change(node)
+            return
         ext = node.neighbor_table.get(body.half)
         if ext is None:
             raise ProtocolError(
                 f"{node.ext_id} cannot relay a reconnect to "
                 f"{format_name(body.half)}"
             )
-        self._direct(node, ext, Reconnect(body.half, body.name, body.ext))
-
-    @_handles
-    def _on_reconnect(self, body: Reconnect, node: NodeState, src: str) -> None:
-        self._link(node, body.name, body.ext)
-        self._after_table_change(node)
+        self._direct(node, ext, body)
 
     @_handles
     def _on_drop_name(self, body: DropName, node: NodeState, src: str) -> None:
@@ -1417,7 +1403,10 @@ class SimNetwork:
         }
         expected = dict.fromkeys(coord.neighbor_table.values(), self.n)
         if holders != expected:
-            raise ProtocolError(f"replicas {holders} differ from {expected}")
+            ext = min(x for x in holders.keys() | expected.keys()
+                      if holders.get(x) != expected.get(x))
+            got, want = holders.get(ext), expected.get(ext)
+            raise fault(nodes[ext], f"holds replica {got}, expected {want}")
         self._dirty.clear()
 
 

@@ -180,7 +180,9 @@ def test_criterion_8_self_healing():
 def test_escape_hops_come_from_unmatched_reference_hops(monkeypatch):
     """On the 400-event script at lift seed 1 every escape hop is a
     ``PartnerAnnounce`` with no exclusions whose reference hop no physical
-    neighbour carries: ``_match_binding`` fails, not ``_hop``."""
+    neighbour carries: ``_match_binding`` fails, not ``_hop``.  The script is
+    the ``simulate-churn`` benchmark's, so its digest is that workload's
+    golden one in ``perfbench/golden.json``."""
     real = selfheal.SimNetwork._escape_hop
     escapes = []
 
@@ -189,7 +191,10 @@ def test_escape_hops_come_from_unmatched_reference_hops(monkeypatch):
         return real(net, node, msg)
 
     monkeypatch.setattr(selfheal.SimNetwork, "_escape_hop", recorded)
-    run_script(6, SEED, _acceptance_script(400))
+    report = run_script(6, SEED, _acceptance_script(400))
+    assert report.digest == (
+        "4012ec430d7e460ca89b16523e9440819eb468e9f8a8e2db3a363d9e782270d7"
+    )
     assert len(escapes) == 26
     for body, exclude, cause in escapes:
         assert body is selfheal.PartnerAnnounce and not exclude

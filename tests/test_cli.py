@@ -310,6 +310,8 @@ INPUT_ERRORS = {
         "analyze", "--input", irregular_graph(tmp), "--spectral"],
     "bench-negative-cycles": lambda tmp: [
         "bench", "--d", "6", "--cycles", "-1"],
+    "bench-cycles-10-19": lambda tmp: [
+        "bench", "--d", "6", "--cycles", str(10**19)],
     "grow-odd-degree": lambda tmp: ["grow", "--d", "7", "--n", "5"],
     "grow-out-below-missing-dir": lambda tmp: [
         "grow", "--d", "6", "--n", "5", "--out", str(tmp / "none" / "g")],
@@ -352,6 +354,7 @@ INPUT_ERROR_TEXT = {
     "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
     "analyze-rayleigh-index-10-19": (
         "rayleigh index 10000000000000000000 exceeds the eigensolver reach"),
+    "bench-cycles-10-19": "--cycles 10000000000000000000 grows G_n past",
     "analyze-name-plus-sign": "line 2: malformed vertex name '+1:'",
     "analyze-name-arabic-digit": "line 2: malformed vertex name",
     "analyze-weight-underscore": "line 2: weight must be in",

@@ -321,6 +321,36 @@ def test_split_errors_name_the_split_vertex(drop, message):
         split_next(broken)
 
 
+@pytest.mark.parametrize("a, b, weight, message", [
+    ("1:00", "2:00", 1, "edge to unsplit 2:00 has weight 1, expected 2"),
+    ("1:00", "0:000", 2, "expected weight-1 edges to both halves of 0:00"),
+    ("0:000", "0:001", 0, "partner edge 0:000-0:001 missing"),
+])
+def test_split_next_checks_its_predecessor(a, b, weight, message):
+    """In G_20 at d = 6 the next to split is 1:00, with unsplit neighbours
+    2:00 and 3:01 and split neighbours 0:000 and 0:001; weight 0 removes
+    the edge."""
+    st = state_at(6, 20, 1)
+    assert format_name(min(st.current.vertices)) == "1:00"
+    weights = st.current.weights
+    key = edge_key(parse_name(a), parse_name(b))
+    if weight:
+        weights[key] = weight
+    else:
+        del weights[key]
+    broken = GrowthState(current=st.current.replace(weights=weights), target=st.target)
+    with pytest.raises(ConstructionError, match=f"^{re.escape(message)}$"):
+        split_next(broken)
+
+
+def test_structure_violations_name_a_split_vertex_without_partner():
+    st = state_at(6, 20, 1)
+    lone = parse_name("0:001")
+    g = st.current.with_edges({}, drop=lone)
+    problems = list(structure_violations(g, st.split - {lone}))
+    assert problems[0] == "partner edges: 0:000 split without partner", problems
+
+
 @pytest.mark.parametrize("d", [6, 8])
 def test_writing_g_n_formats_only_the_rows_its_split_replaced(d, monkeypatch):
     """Written right after G_{n-1}, G_n formats no row but those its split

@@ -251,6 +251,10 @@ def test_stale_attach_links_are_dropped():
     ("extra-entry", "simulated topology diverged"),
     ("shared-name", "shares its name with g2"),
     ("no-name", "has no name"),
+    ("foreign-name", "has a name not in G_n"),
+    ("coordinator-count", "has coordinator count 10"),
+    ("extra-replica", "holds replica 9, expected None"),
+    ("stale-replica", "holds replica 8, expected 9"),
 ])
 def test_common_checks_reject_leftover_state(leftover, message):
     net = grow_net(6, 1, 9)
@@ -284,6 +288,16 @@ def test_common_checks_reject_leftover_state(leftover, message):
     elif leftover == "shared-name":
         twin = NodeState("twin", node.name, dict(node.neighbor_table))
         culprits = [net.nodes.setdefault("twin", twin)]
+    elif leftover == "foreign-name":
+        node.name = VertexName(99)
+    elif leftover == "coordinator-count":
+        culprits = [net.nodes["g0"]]
+        culprits[0].known_n += 1
+    elif leftover == "extra-replica":
+        culprits = [net.nodes["x0"]]  # not a coordinator neighbour
+        culprits[0].replica_n = net.n
+    elif leftover == "stale-replica":
+        node.replica_n -= 1
     else:
         culprits = [net.nodes.setdefault("late", NodeState("late", None))]
     with pytest.raises(ProtocolError, match=message) as info:
@@ -754,6 +768,20 @@ def test_body_table_matches_the_body_types():
     assert list(listed) == sorted(listed, key=lambda cls: cls.rank)
     assert len(listed) == len(body_table())
     assert set(listed) == set(selfheal._HANDLERS)
+
+
+def test_every_body_subclass_adds_a_field():
+    """A sent body type that subclasses another adds a field to it, so no
+    type exists only to pick a handler: a body relayed unchanged keeps its
+    type, and its handler tells the legs apart."""
+    sent = set(selfheal._HANDLERS)
+    bare = sorted(
+        cls.__name__
+        for cls in sent
+        for base in cls.__bases__
+        if base in sent and len(fields(cls)) <= len(fields(base))
+    )
+    assert bare == []
 
 
 def test_body_without_handler_is_a_protocol_error():
