@@ -64,6 +64,10 @@ def cmd_grow(args: argparse.Namespace) -> int:
     n_hi = args.n if args.n_to is None else max(args.n, args.n_to)
     if n_lo < args.d // 2 + 1:
         raise UsageError(f"--n must be at least d/2 + 1 = {args.d // 2 + 1}")
+    # G_n's adjacency map is a dict, which holds at most sys.maxsize vertices
+    for flag, n in (("--n", args.n), ("--n-to", args.n_to)):
+        if n is not None and n > sys.maxsize:
+            raise UsageError(f"{flag} {n} grows G_n past {sys.maxsize} vertices")
     for n in range(n_lo, n_hi + 1):
         path = args.out if args.out is None or n_lo == n_hi else f"{args.out}.{n}"
         _emit(path, graph_to_text(grower.graph_at(args.d, n, args.lift_seed)))

@@ -12,8 +12,14 @@ depth-k name ``u`` is the split that produces G_n with n = ``split_n(d, u)``,
 and the whole sequence is a deterministic function of (d, seed).  Each
 split's ``ChangeLog`` records its neighbourhood and weight changes; readers
 take the split rule from the log instead of re-deriving it.  The state a
-split produces carries that log, so one cache of states, keyed by
-(d, n, seed), holds every G_n, its target and the split that made it.
+split produces carries that log, so a state, keyed by (d, n, seed), is G_n,
+its target and the split that made it.
+
+States are held in memory linear in n: one checkpoint per cycle, the state
+of its first split, which fixes the cycle's target, so no signing search
+runs twice; and a window of the ``WINDOW`` most recently read states.  Any
+other G_n is replayed by ``split_next`` from the largest held state below
+it, which within n's cycle is at least its checkpoint.
 
 A split is a set of edge changes: ``split_next`` records each one once, as a
 G_n edge for ``WeightedMultigraph.with_edges`` and as a persistent-identity
@@ -22,13 +28,14 @@ outrank every name present (splits follow canonical order), and copies only
 the rows the changes touch: the halves, the unsplit neighbours and both
 halves of each split neighbour.  Every other row is shared with G_{n-1}, and
 the vertex to split is the first key of the graph's canonically ordered map.
-So a split does O(d) Python work, the cached graphs of a cycle hold each
+So a split does O(d) Python work, the held graphs of a cycle hold each
 untouched row once, and a row's memoised file text serves every later graph
 that shares it: writing G_n after G_{n-1} formats only the split's new rows.
 What stays O(n) per step is the copy of the adjacency map and the join of
 the file text, both in C.  A cycle starts from its target lift, whose rows
 are fresh, so the graph of its first split is formatted whole, once per
-cycle.  No reader may mutate a row.
+cycle; a replayed graph's new rows are formatted afresh.  No reader may
+mutate a row.
 """
 
 from __future__ import annotations
@@ -262,11 +269,40 @@ def _diff_graphs(a: WeightedMultigraph, b: WeightedMultigraph) -> str:
     return f"vertex diff {missing}; edge diff {sorted(edge_diff)[:20]}"
 
 
+# Recent states kept besides the checkpoints.  A sweep reads G_{n-1} before
+# G_n, and a churn script reads G_n near its last reads, so a few serve them.
+WINDOW = 16
+
+# Every state held: one checkpoint per reached cycle of each (d, seed), the
+# state of its first split, which fixes the cycle's target; and at most
+# WINDOW others, the least recently read evicted first.
 _STATE_CACHE: dict[tuple[int, int, int], GrowthState] = {}
+# the keys of the window's states, least recently read first
+_WINDOW: dict[tuple[int, int, int], None] = {}
 
 
 def clear_caches() -> None:
     _STATE_CACHE.clear()
+    _WINDOW.clear()
+
+
+def _is_first_split(d: int, n: int) -> bool:
+    """Whether G_n comes from a cycle's first split (n = split_n(d, 0:0...0))."""
+    doubling, rest = divmod(n - 1, d // 2 + 1)
+    return rest == 0 and doubling & (doubling - 1) == 0
+
+
+def _keep(key: tuple[int, int, int], st: GrowthState) -> GrowthState:
+    """Hold a new state: as a checkpoint if it is a cycle's first split,
+    else as the window's most recent state, evicting the least recent one."""
+    _STATE_CACHE[key] = st
+    if not _is_first_split(key[0], key[1]):
+        _WINDOW[key] = None
+        if len(_WINDOW) > WINDOW:
+            oldest = next(iter(_WINDOW))
+            del _WINDOW[oldest]
+            _STATE_CACHE.pop(oldest, None)
+    return st
 
 
 def bl_expander(d: int, i: int, seed: int = 0) -> WeightedMultigraph:
@@ -275,7 +311,7 @@ def bl_expander(d: int, i: int, seed: int = 0) -> WeightedMultigraph:
         raise ValueError("index must be >= 0")
     if i == 0:
         return initial_graph(d)
-    # the target of cycle i - 1, fixed by the state of its first split
+    # the target of cycle i - 1, held by the checkpoint of its first split
     return state_at(d, split_n(d, VertexName(0, (0,) * (i - 1))), seed).target
 
 
@@ -283,21 +319,32 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
     """The growth state when the graph first reaches ``n`` vertices.
 
     For n at a cycle boundary (other than the starting clique) this is the
-    end-of-cycle state with every vertex split.  A ``ConstructionError`` of
-    growth re-raises, same type, prefixed with d, n and the cycle.
+    end-of-cycle state with every vertex split.  Replays ``split_next`` from
+    the largest held state below n: within n's cycle, its checkpoint or a
+    later window state, so no signing search runs twice.  A
+    ``ConstructionError`` of growth re-raises, same type, prefixed with d, n
+    and the cycle.
     """
     base_n = d // 2 + 1
     if n < base_n:
         raise ValueError(f"n must be at least d/2 + 1 = {base_n}")
     key = (d, n, seed)
-    if key in _STATE_CACHE:
-        return _STATE_CACHE[key]
-    start = n
-    while start > base_n and (d, start, seed) not in _STATE_CACHE:
-        start -= 1
-    if start == base_n:
-        _STATE_CACHE[(d, base_n, seed)] = begin_cycle(initial_graph(d), seed)
-    st = _STATE_CACHE[(d, start, seed)]
+    st = _STATE_CACHE.get(key)
+    if st is not None:
+        if key in _WINDOW:  # the most recently read state now
+            del _WINDOW[key]
+            _WINDOW[key] = None
+        return st
+    if n == base_n:
+        first = _STATE_CACHE.get((d, base_n + 1, seed))
+        if first is None:
+            return _keep(key, begin_cycle(initial_graph(d), seed))
+        return _keep(key, GrowthState(current=initial_graph(d), target=first.target))
+    start = max(
+        (m for dd, m, s in _STATE_CACHE if dd == d and s == seed and m < n),
+        default=base_n,
+    )
+    st = state_at(d, start, seed)
     for m in range(start + 1, n + 1):
         try:
             if st.current.n == st.target.n:
@@ -306,8 +353,8 @@ def state_at(d: int, n: int, seed: int = 0) -> GrowthState:
         except ConstructionError as exc:
             cycle = next(iter(st.target.vertices)).depth - 1
             raise type(exc)(f"d = {d}, n = {m}, cycle {cycle}: {exc}") from exc
-        _STATE_CACHE[(d, m, seed)] = st
-    return _STATE_CACHE[key]
+        _keep((d, m, seed), st)
+    return st
 
 
 def graph_at(d: int, n: int, seed: int = 0) -> WeightedMultigraph:

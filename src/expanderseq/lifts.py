@@ -27,6 +27,13 @@ the prune cannot move the choice.
 Ties are decided on floating-point lambda, so the choice is the smallest code
 among the bit-exact minimizers, not among all signings within rounding of the
 minimum (on the K6 base of d = 10 it is 348, while 236 lies within 1e-9).
+
+``next_bl_expander`` re-verifies the chosen lift without forming its 2n x 2n
+matrix.  An O(nd) integer check confirms that the lifted graph is a 2-lift
+of the base and reads A_s off its edges; then ``certify_below``, one
+Cholesky factorisation whose shift bounds every rounding error, proves each
+n x n part of the lift's spectrum below the budget.  Only a failed
+certificate falls back to a dense eigensolve of the lift.
 """
 
 from __future__ import annotations
@@ -347,14 +354,120 @@ def find_good_signing(
     return best_code
 
 
+def certify_below(m: np.ndarray, b: float) -> bool:
+    """True only if every eigenvalue of the symmetric float matrix ``m`` is
+    below ``b``, proved by one Cholesky factorisation.
+
+    With u the unit roundoff, let t = |b| + max |m_ii|, g = gamma_{n+1} =
+    (n + 1)u / (1 - (n + 1)u) and s = (2n + 2) g / (1 - g) t, used only
+    while s <= t/2.  If Cholesky
+    completes on the float matrix A = fl((b - s) I - m), it computed R^T R =
+    A + dA with |dA| <= g |R^T| |R| (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 10.3, in any order of the inner products).
+    Each column has ||r_i||^2 <= a_ii / (1 - g), so ||dA||_2 <= g / (1 - g)
+    trace(A), and forming A's diagonal rounds by at most 2u (t + s)(1 + u).
+    With every a_ii at most (t + s)(1 + u)^2 <= 2t, the two errors sum to
+    at most s (Rump, BIT 46, 2006).  R^T R is positive definite, so the
+    exact b I - m, which is R^T R - dA plus s I less the rounding, is too.
+    A failed factorisation proves nothing.
+    """
+    n = len(m)
+    u = float(np.finfo(np.float64).eps) / 2
+    g = (n + 1) * u / (1 - (n + 1) * u)
+    t = abs(b) + float(np.abs(np.diagonal(m)).max())
+    s = (2 * n + 2) * g / (1 - g) * t
+    if s > t / 2:
+        return False
+    a = -m
+    a[np.diag_indices(n)] += b - s
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _lift_signs(base: WeightedMultigraph, lifted: WeightedMultigraph) -> np.ndarray:
+    """The signed adjacency matrix of ``base`` that ``lifted`` realises.
+
+    Read off the lifted edges in O(nd) integer work: +1 where {u, v} lifts
+    to {u.0, v.0} and {u.1, v.1}, -1 where it lifts to {u.0, v.1} and
+    {u.1, v.0}.  Raises ``RuntimeError`` unless ``lifted`` is a 2-lift of
+    ``base``: the base's copies, weight-1 edges, and no edge but those pairs.
+    """
+
+    def fail(problem: str) -> RuntimeError:
+        return RuntimeError(f"lifted graph is not a 2-lift of its base: {problem}")
+
+    # in canonical order the copies of the k-th base vertex are 2k and 2k + 1
+    copies = list(lifted.vertices)
+    if copies != [v.child(b) for v in base.vertices for b in (0, 1)]:
+        raise fail("its vertices are not the base's copies")
+    index = {v: k for k, v in enumerate(copies)}
+    ends = [
+        (k, index[y], w)
+        for k, x in enumerate(copies)
+        for y, w in lifted.neighbors(x).items()
+    ]
+    i, j, w = np.array(ends, dtype=np.int64).reshape(-1, 3).T
+    if (w != 1).any():
+        raise fail("an edge weight is not 1")
+    edges = canonical_edge_list(base)
+    if len(ends) != 4 * len(edges):
+        raise fail(f"it has {len(ends) // 2} edges, not {2 * len(edges)}")
+    # each ordered base pair sums the signs of its lifted edge ends; +-2
+    # takes both ends of one matching, so 4m ends leave none for other pairs
+    n = base.n
+    signs = np.where(i % 2 == j % 2, 0.5, -0.5)
+    a_s = np.bincount(i // 2 * n + j // 2, signs, n * n).reshape(n, n)
+    pos = {v: k for k, v in enumerate(base.vertices)}
+    p, q = np.array([(pos[u], pos[v]) for u, v in edges]).T
+    bad = np.flatnonzero(np.abs(a_s[p, q]) != 1)
+    if len(bad):
+        u, v = edges[bad[0]]
+        raise fail(f"edge {format_name(u)}-{format_name(v)} lifts to no matching")
+    return a_s
+
+
+def _lift_certified(
+    base: WeightedMultigraph, lifted: WeightedMultigraph, bound: float
+) -> bool:
+    """True only if the lift's lambda is below ``bound``, certified.
+
+    The lift's spectrum is spec(A) and spec(A_s) (Bilu-Linial 2006), where
+    the top eigenvalue of the r-regular base A is r = d/2 and the others are
+    those of the integer matrix n A - r J, divided by n.  So lambda < bound
+    once +A_s, -A_s and -A are certified below ``bound`` and n A - r J below
+    a float under n ``bound``.  A is |A_s|.
+    """
+    m = _lift_signs(base, lifted)  # each step rewrites this one n x n matrix
+    if not certify_below(m, bound):
+        return False
+    m *= -1  # -A_s
+    if not certify_below(m, bound):
+        return False
+    m = np.negative(np.abs(m, out=m), out=m)  # -A
+    if not certify_below(m, bound):
+        return False
+    n, r = base.n, base.d // 2
+    m *= -n
+    m -= r  # n A - r J
+    return certify_below(m, float(np.nextafter(n * bound, -np.inf)))
+
+
 def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMultigraph:
     """The next doubled expander: halve, sign-search, lift, re-double.
 
     The input must have every weight exactly 2 and d/2 neighbours per
     vertex, so that halving it gives a (d/2)-regular simple base.  The
     search spends ``DEFAULT_SEARCH_BUDGET`` signings against
-    ``default_lambda_budget``, and the chosen lift's lambda is re-verified
-    by a direct eigensolve, independent of the search's spectral shortcut.
+    ``default_lambda_budget``.  The chosen lift is then re-verified,
+    independent of the search: an O(nd) integer check that it is a 2-lift of
+    the base, which reads its signed matrix A_s off its edges, and Cholesky
+    certificates (``certify_below``) that the base and +-A_s have no
+    eigenvalue at or above the budget plus ``EIG_TOL``.  Only when a
+    certificate fails does a dense eigensolve of the whole lift decide, by
+    the same comparison, so a rejection reports the solved lambda.
     """
     bad = min(((u, v, w) for u, v, w in g_star.edges() if w != 2), default=None)
     if bad:
@@ -370,14 +483,14 @@ def next_bl_expander(g_star: WeightedMultigraph, seed: int = 0) -> WeightedMulti
     lambda_budget = default_lambda_budget(g_star.d)
     code = find_good_signing(base, lambda_budget, seed=seed)
     lifted = two_lift(base, code)
-    direct = spectral_report(lifted).lambda_
-    if direct > lambda_budget + EIG_TOL:
-        raise SigningSearchError(
-            f"verified lift lambda {direct:.6f} exceeds budget "
-            f"{lambda_budget:.6f} (base n = {base.n}, "
-            f"{len(base.weights)} edges)",
-            best_lambda=direct,
-            best=code,
-        )
+    if not _lift_certified(base, lifted, lambda_budget + EIG_TOL):
+        direct = spectral_report(lifted).lambda_
+        if direct > lambda_budget + EIG_TOL:
+            raise SigningSearchError(
+                f"verified lift lambda {direct:.6f} exceeds budget "
+                f"{lambda_budget:.6f} (base n = {base.n}, "
+                f"{len(base.weights)} edges)",
+                best_lambda=direct,
+                best=code,
+            )
     return lifted.replace(weights=dict.fromkeys(lifted.weights, 2))
-

@@ -381,6 +381,24 @@ def test_input_errors_exit_2(tmp_path, case):
     assert INPUT_ERROR_TEXT.get(case, "") in res.stderr
 
 
+@pytest.mark.parametrize("sizes, flag", [
+    (["--n", str(10**19)], "--n"),
+    (["--n", "5", "--n-to", str(10**19)], "--n-to"),
+    (["--n", str(10**19), "--n-to", "5"], "--n"),
+])
+def test_grow_refuses_sizes_past_sys_maxsize_before_growing(
+    monkeypatch, capsys, sizes, flag
+):
+    def no_growth(*args):
+        raise AssertionError("growth started")
+
+    monkeypatch.setattr(cli.grower, "graph_at", no_growth)
+    monkeypatch.setattr(cli.grower, "state_at", no_growth)
+    assert cli.main(["grow", "--d", "6", *sizes, "--lift-seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {10**19} grows G_n past {sys.maxsize} vertices\n"
+
+
 def test_internal_errors_keep_their_traceback(monkeypatch):
     def broken(*args):
         raise grower.ConstructionError("a growth invariant failed")

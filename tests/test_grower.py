@@ -6,6 +6,7 @@ from expanderseq.grower import (
     ConstructionError,
     CycleComplete,
     GrowthState,
+    _cycle_seed,
     begin_cycle,
     bl_expander,
     changelog_at,
@@ -229,21 +230,70 @@ def test_changelog_audits_match_weight_diff(d):
 
 
 def test_bl_expander_reads_the_growth_cache(monkeypatch):
-    """Once the growth reaches a cycle, its doubled expander costs no search."""
+    """Each cycle's doubled expander costs one signing search: the cycle's
+    checkpoint keeps it however far the window of recent states has moved."""
     import expanderseq.grower as grower
 
-    graph_at(6, 17, 1)
+    clear_caches()
     searches = []
     real = grower.next_bl_expander
 
     def counted(*args, **kwargs):
-        searches.append(args)
+        searches.append(kwargs["seed"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(grower, "next_bl_expander", counted)
+    graph_at(6, 17, 1)
+    assert searches == [_cycle_seed(1, k) for k in range(3)]
     assert graphs_equal(bl_expander(6, 2, 1), graph_at(6, 16, 1))
     assert graphs_equal(bl_expander(6, 1, 1), graph_at(6, 8, 1))
-    assert searches == []
+    graph_at(6, 65, 1)  # cycles 3 and 4; the window moves past every n < 49
+    for n in (4, 5, 8, 16, 17, 40, 33, 64, 9, 4):
+        state_at(6, n, 1)
+    for i in range(6):
+        bl_expander(6, i, 1)
+    assert searches == [_cycle_seed(1, k) for k in range(5)]
+
+
+def test_grow_holds_one_checkpoint_per_cycle_plus_the_window(monkeypatch):
+    import expanderseq.cli as cli
+    import expanderseq.grower as grower
+
+    clear_caches()
+    monkeypatch.setattr(cli, "_emit", lambda path, text: None)
+    argv = ["grow", "--d", "6", "--n", "5", "--n-to", "1025", "--lift-seed", "1"]
+    assert cli.main(argv) == 0
+    cycles = 9  # 1025 is the first split of cycle 8
+    assert len(grower._STATE_CACHE) <= cycles + grower.WINDOW
+    clear_caches()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("d", [6, 8])
+def test_reads_in_any_order_match_a_cold_sequential_sweep(d, seed):
+    """Through cycle 3, G_n's text, its change log and the doubled expanders
+    read in a seeded shuffled order, from checkpoints and replays, equal
+    those of a cold sweep."""
+    import random
+
+    base = d // 2 + 1
+    reads = [("text", n) for n in range(base, 16 * base + 1)]
+    reads += [("log", n) for n in range(base + 1, 16 * base + 1)]
+    reads += [("expander", i) for i in range(5)]
+
+    def read(kind, x):
+        if kind == "text":
+            return graph_to_text(graph_at(d, x, seed))
+        if kind == "log":
+            return changelog_at(d, x, seed)
+        return graph_to_text(bl_expander(d, x, seed))
+
+    clear_caches()
+    sweep = {r: read(*r) for r in reads}
+    clear_caches()
+    random.Random(d * 10 + seed).shuffle(reads)
+    assert {r: read(*r) for r in reads} == sweep
+    clear_caches()
 
 
 @pytest.mark.parametrize("d", [6, 8, 10, 12])
@@ -405,7 +455,8 @@ def test_derived_graphs_match_a_full_rebuild(d, seed):
 
 def test_cached_states_match_a_full_rebuild_after_grow_and_churn(capsys):
     """A shared row mutated, or a memoised text gone stale, by a grow sweep
-    or a self-heal script shows in some cached state."""
+    or a self-heal script shows in some held state or in a graph replayed
+    once the window has moved past its state."""
     import random
 
     from expanderseq import cli, grower
@@ -413,7 +464,7 @@ def test_cached_states_match_a_full_rebuild_after_grow_and_churn(capsys):
 
     argv = ["grow", "--d", "6", "--n", "4", "--n-to", "70", "--lift-seed", "3"]
     assert cli.main(argv) == 0
-    capsys.readouterr()
+    written = capsys.readouterr().out
     rng = random.Random(5)
     live, events = [f"g{i}" for i in range(5)], []
     for k in range(80):
@@ -425,12 +476,14 @@ def test_cached_states_match_a_full_rebuild_after_grow_and_churn(capsys):
             events.append(InsertEvent(f"n{k}", tuple(rng.sample(live, 2))))
             live.append(f"n{k}")
     run_script(8, 2, events)
-    assert (6, 70, 3) in grower._STATE_CACHE and (8, 40, 2) in grower._STATE_CACHE
     graphs = {}
     for st in grower._STATE_CACHE.values():
         graphs[id(st.current)], graphs[id(st.target)] = st.current, st.target
     for g in graphs.values():
         assert_matches_rebuild(g)
+    assert "".join(graph_to_text(graph_at(6, n, 3)) for n in range(4, 71)) == written
+    for n in range(5, 41):
+        assert_matches_rebuild(graph_at(8, n, 2))
 
 
 @pytest.mark.parametrize("d", [6, 8])

@@ -7,9 +7,11 @@ import pytest
 from expanderseq import lifts
 from expanderseq.grower import _cycle_seed, bl_expander, initial_graph
 from expanderseq.lifts import (
+    EIG_TOL,
     EXHAUSTIVE_EDGE_LIMIT,
     SigningSearchError,
     canonical_edge_list,
+    certify_below,
     default_lambda_budget,
     find_good_signing,
     next_bl_expander,
@@ -262,10 +264,96 @@ def test_verified_lift_over_budget_carries_code_and_lambda(monkeypatch):
     monkeypatch.setattr(lifts, "default_lambda_budget", lambda d: 0.5)
     g = initial_graph(6)
     base = g.replace(weights=dict.fromkeys(g.weights, 1))
+    solved = []
+    monkeypatch.setattr(
+        lifts, "spectral_report", lambda g: solved.append(g) or spectral_report(g)
+    )
     with pytest.raises(SigningSearchError, match="lambda 2.236068 exceeds") as info:
         next_bl_expander(g, seed=1)
     assert info.value.best == 5
     assert info.value.best_lambda == spectral_report(two_lift(base, 5)).lambda_
+    assert [lifted.n for lifted in solved] == [8]  # the certificate failed
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 200, 512])
+def test_certify_below_brackets_the_largest_eigenvalue(n):
+    """Seeded symmetric matrices: real, integer and one +-1 signed matrix."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((n, n))
+    signed = np.triu(rng.choice([-1.0, 0.0, 1.0], (n, n)), 1)
+    for m in ((x + x.T) / 2, np.round(3 * (x + x.T)), signed + signed.T):
+        top = np.linalg.eigvalsh(m)[-1]
+        assert certify_below(m, top + 1e-6)
+        assert not certify_below(m, top - 1e-6)
+
+
+def halved(g_star):
+    return g_star.replace(weights=dict.fromkeys(g_star.weights, 1))
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_lift_certificate_brackets_the_dense_lambda(d):
+    """On every lift the growth chose through cycle 4, and on lifts of other
+    signings, the certificate holds just above the dense lambda and fails
+    just below it."""
+    rng = random.Random(d)
+    for i in range(5):
+        base = halved(bl_expander(d, i, 1))
+        m = len(canonical_edge_list(base))
+        codes = [find_good_signing(base, default_lambda_budget(d),
+                                   seed=_cycle_seed(1, i))]
+        codes += [rng.getrandbits(m) for _ in range(3)]
+        for code in codes:
+            lifted = two_lift(base, code)
+            lam = spectral_report(lifted).lambda_
+            assert lifts._lift_certified(base, lifted, lam + 1e-6)
+            assert not lifts._lift_certified(base, lifted, lam - 1e-6)
+
+
+def test_disconnected_lift_gets_no_certificate_below_r():
+    """Code 0 lifts the base to two copies of it: A_s = A has eigenvalue r."""
+    base = halved(bl_expander(6, 2, 1))
+    lifted = two_lift(base, 0)
+    a_s = lifts._lift_signs(base, lifted)
+    assert np.array_equal(np.abs(a_s), a_s)
+    for bound in (3.0, 3.0 - 1e-6, default_lambda_budget(6) + EIG_TOL):
+        assert not certify_below(a_s, bound)
+        assert not lifts._lift_certified(base, lifted, bound)
+    assert certify_below(a_s, 3.0 + 1e-6)
+
+
+def moved_edge(base, code):
+    """``two_lift`` with one edge of its smallest vertex moved elsewhere."""
+    lifted = two_lift(base, code)
+    u = next(iter(lifted.vertices))
+    v = next(iter(lifted.neighbors(u)))
+    w = next(x for x in lifted.vertices if x != u and x not in lifted.neighbors(u))
+    return lifted.with_edges({(u, v): 0, (u, w): 1})
+
+
+def test_lift_with_a_moved_edge_fails_the_structure_check(monkeypatch):
+    monkeypatch.setattr(lifts, "two_lift", moved_edge)
+    with pytest.raises(RuntimeError, match="not a 2-lift of its base: edge 0:"):
+        next_bl_expander(bl_expander(6, 1, 1), seed=_cycle_seed(1, 1))
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda g: g.replace(weights=dict.fromkeys(g.weights, 2)), "weight is not 1"),
+    (lambda g: g.with_edges({}, drop=next(reversed(g.vertices))), "vertices"),
+    (lambda g: g.with_edges({(parse_name("0:00"), parse_name("0:01")): 1}),
+     "it has 25 edges, not 24"),
+])
+def test_structure_check_names_what_is_not_a_lift(change, problem):
+    base = halved(bl_expander(6, 1, 1))
+    with pytest.raises(RuntimeError, match=problem):
+        lifts._lift_signs(base, change(two_lift(base, 5)))
+
+
+def test_accepted_lift_runs_no_dense_reverification(monkeypatch):
+    solves = []
+    monkeypatch.setattr(lifts, "spectral_report", solves.append)
+    assert next_bl_expander(bl_expander(6, 2, 1), seed=_cycle_seed(1, 2)).n == 32
+    assert solves == []
 
 
 @pytest.mark.parametrize("d", [6, 8, 10, 12])
