@@ -34,7 +34,12 @@ image, smallest name first.  A message that carries the vertex count
 with its persistent identity: knowing n pins the whole topology, including
 the shrinking edges between split partners that the references lack.  Any
 other message routes in the doubled reference graph of the level its first
-forwarder pins, where a name's image is its locus; one table holds both.
+forwarder pins, where a name's image is its locus.  Each route graph is held
+once as a table of integer positions in canonical name order, with each
+position's neighbors' positions, and the BFS distances are memoized per
+destination and exclusions as a sequence by position; a hop compares
+positions, which order as the names do, and turns only the vertex it picks
+back into a name.
 
 Every message carries one body: the body's type selects its handler, and
 its fields determine the bits it is charged, with ``name(v)`` = 9 + depth
@@ -103,9 +108,10 @@ from collections import deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .grower import bl_expander, changelog_at, graph_at, split_n
-from .multigraph import WeightedMultigraph, bfs_distances, edge_key, graph_to_text
+from .multigraph import WeightedMultigraph, edge_key, graph_to_text
 from .multigraph import expansion_cost  # noqa: F401  perfbench's tracer binds it
 from .names import VertexName, format_name, is_all_zeros, locus, partner
 from .names import strip_identity
@@ -497,43 +503,82 @@ def _by_identity(d: int, seed: int, n: int) -> dict[VertexName, VertexName]:
     return {strip_identity(v): v for v in graph_at(d, n, seed).vertices}
 
 
+class _RouteTable(NamedTuple):
+    """One route graph on integer positions.
+
+    ``names`` holds the vertices in canonical order, so comparing positions
+    compares names; ``index`` maps a name's key to its position, the key
+    being its persistent identity in G_n (``level`` None) and the name itself
+    in a reference graph; ``adj`` lists each position's neighbors' positions
+    in row order.
+    """
+
+    names: tuple[VertexName, ...]
+    index: dict[VertexName, int]
+    adj: tuple[tuple[int, ...], ...]
+    level: int | None
+
+    def image(self, v: VertexName) -> tuple[int, ...]:
+        """The positions a name stands for: the vertex with its identity in
+        G_n (none once that vertex is gone), or its locus at ``level``."""
+        if self.level is None:
+            p = self.index.get(strip_identity(v))
+            return () if p is None else (p,)
+        return tuple(self.index[x] for x in locus(v, self.level))
+
+
 @cache
-def _reference(d: int, level: int, seed: int) -> WeightedMultigraph:
-    """The ``level``-th doubled reference graph, which every hop there reads."""
-    return bl_expander(d, level, seed)
-
-
-def _route_graph(
-    d: int, seed: int, n: int | None, level: int | None
-) -> tuple[Callable[..., Iterable[VertexName]], Callable[..., Iterable[VertexName]]]:
-    """The rows of G_n, or of the ``level``-th reference graph when ``n`` is
-    None, and the image there of a name: its identity's vertex, or its locus."""
+def _route_table(d: int, seed: int, n: int | None, level: int | None) -> _RouteTable:
+    """The table of G_n, or of the ``level``-th doubled reference graph when
+    ``n`` is None.  Keyed by integers, like ``_route_dist``."""
+    g = bl_expander(d, level, seed) if n is None else graph_at(d, n, seed)
+    names = tuple(g.vertices)  # the map iterates in canonical order
+    at = {v: i for i, v in enumerate(names)}
+    adj = tuple(tuple(map(at.__getitem__, g.neighbors(v))) for v in names)
     if n is None:
-        return _reference(d, level, seed).neighbors, lambda v: locus(v, level)
-    ids = _by_identity(d, seed, n)
-
-    def image(v: VertexName) -> tuple[VertexName, ...]:
-        x = strip_identity(v)
-        return (ids[x],) if x in ids else ()
-
-    return graph_at(d, n, seed).neighbors, image
+        return _RouteTable(names, at, adj, level)
+    return _RouteTable(names, {strip_identity(v): i for v, i in at.items()}, adj, None)
 
 
 @cache
 def _route_dist(
     d: int, seed: int, n: int | None, level: int | None,
     dst: VertexName, exclude: frozenset[VertexName],
-) -> dict[VertexName, int]:
-    """BFS distances to the smallest vertex of ``dst``'s image in the route's
-    graph, with the images of the ``exclude``d names removed.  Memoized
-    across networks by integers and names, so it keeps no graph alive."""
-    neighbors, image = _route_graph(d, seed, n, level)
-    dead = set().union(*map(image, exclude))
-    return bfs_distances(neighbors, min(image(dst)), dead.__contains__)
+) -> tuple[int, ...]:
+    """BFS distances, by position in ``_route_table``, to the smallest vertex
+    of ``dst``'s image, with the images of the ``exclude``d names never
+    entered (the source itself is not tested); -1 marks an unreached vertex.
+    Memoized across networks by integers and names, so it keeps no graph
+    alive."""
+    table = _route_table(d, seed, n, level)
+    adj = table.adj
+    dist = [-1] * len(adj)
+    # an excluded position reads -2 during the search, so it is never
+    # entered, and -1 (unreached) after it
+    dead = [p for x in exclude for p in table.image(x)]
+    for p in dead:
+        dist[p] = -2
+    source = min(table.image(dst))
+    dist[source] = 0
+    frontier = [source]
+    k = 0
+    while frontier:
+        k += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if dist[w] == -1:
+                    dist[w] = k
+                    nxt.append(w)
+        frontier = nxt
+    for p in dead:
+        if dist[p] == -2:
+            dist[p] = -1
+    return tuple(dist)
 
 
 def clear_route_cache() -> None:
-    for table in (_by_identity, _reference, _route_dist):
+    for table in (_by_identity, _route_table, _route_dist):
         table.cache_clear()
 
 
@@ -560,6 +605,8 @@ class SimNetwork:
         self._seq = 0
         # during a deletion's first phase, the 0 halves whose pair drop waits
         self._deferred_drops: set[str] | None = None
+        # (n, the bit cap at n), recomputed when n changes
+        self._cap = (0, 0)
         self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
@@ -589,13 +636,17 @@ class SimNetwork:
         self.bits = 0
 
     def _bit_cap(self) -> int:
-        return MSG_BIT_CAP_FACTOR * max(1, math.ceil(math.log2(max(self.n, 2))))
+        if self._cap[0] != self.n:
+            cap = MSG_BIT_CAP_FACTOR * max(1, math.ceil(math.log2(max(self.n, 2))))
+            self._cap = (self.n, cap)
+        return self._cap[1]
 
     def _send(self, src_ext: str, dst_ext: str, msg: Message) -> None:
-        if msg.body.bits > self._bit_cap():
+        cap = self._bit_cap()
+        if msg.body.bits > cap:
             raise ProtocolError(
                 f"{type(msg.body).__name__} body of {msg.body.bits} bits "
-                f"exceeds the cap {self._bit_cap()}"
+                f"exceeds the cap {cap}"
             )
         # no self-delivery: no handler sends to its own ext and no table binds it
         self._seq += 1
@@ -657,8 +708,7 @@ class SimNetwork:
         msg.hops += 1
         if msg.hops > 16 * (node.name.depth + 4):
             raise ProtocolError(f"hop budget exhausted toward {format_name(msg.dst)}")
-        choices = sorted(node.neighbor_table)
-        pick = next((x for x in choices if x != msg.last), choices[0])
+        pick = min((x for x in node.neighbor_table if x != msg.last), default=msg.last)
         msg.last = node.name
         return pick
 
@@ -697,9 +747,12 @@ class SimNetwork:
         target = strip_identity(dst)
         if target == strip_identity(node.name):
             return None
-        for nb in sorted(node.neighbor_table):
-            if strip_identity(nb) == target:
-                return nb
+        match = min(
+            (nb for nb in node.neighbor_table if strip_identity(nb) == target),
+            default=None,
+        )
+        if match is not None:
+            return match
         if level is None:
             level = self._working_level(node)
         return self._ref_hop(node, dst, exclude, level)
@@ -715,38 +768,43 @@ class SimNetwork:
         self, node: NodeState, dst: VertexName, exclude: frozenset[VertexName],
         n: int | None, level: int | None,
     ) -> VertexName:
-        """The neighbor carrying the hop toward ``dst`` in the graph of
-        ``_route_graph``: to the smallest-named vertex one step nearer than the
-        node's image, or, when that image is all excluded, the nearest one."""
-        neighbors, image = _route_graph(self.d, self.seed, n, level)
+        """The neighbor carrying the hop toward ``dst`` in ``_route_table``'s
+        graph: to the smallest-named vertex one step nearer than the node's
+        image, or, when that image is all excluded, the nearest one.  Works
+        on positions, whose order is the names' order; only the chosen
+        vertex becomes a name again."""
+        table = _route_table(self.d, self.seed, n, level)
         dist = _route_dist(self.d, self.seed, n, level, dst, exclude)
-        here = image(node.name)
-        near = min((dist[v] for v in here if v in dist), default=None)
+        here = table.image(node.name)
+        near = min((dist[v] for v in here if dist[v] >= 0), default=None)
         steps = [
             w
             for v in here
-            for w in neighbors(v)
-            if w in dist and w not in here and (near is None or dist[w] == near - 1)
+            for w in table.adj[v]
+            if dist[w] >= 0 and w not in here and (near is None or dist[w] == near - 1)
         ]
         if not steps:
             where = f"G_{n}" if level is None else f"level {level}"
             path = f"{format_name(node.name)} to {format_name(dst)} in {where}"
             raise ProtocolError(f"no hop from {path}")
-        best = min(steps, key=lambda w: (dist[w], w))
+        best = table.names[min(steps, key=lambda w: (dist[w], w))]
         return self._match_binding(node, best, best.depth)
 
     @staticmethod
     def _match_binding(
         node: NodeState, ref_vertex: VertexName, level: int
     ) -> VertexName:
-        """The physical neighbor name carrying a reference vertex."""
-        for nb in sorted(node.neighbor_table):
-            if ref_vertex in locus(nb, level):
-                return nb
-        raise ProtocolError(
-            f"{node.ext_id} has no physical neighbor matching "
-            f"{format_name(ref_vertex)}"
+        """The smallest physical neighbor name carrying a reference vertex."""
+        match = min(
+            (nb for nb in node.neighbor_table if ref_vertex in locus(nb, level)),
+            default=None,
         )
+        if match is None:
+            raise ProtocolError(
+                f"{node.ext_id} has no physical neighbor matching "
+                f"{format_name(ref_vertex)}"
+            )
+        return match
 
     # -- round loop -------------------------------------------------------
 

@@ -201,6 +201,16 @@ def test_escape_hops_come_from_unmatched_reference_hops(monkeypatch):
         assert " has no physical neighbor matching " in cause
 
 
+def test_churn_script_runs_921_route_searches():
+    """The ``simulate-churn`` benchmark's 400-event script at lift seed 1,
+    from cleared caches, runs one BFS per distinct ``_route_dist`` key: 921.
+    A change to how a route is computed must not add a search."""
+    _fresh()
+    run_script(6, SEED, _acceptance_script(400))
+    info = selfheal._route_dist.cache_info()
+    assert info.misses == info.currsize == 921
+
+
 def test_criterion_9_cli_determinism():
     t0 = time.monotonic()
     cmd = [sys.executable, "-m", "expanderseq.cli", "grow", "--d", "6",

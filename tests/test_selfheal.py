@@ -2,6 +2,7 @@ import math
 import random
 import re
 from dataclasses import dataclass, fields
+from functools import cache
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -827,10 +828,19 @@ def ref_dist_oracle(d, i, seed, target, exclude):
 
 
 def route_dist_oracle(d, seed, n, level, dst, exclude):
-    """What ``selfheal._route_dist`` must return for the same arguments."""
+    """What ``selfheal._route_dist`` must return for the same arguments, as a
+    map from each reached vertex's name to its distance."""
     if n is not None:
         return true_dist_oracle(d, seed, n, dst, exclude)
     return ref_dist_oracle(d, level, seed, min(locus(dst, level)), exclude)
+
+
+def dist_by_name(d, seed, n, level, dist):
+    """``_route_dist``'s distances by position as a map from name to distance,
+    leaving out the positions it marks unreached."""
+    names = selfheal._route_table(d, seed, n, level).names
+    assert len(dist) == len(names)
+    return {names[p]: k for p, k in enumerate(dist) if k != -1}
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -842,7 +852,7 @@ def test_route_distances_match_identity_oracle(d, moves):
 
     def checked(*args):
         dist = route_dist(*args)
-        assert dist == route_dist_oracle(*args)
+        assert dist_by_name(*args[:4], dist) == route_dist_oracle(*args)
         return dist
 
     with pytest.MonkeyPatch.context() as mp:
@@ -859,7 +869,8 @@ def test_exclusions_match_by_identity_under_any_name():
     for v in sorted(g.vertices - {dst}):
         for alias in (v, strip_identity(v), v.child(0)):
             exclude = frozenset([alias])
-            assert selfheal._route_dist(d, seed, n, None, dst, exclude) == (
+            dist = selfheal._route_dist(d, seed, n, None, dst, exclude)
+            assert dist_by_name(d, seed, n, None, dist) == (
                 true_dist_oracle(d, seed, n, dst, exclude)
             )
     ref = bl_expander(d, level, seed)
@@ -868,4 +879,66 @@ def test_exclusions_match_by_identity_under_any_name():
         for alias in (v, v.parent(), v.child(1)):
             exclude = frozenset([alias])
             dist = selfheal._route_dist(d, seed, None, level, target, exclude)
-            assert dist == ref_dist_oracle(d, level, seed, target, exclude)
+            assert dist_by_name(d, seed, None, level, dist) == (
+                ref_dist_oracle(d, level, seed, target, exclude)
+            )
+
+
+@pytest.mark.parametrize("d", [6, 8])
+@settings(max_examples=20)
+@given(moves=ADVERSARY_MOVES)
+@example(moves=targeted_moves(40, 0))
+@example(moves=targeted_moves(48, 2))  # at d = 6 too, hops no neighbour carries
+def test_hops_match_the_name_keyed_rule(d, moves):
+    """Every ``_hop`` picks what the rule on names picks: ``hop_rule`` over
+    the graph's rows and ``bfs_distances``, then the smallest neighbour
+    carrying the chosen vertex; where there is none, both fail alike."""
+    hop = SimNetwork._hop
+    oracle = cache(route_dist_oracle)
+
+    def checked(net, node, dst, exclude, n, level):
+        if n is None:
+            g = bl_expander(net.d, level, net.seed)
+            here = locus(node.name, level)
+        else:
+            g = graph_at(net.d, n, net.seed)
+            x = strip_identity(node.name)
+            here = {v for v in g.vertices if strip_identity(v) == x}
+        best = hop_rule(g.neighbors, oracle(net.d, net.seed, n, level, dst, exclude), here)
+        carriers = [] if best is None else sorted(
+            nb for nb in node.neighbor_table if best in locus(nb, best.depth)
+        )
+        if carriers:
+            got = hop(net, node, dst, exclude, n, level)
+            assert got == carriers[0]
+            return got
+        cause = "^no hop from " if best is None else " has no physical neighbor matching "
+        with pytest.raises(ProtocolError, match=cause) as failed:
+            hop(net, node, dst, exclude, n, level)
+        raise failed.value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimNetwork, "_hop", checked)
+        run_script(d, 1, adversary_script(d, 1, moves))
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_route_tables_index_their_graphs(d):
+    """Each G_n with n <= 300 and each reference graph up to level 6: the
+    names in canonical order, the index a bijection onto the positions (by
+    identity in G_n, by name in a reference graph) and each position's
+    neighbours the graph's row, in row order."""
+    seed = 1
+    graphs = [(n, None) for n in range(d // 2 + 1, 301)]
+    graphs += [(None, level) for level in range(7)]
+    for n, level in graphs:
+        g = bl_expander(d, level, seed) if n is None else graph_at(d, n, seed)
+        table = selfheal._route_table.__wrapped__(d, seed, n, level)
+        names = table.names
+        assert list(names) == sorted(g.vertices)
+        key = strip_identity if n is not None else (lambda v: v)
+        assert sorted(table.index.values()) == list(range(len(names)))
+        assert all(names[table.index[key(v)]] == v for v in names)
+        assert [[names[q] for q in row] for row in table.adj] == [
+            list(g.neighbors(v)) for v in names
+        ]
