@@ -544,20 +544,19 @@ def _route_table(d: int, seed: int, n: int | None, level: int | None) -> _RouteT
 def _route_dist(
     d: int, seed: int, n: int | None, level: int | None,
     dst: VertexName, exclude: frozenset[VertexName],
-) -> tuple[int, ...]:
+) -> bytes:
     """BFS distances, by position in ``_route_table``, to the smallest vertex
     of ``dst``'s image, with the images of the ``exclude``d names never
-    entered (the source itself is not tested); -1 marks an unreached vertex.
-    Memoized across networks by integers and names, so it keeps no graph
-    alive."""
+    entered (the source itself is not tested): one byte a position, 255 for
+    unreached, and ProtocolError past 253.  Memoized, without eviction,
+    across networks by integers and names, so it keeps no graph alive."""
     table = _route_table(d, seed, n, level)
     adj = table.adj
-    dist = [-1] * len(adj)
-    # an excluded position reads -2 during the search, so it is never
-    # entered, and -1 (unreached) after it
+    dist = bytearray(b"\xff") * len(adj)
+    # 254 marks an excluded position, never entered, until the search ends
     dead = [p for x in exclude for p in table.image(x)]
     for p in dead:
-        dist[p] = -2
+        dist[p] = 254
     source = min(table.image(dst))
     dist[source] = 0
     frontier = [source]
@@ -567,14 +566,13 @@ def _route_dist(
         nxt = []
         for v in frontier:
             for w in adj[v]:
-                if dist[w] == -1:
+                if dist[w] == 255:
+                    if k == 254:
+                        raise ProtocolError(f"route distance {k} exceeds 253")
                     dist[w] = k
                     nxt.append(w)
         frontier = nxt
-    for p in dead:
-        if dist[p] == -2:
-            dist[p] = -1
-    return tuple(dist)
+    return bytes(dist).replace(b"\xfe", b"\xff")
 
 
 def clear_route_cache() -> None:
@@ -776,12 +774,12 @@ class SimNetwork:
         table = _route_table(self.d, self.seed, n, level)
         dist = _route_dist(self.d, self.seed, n, level, dst, exclude)
         here = table.image(node.name)
-        near = min((dist[v] for v in here if dist[v] >= 0), default=None)
+        near = min((dist[v] for v in here if dist[v] < 255), default=None)
         steps = [
             w
             for v in here
             for w in table.adj[v]
-            if dist[w] >= 0 and w not in here and (near is None or dist[w] == near - 1)
+            if dist[w] < 255 and w not in here and (near is None or dist[w] == near - 1)
         ]
         if not steps:
             where = f"G_{n}" if level is None else f"level {level}"

@@ -523,6 +523,50 @@ def test_future_cut_suite_matches_enumeration_on_corrupted_terms(monkeypatch):
     assert pairs > 0
 
 
+def closed_form_message(n, terms):
+    """The suite's message from each block's dense M = L_H - c L_G, built
+    in int64 with ``np.add.at``, and the closed form of its docstring; None
+    when every M is zero off row and column 0."""
+    terms = np.array(terms, dtype=np.int64).reshape(-1, 4)
+    for name, col, c in (("split-split block identity", 2, 1),
+                         ("uu block identity", 0, 2), ("su block identity", 1, 2)):
+        m = np.zeros((n, n), dtype=np.int64)
+        for k, factor in ((3 + col, 1), (col, -c)):
+            i, j, w = terms[terms[:, 3] == k, :3].T
+            for rows, cols, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+                np.add.at(m, (rows, cols), sign * factor * w)
+        bad = np.flatnonzero(np.triu(m[1:, 1:]).any(axis=0))
+        if len(bad):
+            j = int(bad[0]) + 1
+            i = j if m[j, j] else int(np.flatnonzero(m[1:j, j])[0]) + 1
+            return f"{name} failed at mask {(1 << i | 1 << j) >> 1}"
+    return None
+
+
+@pytest.mark.parametrize("d, n", [(6, 40), (6, 300), (6, 1024), (8, 40), (8, 300)])
+def test_future_cut_suite_matches_dense_closed_form_at_scale(d, n, monkeypatch):
+    """Past the enumeration bound the reference state passes, and 20 seeded
+    cases of one to three term corruptions get the dense oracle's message."""
+    st = state_at(d, n, 1)
+    terms = analysis._future_terms(st)
+    assert suite_message(st) is None
+    assert closed_form_message(n, terms) is None
+    loop = terms + [(n - 1, n - 1, 1, 5)]  # a loop is in no cut
+    monkeypatch.setattr(analysis, "_future_terms", lambda _: loop)
+    assert suite_message(st) is None
+    rng = random.Random(n + d)
+    failing = 0
+    for _ in range(20):
+        corrupted = terms
+        for _ in range(rng.randint(1, 3)):
+            corrupted = corrupted_terms(corrupted, n, rng)
+        monkeypatch.setattr(analysis, "_future_terms", lambda _, t=corrupted: t)
+        message = suite_message(st)
+        assert message == closed_form_message(n, corrupted)
+        failing += message is not None
+    assert failing > 0
+
+
 def test_mixing_suite_exhaustive_n12():
     assert mixing_suite(graph_at(6, 12, 1)) == 3**12 - 2 * 2**12 + 1 == 523_250
 

@@ -8,7 +8,7 @@ import pytest
 
 from expanderseq import analysis, cli, grower, lifts, selfheal
 from expanderseq.grower import graph_at
-from expanderseq.multigraph import graph_to_text
+from expanderseq.multigraph import edge_key, graph_to_text
 
 CLI = [sys.executable, "-m", "expanderseq.cli"]
 
@@ -99,6 +99,36 @@ def test_verify_default_suite_passes():
     res = run_cli("verify", "--d", "6", "--max-n", "12")
     assert res.returncode == 0, res.stdout + res.stderr
     assert "OK" in res.stdout
+
+
+def test_verify_checks_the_identities_at_every_n(monkeypatch, capsys):
+    """The future-cut identities run at every n up to --max-n, past the
+    Cheeger loop's bound of 16, and a failure at n = 33 is reported."""
+    argv = ["verify", "--d", "6", "--max-n", "40", "--lift-seed", "1"]
+    suite, terms = analysis.future_cut_suite, analysis._future_terms
+    calls = []
+
+    def counted(state):
+        calls.append(state.current.n)
+        return suite(state)
+
+    monkeypatch.setattr(analysis, "future_cut_suite", counted)
+    assert cli.main(argv) == 0
+    assert calls == list(range(4, 41))
+    assert capsys.readouterr().out == "OK all checks passed\n"
+
+    def corrupted(state):
+        out = terms(state)
+        if state.current.n == 33:
+            i, j, w, col = out[0]
+            out[0] = (i, j, w + 1, col)
+        return out
+
+    monkeypatch.setattr(analysis, "_future_terms", corrupted)
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL future-cut d=6 n=33: ")
 
 
 def test_verify_catches_corrupted_weight(tmp_path):
@@ -249,6 +279,25 @@ def g40_graph(tmp):
     return str(path)
 
 
+def rewired_g40(tmp):
+    """G_40 (d = 6) with its first edge (a, b) and the first later edge
+    (c, e) of the same weight rewired to (a, e) and (c, b): still 6-regular,
+    so its spectral report runs, but not the reference graph."""
+    g = graph_at(6, 40, 1)
+    weights = dict(g.weights)
+    (a, b, w), *rest = g.sorted_edges()
+    c, e = next(
+        (c, e) for c, e, x in rest
+        if x == w and not {a, b} & {c, e}
+        and edge_key(a, e) not in weights and edge_key(c, b) not in weights
+    )
+    del weights[edge_key(a, b)], weights[edge_key(c, e)]
+    weights[edge_key(a, e)] = weights[edge_key(c, b)] = w
+    path = tmp / "g40-rewired.graph"
+    path.write_text(graph_to_text(g.replace(weights=weights)))
+    return str(path)
+
+
 def edge_file(tmp, line, name="edge.graph"):
     """A two-vertex d = 6 graph file whose one edge line is ``line``."""
     path = tmp / name
@@ -282,8 +331,6 @@ def not_utf8(tmp):
 
 
 INPUT_ERRORS = {
-    "analyze-lemma43-above-exact-bound": lambda tmp: [
-        "analyze", "--input", g40_graph(tmp), "--spectral", "--suite", "lemma43"],
     "analyze-exact-weight-2-62": lambda tmp: [
         "analyze", "--input", heavy_triangle(tmp, 2**62), "--exact"],
     "analyze-weight-10-20": lambda tmp: [
@@ -348,7 +395,6 @@ INPUT_ERRORS = {
 INPUT_ERROR_ENV = {"grow-seed-env-not-integer": {"GROW_LIFT_SEED": "x"}}
 # cases whose error line must name the bad value
 INPUT_ERROR_TEXT = {
-    "analyze-lemma43-above-exact-bound": "n = 40 exceeds the exact enumeration",
     "analyze-exact-weight-2-62": "line 2: weight must be in [1, 2147483647]",
     "analyze-weight-10-20": "line 2: weight must be in [1, 2147483647]",
     "analyze-rayleigh-negative-index": "rayleigh index must be >= 0, got -1",
@@ -434,16 +480,33 @@ def test_failed_checks_exit_1_on_stderr(tmp_path, monkeypatch, capsys, command):
     assert capsys.readouterr() == ("", f"{prefix}the check failed\n")
 
 
-def test_future_cut_suite_refuses_large_n_before_growing(tmp_path, monkeypatch):
-    path = g40_graph(tmp_path)
+def lemma43_on(path):
+    return ["analyze", "--input", path, "--spectral", "--suite", "lemma43",
+            "--lift-seed", "1"]
 
-    def grow(*args):
-        raise AssertionError("the reference was grown")
 
-    monkeypatch.setattr(cli.grower, "state_at", grow)
-    rc = cli.main(["analyze", "--input", path, "--spectral",
-                   "--suite", "lemma46", "--lift-seed", "1"])
-    assert rc == 2
+def test_analyze_lemma43_decides_every_cut_above_the_exact_bound(tmp_path, capsys):
+    """The identities enumerate no cut, so G_40's 2^39 - 1 cuts are decided."""
+    assert cli.main(lemma43_on(g40_graph(tmp_path))) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["suite_results"] == [
+        {"suite": "lemma43", "result": {"ok": True, "cuts_checked": 2**39 - 1}}
+    ]
+
+
+def test_analyze_lemma43_fails_a_rewired_input_above_the_exact_bound(
+    tmp_path, capsys
+):
+    assert cli.main(lemma43_on(rewired_g40(tmp_path))) == 1
+    result = json.loads(capsys.readouterr().out)["suite_results"][0]["result"]
+    assert result == {"ok": False, "detail": "input differs from the reference graph"}
+
+
+def test_analyze_has_no_lemma46_suite(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--input", g9_graph(tmp_path), "--suite", "lemma46"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lemma46'" in capsys.readouterr().err
 
 
 def test_analyze_cheeger_computes_h_once(tmp_path, monkeypatch, capsys):

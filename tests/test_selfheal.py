@@ -837,10 +837,10 @@ def route_dist_oracle(d, seed, n, level, dst, exclude):
 
 def dist_by_name(d, seed, n, level, dist):
     """``_route_dist``'s distances by position as a map from name to distance,
-    leaving out the positions it marks unreached."""
+    leaving out the positions it marks unreached (255)."""
     names = selfheal._route_table(d, seed, n, level).names
     assert len(dist) == len(names)
-    return {names[p]: k for p, k in enumerate(dist) if k != -1}
+    return {names[p]: k for p, k in enumerate(dist) if k != 255}
 
 
 @pytest.mark.parametrize("d", [6, 8])
@@ -882,6 +882,24 @@ def test_exclusions_match_by_identity_under_any_name():
             assert dist_by_name(d, seed, None, level, dist) == (
                 ref_dist_oracle(d, level, seed, target, exclude)
             )
+
+
+@pytest.mark.parametrize("length", [254, 255])
+def test_route_distances_past_a_byte_raise(monkeypatch, length):
+    """On a path of ``length`` positions the far end is at distance
+    ``length - 1``: 253 fits a byte, and 254 would alias the exclusion mark."""
+    names = tuple(VertexName(b) for b in range(length))
+    adj = tuple(tuple(q for q in (p - 1, p + 1) if 0 <= q < length)
+                for p in range(length))
+    path = selfheal._RouteTable(names, {v: p for p, v in enumerate(names)}, adj, None)
+    monkeypatch.setattr(selfheal, "_route_table", lambda *key: path)
+    # a key no growth state has (d = 0), so the memo holds no real distances
+    key = (0, 1, length, None, names[0], frozenset())
+    if length == 254:
+        assert selfheal._route_dist(*key) == bytes(range(254))
+    else:
+        with pytest.raises(ProtocolError, match="route distance 254 exceeds 253"):
+            selfheal._route_dist(*key)
 
 
 @pytest.mark.parametrize("d", [6, 8])
