@@ -68,12 +68,12 @@ def cmd_grow(args: argparse.Namespace) -> int:
     for flag, n in (("--n", args.n), ("--n-to", args.n_to)):
         if n is not None and n > sys.maxsize:
             raise UsageError(f"{flag} {n} grows G_n past {sys.maxsize} vertices")
+    logs = []
     for n in range(n_lo, n_hi + 1):
         path = args.out if args.out is None or n_lo == n_hi else f"{args.out}.{n}"
         _emit(path, graph_to_text(grower.graph_at(args.d, n, args.lift_seed)))
-    if args.trace:
-        logs = []
-        for n in range(max(n_lo, args.d // 2 + 2), n_hi + 1):
+        if args.trace and n > args.d // 2 + 1:
+            # read while G_n's state is still in the growth window
             log = grower.changelog_at(args.d, n, args.lift_seed)
             logs.append(
                 {
@@ -91,6 +91,7 @@ def cmd_grow(args: argparse.Namespace) -> int:
                     "cost": log.cost,
                 }
             )
+    if args.trace:
         _emit(None if args.trace == "-" else args.trace,
               json.dumps(logs, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
@@ -222,15 +223,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError("--d and --max-n do not apply to --input")
         failures.extend(_verify_graph_file(args.input, args.lift_seed))
     else:
-        for d in args.d:
+        degrees = args.d or [6]
+        for d in degrees:
             _check_degree(d)
         max_n = 16 if args.max_n is None else args.max_n
-        if max_n < max(args.d) // 2 + 1:
+        if max_n < max(degrees) // 2 + 1:
             raise UsageError(
-                f"--max-n must be at least d/2 + 1 = {max(args.d) // 2 + 1}, "
+                f"--max-n must be at least d/2 + 1 = {max(degrees) // 2 + 1}, "
                 f"got {max_n}"
             )
-        for d in args.d:
+        for d in degrees:
             base = d // 2 + 1
             prev = None
             for n in range(base, max_n + 1):
@@ -340,8 +342,6 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place that maps errors to exit codes."""
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "verify" and not args.input and not args.d:
-            args.d = [6]
         return args.func(args)
     except (OSError, ValueError) as exc:  # bad flag, file or path
         print(f"error: {exc}", file=sys.stderr)

@@ -497,12 +497,6 @@ def parse_script(text: str) -> list[AdversaryEvent]:
     return events
 
 
-@cache
-def _by_identity(d: int, seed: int, n: int) -> dict[VertexName, VertexName]:
-    """The exact n-vertex graph's vertices, keyed by persistent identity."""
-    return {strip_identity(v): v for v in graph_at(d, n, seed).vertices}
-
-
 class _RouteTable(NamedTuple):
     """One route graph on integer positions.
 
@@ -576,7 +570,7 @@ def _route_dist(
 
 
 def clear_route_cache() -> None:
-    for table in (_by_identity, _route_table, _route_dist):
+    for table in (_route_table, _route_dist):
         table.cache_clear()
 
 
@@ -1392,10 +1386,13 @@ class SimNetwork:
         is the vertex count at the last check that passed.  Given it, only
         the nodes written since that check and the nodes at the ends of the
         growth-log changes between G_since_n and G_n are checked, and each
-        of their entries must also have its mirror.  Every other node kept
-        its table and its G_n row.  Were one of its bindings stale, the node
-        now holding that name was written, so it is checked and the mirror
-        of the stale entry fails: both checks pass or fail together.
+        of their entries must also have its mirror.  Those ends are each
+        log's raw names that are vertices of G_n: u, u.0, u.1, the unsplit
+        neighbours and both halves of each split pair.  The coordinator is
+        0:0…0 at the depth of G_n's last name.  Every other node kept its
+        table and its G_n row.  Were one of its bindings stale, the node now
+        holding that name was written, so it is checked and the mirror of
+        the stale entry fails: both checks pass or fail together.
         """
         ref = graph_at(self.d, self.n, self.seed)
         diverged = f"simulated topology diverged from the reference at n = {self.n}"
@@ -1420,19 +1417,18 @@ class SimNetwork:
             missing = min(ref.vertices - by_name.keys())
             raise ProtocolError(f"{diverged}: no node is named {format_name(missing)}")
 
-        by_identity = _by_identity(self.d, self.seed, self.n)
         if since_n is None:
             checked = nodes.values()
         else:
             lo, hi = sorted((since_n, self.n))
-            ends = {
-                by_name[by_identity[x]].ext_id
-                for m in range(lo + 1, hi + 1)
-                for edge, _, _ in changelog_at(self.d, m, self.seed).changes
-                for x in edge
-                if x in by_identity
-            }
-            checked = [nodes[ext] for ext in sorted(ends | self._dirty) if ext in nodes]
+            ends: set[VertexName] = set()
+            for m in range(lo + 1, hi + 1):
+                log = changelog_at(self.d, m, self.seed)
+                u = log.split_vertex
+                ends.update((u, u.child(0), log.new_vertex), log.unsplit_neighbors)
+                ends.update(*log.halves)
+            exts = {by_name[x].ext_id for x in ends if x in by_name}
+            checked = [nodes[ext] for ext in sorted(exts | self._dirty) if ext in nodes]
         mirrors = since_n is not None
         for node in checked:
             if node.attach_links:
@@ -1448,7 +1444,8 @@ class SimNetwork:
                 if mirrors and nodes[ext].neighbor_table.get(node.name) != node.ext_id:
                     raise fault(node, f"is not bound back by {ext}", diverged)
 
-        coord = by_name[by_identity[VertexName(0)]]
+        # 0:0…0 is its depth's smallest name, so it splits first in every cycle
+        coord = by_name[VertexName(0, (0,) * next(reversed(ref.vertices)).depth)]
         if coord.known_n != self.n:
             raise fault(coord, f"has coordinator count {coord.known_n}")
         # exactly the coordinator's neighbors hold a replica, and it is current

@@ -211,6 +211,17 @@ def test_churn_script_runs_921_route_searches():
     assert info.misses == info.currsize == 921
 
 
+def test_churn_script_of_1000_events_keeps_its_digest():
+    """The 1000-event script reaches n = 384 at lift seed 1, past the
+    256-vertex boundary, so this pins the harness's scoped checks and
+    routing into growth cycle 6."""
+    report = run_script(6, SEED, _acceptance_script(1000))
+    assert max(e["n_after"] for e in report.events) == 384
+    assert report.digest == (
+        "dbbb950a59986167543d9fb26a8c9bba4a2fa2ea38cdf2bd30e1020d73490e92"
+    )
+
+
 def test_criterion_9_cli_determinism():
     t0 = time.monotonic()
     cmd = [sys.executable, "-m", "expanderseq.cli", "grow", "--d", "6",

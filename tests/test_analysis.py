@@ -300,6 +300,21 @@ def test_rayleigh_refuses_a_huge_index_before_building_its_name():
         rayleigh_lower_bound_check(6, 10**19, seed=1)
 
 
+def test_rayleigh_refuses_past_the_eigensolver_reach_before_growing(monkeypatch):
+    """At d = 12 index 9 is below the index cap, but its one-split graph has
+    n - 1 = 7 * 2^9 = 3584 > 2048 vertices: refused before any growth."""
+
+    def no_growth(*args):
+        raise AssertionError("growth started")
+
+    monkeypatch.setattr(analysis, "graph_at", no_growth)
+    monkeypatch.setattr(analysis, "changelog_at", no_growth)
+    with pytest.raises(
+        AnalysisError, match="^n - 1 = 3584 exceeds the eigensolver reach$"
+    ):
+        rayleigh_lower_bound_check(12, 9, seed=1)
+
+
 def test_rayleigh_threshold_recorded():
     # empirical: the d/2 - 0.5 spectral floor first holds at the second
     # doubling (n = 9) for d = 6, seed 1; the base-clique split sits below

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,28 @@ def test_grow_trace_json():
     assert trace[0]["u_prime"] == "0:1"
 
 
+def test_grow_trace_walks_the_sequence_once(monkeypatch):
+    """A cold traced sweep splits as often as an untraced one: each log is
+    read in the loop that writes its graph, while its state is held."""
+    real, calls = grower.split_next, []
+
+    def counted(state):
+        calls.append(state.current.n)
+        return real(state)
+
+    monkeypatch.setattr(grower, "split_next", counted)
+    monkeypatch.setattr(cli, "_emit", lambda path, text: None)
+    splits = []
+    for trace in ([], ["--trace", "-"]):
+        grower.clear_caches()
+        calls.clear()
+        argv = ["grow", "--d", "6", "--n", "5", "--n-to", "300", "--lift-seed", "1"]
+        assert cli.main(argv + trace) == 0
+        splits.append(len(calls))
+    grower.clear_caches()
+    assert splits[0] == splits[1] > 0
+
+
 def test_bench_csv_one_cycle():
     res = run_cli("bench", "--d", "6", "--cycles", "1", "--lift-seed", "1")
     assert res.returncode == 0
@@ -129,6 +152,42 @@ def test_verify_checks_the_identities_at_every_n(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("FAIL future-cut d=6 n=33: ")
+
+
+def test_verify_defaults_to_degree_6(monkeypatch, capsys):
+    real, degrees = grower.state_at, set()
+
+    def recorded(d, n, seed):
+        degrees.add(d)
+        return real(d, n, seed)
+
+    monkeypatch.setattr(grower, "state_at", recorded)
+    assert cli.main(["verify", "--max-n", "8", "--lift-seed", "1"]) == 0
+    assert degrees == {6}
+    assert capsys.readouterr().out == "OK all checks passed\n"
+
+
+def test_verify_reports_failed_split_and_cheeger_checks(monkeypatch, capsys):
+    real_cheeger = analysis.cheeger_check
+
+    def split_fails_at_7(prev, current, log):
+        if current.n == 7:
+            raise grower.ConstructionError("cost 99 exceeds 15")
+
+    def cheeger_fails_at_5(g):
+        res = real_cheeger(g)
+        return replace(res, ok=res.ok and g.n != 5)
+
+    monkeypatch.setattr(grower, "check_split_cost", split_fails_at_7)
+    monkeypatch.setattr(analysis, "cheeger_check", cheeger_fails_at_5)
+    assert cli.main(["verify", "--d", "6", "--max-n", "8", "--lift-seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    res = real_cheeger(graph_at(6, 5, 1))
+    assert lines == [
+        "FAIL d=6 n=7: cost 99 exceeds 15",
+        f"FAIL cheeger d=6 n=5: h={float(res.h):.6f} outside "
+        f"[{res.lower:.6f}, {res.upper:.6f}]",
+    ]
 
 
 def test_verify_catches_corrupted_weight(tmp_path):
@@ -311,6 +370,12 @@ def null_id_script(tmp):
     return str(path)
 
 
+def attach_string_script(tmp):
+    path = tmp / "attach-string.json"
+    path.write_text('[{"op": "insert", "id": "x", "attach": "g0"}]')
+    return str(path)
+
+
 def nested_script(tmp):
     path = tmp / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -360,11 +425,14 @@ INPUT_ERRORS = {
     "bench-cycles-10-19": lambda tmp: [
         "bench", "--d", "6", "--cycles", str(10**19)],
     "grow-odd-degree": lambda tmp: ["grow", "--d", "7", "--n", "5"],
+    "grow-n-below-base": lambda tmp: ["grow", "--d", "6", "--n", "3"],
     "grow-out-below-missing-dir": lambda tmp: [
         "grow", "--d", "6", "--n", "5", "--out", str(tmp / "none" / "g")],
     "grow-seed-env-not-integer": lambda tmp: ["grow", "--d", "6", "--n", "5"],
     "simulate-id-not-string": lambda tmp: [
         "simulate", "--d", "6", "--script", null_id_script(tmp)],
+    "simulate-attach-not-list": lambda tmp: [
+        "simulate", "--d", "6", "--script", attach_string_script(tmp)],
     "simulate-script-nested-too-deep": lambda tmp: [
         "simulate", "--d", "6", "--script", nested_script(tmp)],
     "simulate-missing-script": lambda tmp: [
@@ -405,6 +473,8 @@ INPUT_ERROR_TEXT = {
     "analyze-name-arabic-digit": "line 2: malformed vertex name",
     "analyze-weight-underscore": "line 2: weight must be in",
     "simulate-id-not-string": "event 0: insert needs a string 'id'",
+    "simulate-attach-not-list": "event 0: 'attach' must be a string list",
+    "grow-n-below-base": "--n must be at least d/2 + 1 = 4",
     "simulate-script-nested-too-deep": "script nests arrays or objects too deeply",
     "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
     "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
@@ -500,6 +570,21 @@ def test_analyze_lemma43_fails_a_rewired_input_above_the_exact_bound(
     assert cli.main(lemma43_on(rewired_g40(tmp_path))) == 1
     result = json.loads(capsys.readouterr().out)["suite_results"][0]["result"]
     assert result == {"ok": False, "detail": "input differs from the reference graph"}
+
+
+def test_analyze_rayleigh_suite_reports_its_result(tmp_path, capsys):
+    """The default index 3 at d = 6 splits G_32's first vertex: n = 33."""
+    argv = ["analyze", "--input", g9_graph(tmp_path), "--spectral",
+            "--suite", "rayleigh", "--lift-seed", "1"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    [suite] = payload["suite_results"]
+    res = analysis.rayleigh_lower_bound_check(6, 3, seed=1)
+    assert suite == {
+        "suite": "rayleigh",
+        "result": {"ok": True, "n": 33, "lambda2": res.lambda2,
+                   "quotient": res.quotient},
+    }
 
 
 def test_analyze_has_no_lemma46_suite(tmp_path, capsys):

@@ -29,7 +29,13 @@ from expanderseq.multigraph import (
     graphs_equal,
     weighted_degree,
 )
-from expanderseq.names import VertexName, format_name, parse_name, partner
+from expanderseq.names import (
+    VertexName,
+    format_name,
+    parse_name,
+    partner,
+    strip_identity,
+)
 
 
 def test_initial_graph_shapes():
@@ -227,6 +233,41 @@ def test_changelog_audits_match_weight_diff(d):
         assert set(log.new_neighbors) == set(cur.neighbors(log.new_vertex))
         matched = state_at(d, n, 1).target.neighbors(u.child(0))
         assert all(k in matched and lost not in matched for k, lost in log.halves)
+
+
+@pytest.mark.parametrize("d", [6, 8, 12])
+def test_log_names_are_the_ends_of_its_identity_edges(d):
+    """Up to n = 300, the ends of each step's identity edges, mapped into
+    G_n and into G_{n-1}, are the log's raw names that are vertices there:
+    the split vertex u, u.0, u.1, the unsplit neighbours and both halves of
+    each split pair.  The simulator's scoped check reads its nodes off
+    these names."""
+    for n in range(d // 2 + 2, 301):
+        log = changelog_at(d, n, 1)
+        u = log.split_vertex
+        raw = {u, u.child(0), log.new_vertex, *log.unsplit_neighbors}
+        raw.update(half for pair in log.halves for half in pair)
+        for g in (graph_at(d, n, 1), graph_at(d, n - 1, 1)):
+            by_identity = {strip_identity(v): v for v in g.vertices}
+            ends = {
+                by_identity[x]
+                for edge, _, _ in log.changes
+                for x in edge
+                if x in by_identity
+            }
+            assert ends == raw & g.vertices, (n, g.n)
+
+
+@pytest.mark.parametrize("d", [6, 8, 12])
+def test_identity_zero_is_the_zeros_name_at_the_deepest_depth(d):
+    """The simulator's coordinator: on every G_n up to n = 300, the vertex of
+    identity 0 is 0:0...0 at the depth of G_n's last name."""
+    for n in range(d // 2 + 1, 301):
+        g = graph_at(d, n, 1)
+        zeros = VertexName(0, (0,) * next(reversed(g.vertices)).depth)
+        assert [v for v in g.vertices if strip_identity(v) == VertexName(0)] == [
+            zeros
+        ], n
 
 
 def test_bl_expander_reads_the_growth_cache(monkeypatch):
