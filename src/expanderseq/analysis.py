@@ -7,12 +7,14 @@ the side's indicator.  ``edge_expansion_exact`` and ``future_cut_floor``
 enumerate all 2^(n-1) cuts of one term set (all edges, or target edges at
 their preimages): ``_laplacian`` builds L in int64, the chunked kernel
 ``_cut_chunks`` runs one Laplacian recurrence, and ``_min_ratio`` takes an
-integer-key minimum.  ``future_cut_suite`` enumerates nothing: each block
-identity is linear in the cut, so it holds on every cut iff two Laplacians
-are equal, compared from their sparse integer entries at any n.  On one core
-of a 2-vCPU x86 host, ``edge_expansion_exact`` takes about 0.02 s at n = 22
-and 0.07 s at n = 24, and ``future_cut_suite`` 0.25 ms at n = 22 and 10 to
-20 ms at n = 1024.  ``mixing_suite`` checks all its pairs as one numpy batch.
+integer-key minimum, scaling a chunk's cuts by one row of factors per
+popcount class of its high bits.  ``future_cut_suite`` enumerates nothing:
+each block identity is linear in the cut, so it holds on every cut iff two
+Laplacians are equal, compared from their sparse integer entries at any n.
+On one core of a 2-vCPU Intel Xeon host, ``edge_expansion_exact`` takes
+7 to 11 ms at n = 22 and 25 to 40 ms at n = 24, and ``future_cut_suite``
+0.25 ms at n = 22 and 10 to 20 ms at n = 1024.  ``mixing_suite`` checks all
+its pairs as one numpy batch.
 
 Two cut weights coexist on growth states: the expansion measurements count
 every edge, while the block machinery relating a cut to its image in the next
@@ -133,11 +135,13 @@ def _laplacian(n: int, terms: Sequence[tuple[int, int, int]]) -> np.ndarray:
 
 
 def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int]]):
-    """Yield ``(masks, sizes, cuts)`` for ``_CHUNK`` cuts at a time.
+    """Yield ``(high, cuts)`` for ``_CHUNK`` cuts at a time.
 
     A cut is a mask over the vertex order with bit 0 clear, numbered
-    ``mask >> 1``.  ``sizes`` are popcounts and ``cuts[k]`` is the weight of
-    the terms ``(i, j, w)`` whose vertices i and j ``masks[k]`` separates.
+    ``mask >> 1``.  Chunk k holds the masks ``high + 2 k'`` for k' below
+    its length: the first chunk's low masks plus ``high``, whose bits lie
+    above theirs.  ``cuts[k']`` is the weight of the terms ``(i, j, w)``
+    whose vertices i and j that mask separates.
 
     The cut of x = b + h is the Laplacian form b^T L b + h^T L h +
     2 b^T L h, so one step adds to the cuts of every low mask b the offset
@@ -165,11 +169,8 @@ def _cut_chunks(n: int, terms: Sequence[tuple[int, int, int]]):
     first = np.zeros(size, dtype=np.int64)
     for t in range(size.bit_length() - 1):
         first[1 << t:2 << t] = step(first[:1 << t], 2 << t)
-    masks = np.arange(size, dtype=np.int64) << 1
     for high in range(0, 2 * total, 2 * size):
-        chunk = masks + high
-        cuts = step(first, high) if high else first
-        yield chunk, np.bitwise_count(chunk).astype(np.int64), cuts
+        yield high, step(first, high) if high else first
 
 
 def _min_ratio(
@@ -182,22 +183,35 @@ def _min_ratio(
     over L; the empty mask has no side.  ``_laplacian`` refuses a total
     term weight W with W * L >= 2^63, so keys stay in int64.  Returns the
     minimum and every minimizing ``(mask, side is the mask)``.
+
+    A chunk's masks are the low masks plus ``high``, with disjoint bits, so
+    a mask's size is its low mask's plus ``high``'s popcount c.  The chunks
+    of one class c share one row of factors L / min(s, n - s), built once:
+    with the default ``_CHUNK``, n - 14 rows of 128 KB at n >= 15.
     """
     lcm = math.lcm(*range(1, n // 2 + 1))
     scale = np.array([0] + [lcm // min(s, n - s) for s in range(1, n)])
     best = np.iinfo(np.int64).max
     minimizers: list[tuple[int, bool]] = []
-    for masks, sizes, cuts in _cut_chunks(n, terms):
-        keys = cuts * scale[sizes]
-        keys[sizes == 0] = np.iinfo(np.int64).max
+    rows: dict[int, np.ndarray] = {}
+    for high, cuts in _cut_chunks(n, terms):
+        if not high:  # the first chunk, whose masks are the low masks
+            sizes = np.bitwise_count(np.arange(len(cuts)) << 1)
+        c = high.bit_count()
+        if c not in rows:
+            rows[c] = scale[sizes + c]
+        keys = cuts * rows[c]
+        if not high:
+            keys[0] = np.iinfo(np.int64).max  # the empty mask has no side
         low = keys.min()
         if low < best:
             best, minimizers = low, []
         if low == best:
             for i in np.flatnonzero(keys == best):
-                for direct, side in ((True, sizes[i]), (False, n - sizes[i])):
+                s = int(sizes[i]) + c
+                for direct, side in ((True, s), (False, n - s)):
                     if 2 * side <= n:
-                        minimizers.append((int(masks[i]), direct))
+                        minimizers.append((high + 2 * int(i), direct))
     return Fraction(int(best), lcm), minimizers
 
 
@@ -311,11 +325,12 @@ def _check_mixing_rows(g: WeightedMultigraph, rows: np.ndarray, lam: float) -> i
     index = _index(g)
     size_s, size_t = (rows == 1).sum(axis=1), (rows == 2).sum(axis=1)
     pairs = np.nonzero((size_s > 0) & (size_t > 0))[0]
-    rows, size_s, size_t = rows[pairs], size_s[pairs], size_t[pairs]
+    size_s, size_t = size_s[pairs], size_t[pairs]
+    cols = np.ascontiguousarray(rows[pairs].T)  # one contiguous row per vertex
     w = np.zeros(len(pairs), dtype=np.int64)
     for u, v, wt in g.edges():
         # trits multiply to 2 just when one end is in S and the other in T
-        w += wt * (rows[:, index[u]] * rows[:, index[v]] == 2)
+        w += wt * (cols[index[u]] * cols[index[v]] == 2)
     expected = d * size_s * size_t / g.n
     bad = np.abs(w - expected) > lam * np.sqrt(size_s * size_t) + FLOAT_SLACK
     if bad.any():

@@ -68,6 +68,13 @@ def cmd_grow(args: argparse.Namespace) -> int:
     for flag, n in (("--n", args.n), ("--n-to", args.n_to)):
         if n is not None and n > sys.maxsize:
             raise UsageError(f"{flag} {n} grows G_n past {sys.maxsize} vertices")
+    # a range writes PATH.n beside PATH, which only a file path can stand for
+    if (n_lo < n_hi and args.out is not None and os.path.exists(args.out)
+            and not os.path.isfile(args.out)):
+        raise UsageError(
+            f"--out {args.out} is not a regular file, so it cannot name the "
+            f"files {args.out}.{n_lo} to {args.out}.{n_hi}"
+        )
     logs = []
     for n in range(n_lo, n_hi + 1):
         path = args.out if args.out is None or n_lo == n_hi else f"{args.out}.{n}"

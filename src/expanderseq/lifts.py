@@ -282,9 +282,11 @@ def _best_signing(
     by_end = np.argsort(np.concatenate([rows, cols]), kind="stable")
     nbr = np.concatenate([cols, rows])[by_end].reshape(n, -1)
     slot_edge = np.tile(np.arange(m), 2)[by_end].reshape(n, -1)
-    # fewest seconds near 2 sqrt(n) steps on 32- to 1024-vertex bases; the
-    # floor of 16 costs little below that and leaves fewer dense solves
-    steps = max(16, 2 * math.isqrt(n))
+    # 2 sqrt(n) steps search at or near the fastest depth on bases of 16 to
+    # 128 vertices: fewer leave many more dense solves, and more cost more
+    # Lanczos work than the solves they save (at n = 16, 16 steps, a full
+    # tridiagonalisation, take twice as long as 8)
+    steps = 2 * math.isqrt(n)
     bounds = np.maximum(
         max(base_eigs[-2], -base_eigs[0]),
         _lanczos_bounds(nbr, slot_edge, bits, steps),

@@ -371,8 +371,9 @@ def test_cut_kernel_matches_scalar_oracle(d, chunk, monkeypatch):
             list(analysis._cut_chunks(n, terms))
             for terms in term_columns(analysis._future_terms(st))
         ]
-        masks = np.concatenate([m for m, _, _ in columns[0]])
-        cuts = np.array([np.concatenate([c for _, _, c in col]) for col in columns])
+        masks = np.concatenate(
+            [high + (np.arange(len(c)) << 1) for high, c in columns[0]])
+        cuts = np.array([np.concatenate([c for _, c in col]) for col in columns])
         floor = h = None
         sides, checked = [], 0
         for k in range(1, len(masks)):
@@ -420,6 +421,42 @@ def test_cut_kernel_chunk_seams(monkeypatch):
     assert results() == whole
 
 
+@pytest.mark.parametrize("chunk", [4, 8])
+def test_min_ratio_matches_brute_force_minimizers(chunk, monkeypatch):
+    """The minimum and every minimizing side against ``expansion_of_set``.
+
+    Chunks of 4 and 8 cuts at n <= 12 reach every popcount class of the
+    chunks' high bits, and the empty mask's chunk; random weights of 1 to 3,
+    with some pairs left out, make ties and disconnected graphs common.
+    """
+    monkeypatch.setattr(analysis, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for n in range(2, 13):
+        for _ in range(3):
+            weights = {
+                pair: rng.randint(1, 3)
+                for pair in combinations(range(n), 2) if rng.random() < 0.5
+            }
+            g = numbered_graph(n, weights)
+            order = list(g.vertices)
+            h, sides = None, []
+            for size in range(1, n // 2 + 1):
+                for combo in combinations(range(n), size):
+                    e = expansion_of_set(g, [order[i] for i in combo])
+                    if h is None or e < h:
+                        h, sides = e, []
+                    if e == h:
+                        sides.append(combo)
+            index = analysis._index(g)
+            terms = [(index[u], index[v], w) for u, v, w in g.edges()]
+            got, minimizers = analysis._min_ratio(n, terms)
+            assert got == h
+            assert sorted(
+                tuple(i for i in range(n) if (mask >> i) & 1 == direct)
+                for mask, direct in minimizers
+            ) == sorted(sides)
+
+
 def term_columns(terms):
     """``_future_terms``' ``(i, j, w, col)`` terms as six ``(i, j, w)`` lists."""
     return [[(i, j, w) for i, j, w, col in terms if col == k] for k in range(6)]
@@ -434,7 +471,7 @@ def per_term_cut_chunks(n, terms, chunk):
         bits = (masks >> np.arange(n)[:, None]) & 1
         for i, j, w in terms:
             cuts += w * (bits[i] ^ bits[j])
-        yield masks, np.bitwise_count(masks).astype(np.int64), cuts
+        yield masks, cuts
 
 
 @pytest.mark.parametrize("n", [16, 18])
@@ -455,10 +492,10 @@ def test_cut_kernel_matches_per_term_kernel_across_chunks(d, n, monkeypatch):
         got = list(analysis._cut_chunks(n, terms))
         want = list(per_term_cut_chunks(n, terms, 1 << 10))
         assert len(got) == len(want) == 1 << (n - 11)
-        for chunk, ref in zip(got, want):
-            for a, b in zip(chunk, ref):
-                assert a.dtype == b.dtype == np.int64
-                assert np.array_equal(a, b)
+        for (high, cuts), (masks, ref) in zip(got, want):
+            assert np.array_equal(high + (np.arange(len(cuts)) << 1), masks)
+            assert cuts.dtype == ref.dtype == np.int64
+            assert np.array_equal(cuts, ref)
 
 
 def enumerated_suite(n, terms):
@@ -466,7 +503,7 @@ def enumerated_suite(n, terms):
     time: the first failing check in the order ss, uu, su, half bound, at
     its first failing mask; None when every cut passes."""
     wg, wh = np.split(np.array([
-        np.concatenate([c for _, _, c in per_term_cut_chunks(n, col, 1 << 12)])
+        np.concatenate([c for _, c in per_term_cut_chunks(n, col, 1 << 12)])
         for col in term_columns(terms)
     ]), 2)
     checks = (

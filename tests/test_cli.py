@@ -389,6 +389,12 @@ def heavy_triangle(tmp, weight):
     return str(path)
 
 
+def fifo(tmp):
+    path = tmp / "fifo"
+    os.mkfifo(path)
+    return str(path)
+
+
 def not_utf8(tmp):
     path = tmp / "not-utf8"
     path.write_bytes(b"\xff\xfe")
@@ -429,6 +435,8 @@ INPUT_ERRORS = {
     "grow-out-below-missing-dir": lambda tmp: [
         "grow", "--d", "6", "--n", "5", "--out", str(tmp / "none" / "g")],
     "grow-seed-env-not-integer": lambda tmp: ["grow", "--d", "6", "--n", "5"],
+    "grow-range-out-fifo": lambda tmp: [
+        "grow", "--d", "6", "--n", "5", "--n-to", "7", "--out", fifo(tmp)],
     "simulate-id-not-string": lambda tmp: [
         "simulate", "--d", "6", "--script", null_id_script(tmp)],
     "simulate-attach-not-list": lambda tmp: [
@@ -475,6 +483,7 @@ INPUT_ERROR_TEXT = {
     "simulate-id-not-string": "event 0: insert needs a string 'id'",
     "simulate-attach-not-list": "event 0: 'attach' must be a string list",
     "grow-n-below-base": "--n must be at least d/2 + 1 = 4",
+    "grow-range-out-fifo": "fifo is not a regular file, so it cannot name the files",
     "simulate-script-nested-too-deep": "script nests arrays or objects too deeply",
     "verify-name-leading-zero": "line 2: malformed vertex name '01:'",
     "verify-name-underscore": "line 2: malformed vertex name '1_0:'",
@@ -495,6 +504,18 @@ def test_input_errors_exit_2(tmp_path, case):
     assert res.stderr.startswith("error: ")
     assert res.stderr.count("\n") == 1, res.stderr
     assert INPUT_ERROR_TEXT.get(case, "") in res.stderr
+
+
+@pytest.mark.parametrize("make", [fifo, lambda tmp: str(tmp)])
+def test_grow_range_refuses_an_out_that_is_not_a_file(tmp_path, capsys, make):
+    """A FIFO or a directory cannot name the range's ``PATH.n`` files: the
+    range exits 2 before it writes any of them."""
+    out = make(tmp_path)
+    before = sorted(tmp_path.parent.iterdir()), sorted(tmp_path.iterdir())
+    assert cli.main(["grow", "--d", "6", "--n", "5", "--n-to", "7",
+                     "--lift-seed", "1", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {out} is not")
+    assert (sorted(tmp_path.parent.iterdir()), sorted(tmp_path.iterdir())) == before
 
 
 @pytest.mark.parametrize("sizes, flag", [

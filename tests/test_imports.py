@@ -1,7 +1,8 @@
 """Every module-level import of the package is used by its module, every
 private module-level name is used somewhere in the package, in the CLI
 only ``main`` reports errors, only ``multigraph`` touches the adjacency rows,
-and every name the benchmark binds exists.
+every name the benchmark binds exists, and growth and the mixing sampler
+leave ``numpy.random`` unimported.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for unused-import and unused-helper rules.  An import whose line carries
@@ -11,6 +12,8 @@ package's exports.
 
 import ast
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -210,3 +213,20 @@ def test_perfbench_binds_existing_names():
         (selfheal.SimNetwork, "insert"), (selfheal.SimNetwork, "delete"),
     ]
     assert [f"{o.__name__}.{a}" for o, a in hooks if not hasattr(o, a)] == []
+
+
+def test_grow_and_mixing_leave_numpy_random_unimported():
+    """``numpy.random`` is imported lazily, and importing it costs a cold
+    process about 17 ms: the mixing sampler draws from ``random`` and unpacks
+    its words with numpy, so a fresh process never needs it."""
+    code = (
+        "import sys\n"
+        "from expanderseq import analysis, cli, grower\n"
+        "assert cli.main(['grow', '--d', '6', '--n', '13', '--lift-seed', '1']) == 0\n"
+        "assert analysis.mixing_suite(grower.graph_at(6, 13, 1)) == 10000\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert res.stdout.splitlines()[-1] == "True False"
