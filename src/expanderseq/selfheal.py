@@ -39,7 +39,10 @@ once as a table of integer positions in canonical name order, with each
 position's neighbors' positions, and the BFS distances are memoized per
 destination and exclusions as a sequence by position; a hop compares
 positions, which order as the names do, and turns only the vertex it picks
-back into a name.
+back into a name.  ``_hop`` raises ``_NoHop`` for its two designed failures,
+no step nearer and no physical neighbor carrying the step, and only these
+send a message to ``_escape_hop``; any other ``ProtocolError``, such as a
+distance past 253, fails the event.
 
 Every message carries one body: the body's type selects its handler, and
 its fields determine the bits it is charged, with ``name(v)`` = 9 + depth
@@ -102,7 +105,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from collections import deque
 from collections.abc import Callable, Iterable
@@ -122,6 +124,10 @@ ROUND_LIMIT = 100_000
 
 class ProtocolError(RuntimeError):
     """The simulated protocol reached a state the design rules out."""
+
+
+class _NoHop(ProtocolError):
+    """No step toward the target, or no neighbor carrying it: a hop escapes."""
 
 
 class ScriptError(ValueError):
@@ -597,8 +603,6 @@ class SimNetwork:
         self._seq = 0
         # during a deletion's first phase, the 0 halves whose pair drop waits
         self._deferred_drops: set[str] | None = None
-        # (n, the bit cap at n), recomputed when n changes
-        self._cap = (0, 0)
         self.reset_counters()
         base = graph_at(d, self.n, seed)
         ids = {}
@@ -628,10 +632,8 @@ class SimNetwork:
         self.bits = 0
 
     def _bit_cap(self) -> int:
-        if self._cap[0] != self.n:
-            cap = MSG_BIT_CAP_FACTOR * max(1, math.ceil(math.log2(max(self.n, 2))))
-            self._cap = (self.n, cap)
-        return self._cap[1]
+        # ceil(log2 n) is the bit length of n - 1 for n >= 2
+        return MSG_BIT_CAP_FACTOR * max(1, (max(self.n, 2) - 1).bit_length())
 
     def _send(self, src_ext: str, dst_ext: str, msg: Message) -> None:
         cap = self._bit_cap()
@@ -665,8 +667,8 @@ class SimNetwork:
 
         The hop follows the canonical shortest path: in the exact graph when
         the message carries the vertex count, else in the reference level
-        its first forwarder chose.  A node with no such hop escapes, for
-        one of the two causes ``_escape_hop`` names.
+        its first forwarder chose.  A node with no such hop (``_NoHop``)
+        escapes; any other error fails the event.
         """
         node = self.nodes[src_ext]
         if strip_identity(node.name) == strip_identity(msg.dst):
@@ -679,23 +681,21 @@ class SimNetwork:
                 if msg.route_level is None:
                     msg.route_level = self._working_level(node)
                 hop = self.route_next_hop(node, msg.dst, msg.exclude, msg.route_level)
-        except ProtocolError:
+        except _NoHop:
             hop = self._escape_hop(node, msg)
         self._send(src_ext, node.neighbor_table[hop], msg)
 
     def _escape_hop(self, node: NodeState, msg: Message) -> VertexName:
-        """Deterministic last resort when the routing rule gives no hop.
+        """Deterministic last resort for the two causes of ``_NoHop``.
 
-        Two causes reach it.  Removing a dead vertex's images can separate a
-        node from its own split sibling in every reference graph even though
-        the physical graph stays connected through partner edges (``_hop``
-        finds no step).  And in ordinary operation the reference hop can be
-        a vertex that no physical neighbor stands for (``_match_binding``
-        fails): the node named 3:01 routing to its partner 3:00 at level 3,
-        whose hop is 0:010, has no neighbor carrying 0:010.  Hand the message
-        to the smallest neighbor other than the last carrier, so the route
-        can be longer than the graph distance; the hop budget turns a
-        genuine routing bug into a hard error instead of a livelock.
+        No step: removing a dead vertex's images can separate a node from
+        its split sibling in every reference graph, though partner edges
+        keep the physical graph connected.  No carrier: the reference hop
+        can be a vertex no physical neighbor stands for, as 0:010 is for
+        3:01 routing to its partner 3:00 at level 3.  Hand the message to
+        the smallest neighbor other than the last carrier, so the route can
+        be longer than the graph distance; the hop budget turns a genuine
+        routing bug into a hard error instead of a livelock.
         """
         msg.hops += 1
         if msg.hops > 16 * (node.name.depth + 4):
@@ -747,24 +747,21 @@ class SimNetwork:
             return match
         if level is None:
             level = self._working_level(node)
-        return self._ref_hop(node, dst, exclude, level)
-
-    def _ref_hop(
-        self, node: NodeState, dst: VertexName, exclude: frozenset[VertexName],
-        level: int,
-    ) -> VertexName:
-        """The hop toward ``dst`` at ``level``, aimed at its locus's smallest vertex."""
-        return self._hop(node, min(locus(dst, level)), exclude, None, level)
+        return self._hop(node, dst, exclude, None, level)
 
     def _hop(
         self, node: NodeState, dst: VertexName, exclude: frozenset[VertexName],
         n: int | None, level: int | None,
     ) -> VertexName:
-        """The neighbor carrying the hop toward ``dst`` in ``_route_table``'s
-        graph: to the smallest-named vertex one step nearer than the node's
-        image, or, when that image is all excluded, the nearest one.  Works
-        on positions, whose order is the names' order; only the chosen
-        vertex becomes a name again."""
+        """The smallest neighbor carrying the hop toward ``dst`` in
+        ``_route_table``'s graph: to the smallest-named vertex one step nearer
+        than the node's image, or, when that image is all excluded, the
+        nearest one.  At a reference level ``dst`` stands for its locus's
+        smallest vertex.  Works on positions, whose order is the names'
+        order; only the chosen vertex becomes a name again.  Raises
+        ``_NoHop`` when there is no such step or no neighbor carries it."""
+        if level is not None:
+            dst = min(locus(dst, level))
         table = _route_table(self.d, self.seed, n, level)
         dist = _route_dist(self.d, self.seed, n, level, dst, exclude)
         here = table.image(node.name)
@@ -778,23 +775,15 @@ class SimNetwork:
         if not steps:
             where = f"G_{n}" if level is None else f"level {level}"
             path = f"{format_name(node.name)} to {format_name(dst)} in {where}"
-            raise ProtocolError(f"no hop from {path}")
+            raise _NoHop(f"no hop from {path}")
         best = table.names[min(steps, key=lambda w: (dist[w], w))]
-        return self._match_binding(node, best, best.depth)
-
-    @staticmethod
-    def _match_binding(
-        node: NodeState, ref_vertex: VertexName, level: int
-    ) -> VertexName:
-        """The smallest physical neighbor name carrying a reference vertex."""
         match = min(
-            (nb for nb in node.neighbor_table if ref_vertex in locus(nb, level)),
+            (nb for nb in node.neighbor_table if best in locus(nb, best.depth)),
             default=None,
         )
         if match is None:
-            raise ProtocolError(
-                f"{node.ext_id} has no physical neighbor matching "
-                f"{format_name(ref_vertex)}"
+            raise _NoHop(
+                f"{node.ext_id} has no physical neighbor matching {format_name(best)}"
             )
         return match
 
@@ -950,9 +939,13 @@ class SimNetwork:
     def _on_neighbor_entry(
         self, body: NeighborEntry, node: NodeState, src: str
     ) -> None:
+        """Relay the entry to the new node, which is still joining: its
+        ``entries_left``, set before ``SplitReq`` to the splitter's table size
+        (checked against the log before one entry per row is sent), reaches
+        0, which alone ends joining, only with the last entry."""
         if node.ext_id != body.new_ext:
             self._direct(node, body.new_ext, body)
-        elif node.joining is not None:
+        else:
             node.joining.entries_left -= 1
             self._maybe_finish_wiring(node)
 
@@ -981,10 +974,13 @@ class SimNetwork:
 
     @_handles
     def _on_ack(self, body: Ack, node: NodeState, src: str) -> None:
+        """Count the ack toward the takeover, which is open: only ``_on_wire``
+        acks, once per ``Wire`` that ``_on_takeover`` sends to each target;
+        ``targets_cur`` maps them one-to-one (p0 is not in G_{n-1}), the job
+        closes only when ``acks`` reaches its size, and an event runs one."""
         node.neighbor_table[body.name] = body.ext
-        if node.takeover is not None:
-            node.takeover.acks += 1
-            self._maybe_finish_takeover(node)
+        node.takeover.acks += 1
+        self._maybe_finish_takeover(node)
 
     @_handles
     def _on_bind(self, body: Bind, node: NodeState, src: str) -> None:
@@ -1125,7 +1121,7 @@ class SimNetwork:
         node's own level, so every ex-neighbor can evaluate it alone,
         without any knowledge of the vertex count.
         """
-        hop = self._ref_hop(dead, VertexName(0), frozenset(), dead.name.depth)
+        hop = self._hop(dead, VertexName(0), frozenset(), None, dead.name.depth)
         return self.nodes[dead.neighbor_table[hop]]
 
     def _elect_for_coordinator_deletion(self, dead: NodeState, n: int) -> NodeState:

@@ -180,7 +180,7 @@ def test_criterion_8_self_healing():
 def test_escape_hops_come_from_unmatched_reference_hops(monkeypatch):
     """On the 400-event script at lift seed 1 every escape hop is a
     ``PartnerAnnounce`` with no exclusions whose reference hop no physical
-    neighbour carries: ``_match_binding`` fails, not ``_hop``.  The script is
+    neighbour carries, never one with no step toward it.  The script is
     the ``simulate-churn`` benchmark's, so its digest is that workload's
     golden one in ``perfbench/golden.json``."""
     real = selfheal.SimNetwork._escape_hop

@@ -1,8 +1,8 @@
 """Every module-level import of the package is used by its module, every
 private module-level name is used somewhere in the package, in the CLI
 only ``main`` reports errors, only ``multigraph`` touches the adjacency rows,
-every name the benchmark binds exists, and growth and the mixing sampler
-leave ``numpy.random`` unimported.
+``selfheal`` swallows no ``ProtocolError``, every name the benchmark binds
+exists, and growth and the mixing sampler leave ``numpy.random`` unimported.
 
 No linter ships with the project, so these stdlib ``ast`` checks stand in
 for unused-import and unused-helper rules.  An import whose line carries
@@ -149,6 +149,40 @@ def test_error_report_check_sees_attributes_and_names():
 
 def test_only_cli_main_writes_to_stderr_or_exits_2():
     assert error_reports_outside_main((PACKAGE / "cli.py").read_text()) == []
+
+
+def swallowed_protocol_errors(source: str) -> list[str]:
+    """``except`` clauses naming ``ProtocolError`` whose body does not end
+    in ``raise``: an error the design rules out must fail its event."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        named = {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node.type)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+        if "ProtocolError" in named and not isinstance(node.body[-1], ast.Raise):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_swallowed_error_check_sees_names_tuples_and_attributes():
+    source = (
+        "try:\n    f()\nexcept ProtocolError:\n    g()\n"
+        "try:\n    f()\nexcept (ValueError, sh.ProtocolError) as e:\n    g(e)\n"
+        "try:\n    f()\nexcept (ScriptError, ProtocolError) as e:\n"
+        "    raise type(e)('x') from e\n"
+        "try:\n    f()\nexcept _NoHop:\n    g()\n"
+    )
+    assert swallowed_protocol_errors(source) == ["line 3", "line 7"]
+
+
+def test_selfheal_swallows_no_protocol_error():
+    """Only ``_NoHop``, the hop rule's two designed failures, is caught and
+    handled; every other ``ProtocolError`` fails the event."""
+    assert swallowed_protocol_errors((PACKAGE / "selfheal.py").read_text()) == []
 
 
 ROW_INTERNALS = {"_adj", "_Row", "_new_row"}

@@ -246,7 +246,7 @@ def test_parse_rejects_malformed():
         graph_from_text("6 2\n0: 1: 2\n0: 1: 1\n")  # duplicate edge
     # names and numbers are read only in the spelling graph_to_text writes
     for line in ("0: +1: 6", "0: 01: 6", "0: \u0661: 6", "0: 1_0: 6",
-                 "0: 1: +6", "0: 1: 0_6", "0: 1: 06"):
+                 "0: 1: +6", "0: 1: 0_6", "0: 1: 06", "0: 1:", "0: 1: 6 7"):
         with pytest.raises(ValueError, match="^line 2: "):
             graph_from_text(f"6 2\n{line}\n")
     for header in ("+6 2", "6 02", "6 \u0662"):

@@ -902,6 +902,23 @@ def test_route_distances_past_a_byte_raise(monkeypatch, length):
             selfheal._route_dist(*key)
 
 
+def test_route_distance_overflow_fails_its_event(monkeypatch):
+    """Only a missing step or a missing carrier sends a message to the
+    escape hop: a distance past a byte, raised under the hop rule, fails
+    the event with its own message."""
+
+    def overflow(*key):
+        raise ProtocolError("route distance 254 exceeds 253")
+
+    monkeypatch.setattr(selfheal, "_route_dist", overflow)
+    events = [InsertEvent(f"x{i}", ("g0",)) for i in range(6)]
+    with pytest.raises(ProtocolError) as info:
+        run_script(6, 1, events)
+    assert str(info.value) == (
+        "event 5 (insert 'x5', n = 9, round 3): route distance 254 exceeds 253"
+    )
+
+
 @pytest.mark.parametrize("d", [6, 8])
 @settings(max_examples=20)
 @given(moves=ADVERSARY_MOVES)
